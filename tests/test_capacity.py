@@ -1,9 +1,14 @@
 """Tests for the nonlinear-channel capacity bounds and the MI estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import erf
 
 import swiptlab.capacity as cap
 from swiptlab.capacity import (
@@ -228,3 +233,164 @@ class TestPanelQuadrature:
         knots = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 3.0]])
         vals = cap._panelized_integrals(knots, lambda t, a: t ** 3, 1e-12)
         assert vals == pytest.approx([4.0, 81.0 / 4.0], rel=1e-13)
+
+    def test_kronrod_rule(self):
+        u, wk, wg = cap._kronrod_nodes()
+        assert u.shape == wk.shape == wg.shape == (31,)
+        assert np.all(wk > 0)
+        x, w = np.polynomial.legendre.leggauss(15)
+        assert np.array_equal(u[1::2], 0.5 * (x + 1.0))
+        assert np.array_equal(wg[1::2], 0.5 * w)
+        assert not wg[0::2].any()
+        k = np.arange(47)
+        moments = (u[:, None] ** k).T @ wk
+        assert moments * (k + 1) == pytest.approx(np.ones(47), rel=1e-13)
+
+    def test_kronrod_construction_matches_quadpack_gk15(self):
+        # QUADPACK's dqk15 table (nodes on [-1, 1], nonnegative half, and weights)
+        xgk = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+               0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+               0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+               0.207784955007898467600689403773245, 0.0]
+        wgk = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+        u, wk, _ = cap._kronrod_nodes(7)
+        assert 2.0 * u[7:] - 1.0 == pytest.approx(xgk[::-1], abs=1e-14)
+        assert 2.0 * wk[7:] == pytest.approx(wgk[::-1], abs=1e-14)
+
+    def test_empty_panels_cost_nothing(self):
+        base = np.array([[0.0, 0.3, 1.0, 2.5], [1.0, 1.5, 2.0, 4.0]])
+        dup = np.array([[0.0, 0.0, 0.3, 0.3, 1.0, 2.5], [1.0, 1.5, 2.0, 2.0, 2.0, 4.0]])
+        shapes = []
+
+        def smooth(t, owner):
+            shapes.append(t.shape)
+            return np.exp(-t)
+
+        ref = cap._panelized_integrals(base, smooth, 1e-12)
+        shapes.clear()
+        vals = cap._panelized_integrals(dup, smooth, 1e-12)
+        assert shapes[0] == (6, 1, 31)  # 31 nodes on each of the 6 nonzero panels
+        assert np.array_equal(vals, ref)
+        # a sample's sum does not depend on its row or on the other rows
+        assert np.array_equal(cap._panelized_integrals(dup[::-1], smooth, 1e-12), vals[::-1])
+
+    def test_nan_panel_is_not_dropped_as_empty(self):
+        with pytest.raises(QuadratureFailure, match="1 of 2 "):
+            cap._panelized_integrals(np.array([[0.0, 1.0], [0.0, np.nan]]),
+                                     lambda t, a: np.ones_like(t), 1e-12)
+
+    def test_failure_message_carries_context(self):
+        knots = np.array([[0.0, 1.0], [2.0, 3.0]])
+
+        def half_wild(t, owner):
+            wild = np.sin(1e9 * t) ** 2 + np.sin(1.7e8 * t)
+            return np.where(owner[:, None, None] == 1, wild, t ** 3)
+
+        with pytest.raises(QuadratureFailure) as info:
+            cap._panelized_integrals(knots, half_wild, 1e-14)
+        msg = str(info.value)
+        assert "1 of 2 output-density integrals missed tol=1e-14" in msg
+        worst = re.search(r"worst \|delta\| between the last two levels (\S+) ", msg)
+        assert worst and float(worst.group(1)) > 1e-14
+        assert "sample 1 of the batch" in msg
+        assert "window [2, 3]" in msg
+        assert "rescale powers/noises toward order unity" in msg
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(lo=st.floats(-3.0, 1.0), span=st.floats(0.2, 4.0),
+           inner=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8),
+           dup=st.integers(0, 7), mu=st.floats(-3.0, 4.0), sigma=st.floats(0.1, 1.5))
+    def test_gaussian_bump_matches_erf(self, lo, span, inner, dup, mu, sigma):
+        hi = lo + span
+        feats = inner + [inner[dup % len(inner)]]  # a forced duplicate
+        knots = cap._build_knots(np.array([lo]), np.array([hi]),
+                                 [np.array([f]) for f in feats])  # clips to [lo, hi]
+
+        def bump(t, owner):
+            return np.exp(-0.5 * ((t - mu) / sigma) ** 2)
+
+        got = cap._panelized_integrals(knots, bump, 1e-13)[0]
+        s = sigma * math.sqrt(2.0)
+        want = 0.5 * math.sqrt(math.pi) * s * (erf((hi - mu) / s) - erf((lo - mu) / s))
+        assert abs(got - want) <= 1e-12
+
+
+# --- independent oracle for the output densities ---------------------------
+
+def _norm_pdf(z, s2):
+    return math.exp(-z * z / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+
+
+def _convolve_rec_noise(f_w, y, s2r, breaks):
+    """int f_W(w) phi(y - w; s2r) dw by adaptive QUADPACK over y +- 40 sigma."""
+    s = math.sqrt(s2r)
+    lo, hi = max(0.0, y - 40.0 * s), y + 40.0 * s
+    pts = sorted({min(max(b, lo), hi) for b in breaks + [y]} - {lo, hi})
+    val, _ = integrate.quad(lambda w: f_w(w) * _norm_pdf(y - w, s2r), lo, hi,
+                            points=pts or None, epsabs=0.0, epsrel=1e-12, limit=500)
+    return val
+
+
+def _p_cond_oracle(y, x, hp, s2a, s2r):
+    # W | x = (s2a/2) * noncentral chi-square, 2 dof, noncentrality 2 hP x / s2a
+    sc = 0.5 * s2a
+    nu2 = hp * x
+    spread = 2.0 * math.sqrt(nu2 * s2a) + s2a
+    return _convolve_rec_noise(lambda w: stats.ncx2.pdf(w / sc, 2, nu2 / sc) / sc, y, s2r,
+                               [nu2 - 6.0 * spread, nu2, nu2 + 6.0 * spread])
+
+
+def _p_marg_oracle(y, hp, s2a, s2r):
+    if s2a == 0.0:
+        # W = hP X with X chi-square (1 dof): the w^-1/2 endpoint is QAWS's weight
+        val, _ = integrate.quad(
+            lambda w: math.exp(-w / (2.0 * hp)) / math.sqrt(2.0 * math.pi * hp)
+            * _norm_pdf(y - w, s2r),
+            0.0, max(y + 40.0 * math.sqrt(s2r), 1e-3), weight="alg", wvar=(-0.5, 0.0),
+            epsabs=0.0, epsrel=1e-12, limit=500)
+        return val
+    # W = A^2 + B^2 with A ~ N(0, hP + s2a/2) (the chi-square input folded into
+    # the in-phase noise) and B ~ N(0, s2a/2): convolve the two chi-square laws
+    va, vb = hp + 0.5 * s2a, 0.5 * s2a
+
+    def f_w(w):
+        if w <= 0.0:
+            return 1.0 / (2.0 * math.sqrt(va * vb))
+        val, _ = integrate.quad(
+            lambda a: math.exp(-a / (2.0 * va) - (w - a) / (2.0 * vb))
+            / (2.0 * math.pi * math.sqrt(va * vb)),
+            0.0, w, weight="alg", wvar=(-0.5, -0.5), epsabs=0.0, epsrel=1e-13)
+        return val
+
+    return _convolve_rec_noise(f_w, y, s2r, [vb, 3.0 * vb, 10.0 * vb])
+
+
+def _channel_draws(rng, n, hp, s2a, s2r):
+    x = rng.standard_normal(n) ** 2
+    sc = math.sqrt(0.5 * s2a)
+    w = (np.sqrt(hp * x) + sc * rng.standard_normal(n)) ** 2 + (sc * rng.standard_normal(n)) ** 2
+    return x, w + math.sqrt(s2r) * rng.standard_normal(n)
+
+
+class TestDensityOracle:
+    """The panel quadrature against per-sample adaptive QUADPACK integrals of
+    textbook laws, in w rather than t = sqrt(w) space."""
+
+    @pytest.mark.parametrize("s2a", [1e-2, 1.0, 1e2])
+    def test_conditional_and_marginal(self, s2a):
+        hp, s2r = 100.0, 1.0
+        x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a)), 6, hp, s2a, s2r)
+        cond = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10))
+        marg = np.exp(cap._log_p_marg(y, hp, s2a, s2r, 1e-10))
+        assert cond == pytest.approx(
+            [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
+        assert marg == pytest.approx([_p_marg_oracle(yi, hp, s2a, s2r) for yi in y], rel=1e-8)
+
+    def test_marginal_without_antenna_noise(self):
+        hp, s2r = 10.0, 1.0
+        x, y = _channel_draws(np.random.default_rng(5), 4, hp, 0.0, s2r)
+        marg = np.exp(cap._log_p_marg(y, hp, 0.0, s2r, 1e-10))
+        assert marg == pytest.approx([_p_marg_oracle(yi, hp, 0.0, s2r) for yi in y], rel=1e-8)

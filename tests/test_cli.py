@@ -210,3 +210,15 @@ class TestErrorHandling:
                            tmp_path, monkeypatch, capsys)
         assert code == 2
         assert "nonsense" in json.loads(err)["error"]["message"]
+
+    def test_unresolved_quadrature_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the unit point scaled by 1e-6: quad_tol is an absolute density tolerance,
+        # so at this scale some integrals cannot meet it
+        code, _, err = run(["capacity", "--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12",
+                            "--lower", "--samples", "10000"], tmp_path, monkeypatch, capsys)
+        assert code == 4
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "QuadratureFailure" and doc["exit_code"] == 4
+        for field in ("output-density integrals missed tol=1e-10", "worst |delta|",
+                      "of the batch", "integration window [", "rescale"):
+            assert field in doc["message"]
