@@ -10,6 +10,7 @@ conditional/marginal output densities.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -73,15 +74,10 @@ class MiEstimate:
         }
 
 
-@dataclass(frozen=True)
-class EffectiveNoise:
-    """Processing noise referred through the baseband power splitter."""
-
-    sigma2_eff: float
-
-
-def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> EffectiveNoise:
+def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> float:
     """sigma2_rec + sigma2_adc / (1 - rho)^2 for a baseband split ratio rho."""
+    if not (math.isfinite(sigma2_rec) and math.isfinite(sigma2_adc)):
+        raise InvalidParams("noise powers must be finite")
     if sigma2_rec < 0 or sigma2_adc < 0:
         raise InvalidParams("noise powers must be >= 0")
     if not 0 <= rho <= 1:
@@ -89,8 +85,8 @@ def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> Ef
     if rho == 1.0:
         if sigma2_adc > 0:
             raise SplitAtUnity("rho = 1 makes the effective processing noise unbounded")
-        return EffectiveNoise(sigma2_rec)
-    return EffectiveNoise(sigma2_rec + sigma2_adc / (1.0 - rho) ** 2)
+        return sigma2_rec
+    return sigma2_rec + sigma2_adc / (1.0 - rho) ** 2
 
 
 def c1_asymptotic(hp: float, sigma_rec: float) -> float:
@@ -422,6 +418,96 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol):
 
 _CHUNK = 4096
 
+# Piecewise Chebyshev table of log p(y) in s = asinh(y / sigma_rec): panels are
+# sigma_rec wide near y = 0 and grow geometrically in y.  Each panel holds the 17
+# Chebyshev points of the second kind (ascending) with their barycentric weights,
+# and is certified at the 16 angle midpoints between them.
+_CHEB_NODES = -np.cos(np.pi * np.arange(17) / 16)
+_CHEB_WEIGHTS = np.where(np.arange(17) % 2, -1.0, 1.0) * np.r_[0.5, np.ones(15), 0.5]
+_CHEB_CHECKS = -np.cos(np.pi * (np.arange(16) + 0.5) / 16)
+_TABLE_START_PANELS = 8
+_TABLE_MAX_PANELS = 256
+# relative part of the certification tolerance: an absolute quad_tol alone asks
+# for accuracy below rounding where the density is large
+_TABLE_REL_TOL = 1e-10
+
+
+def _barycentric(s, nodes, values):
+    """Barycentric interpolation at s (...) on the rows of nodes and values (..., 17)."""
+    d = s[..., None] - nodes
+    hit = d == 0.0
+    q = _CHEB_WEIGHTS / np.where(hit, 1.0, d)
+    return np.where(hit.any(axis=-1), (values * hit).sum(axis=-1),
+                    (q * values).sum(axis=-1) / q.sum(axis=-1))
+
+
+def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
+    """log p(.) as a function of y over [min y, max y]: the closed form where
+    one exists, else a piecewise Chebyshev interpolant of the quadrature.
+
+    Starting from equal panels in s = asinh(y / sigma_rec), a panel is accepted
+    when the interpolant meets |p_hat - p| <= quad_tol + 1e-10 p against direct
+    quadrature at its check points, and bisected otherwise; evaluating more
+    than _TABLE_MAX_PANELS panels in all raises QuadratureFailure.  The table
+    depends on y only through its range, so no sample's value depends on
+    chunking.
+    """
+    if sigma2_rec == 0.0 or (sigma2_a == 0.0 and hp == 0.0):
+        return functools.partial(_log_p_marg, hp=hp, sigma2_a=sigma2_a,
+                                 sigma2_rec=sigma2_rec, quad_tol=quad_tol)
+    sigma_rec = math.sqrt(sigma2_rec)
+
+    def direct(s):  # batched so that memory stays bounded
+        y_at = sigma_rec * np.sinh(s)
+        return np.concatenate([_log_p_marg(y_at[i:i + _CHUNK], hp, sigma2_a, sigma2_rec, quad_tol)
+                               for i in range(0, s.size, _CHUNK)])
+
+    s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
+    start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)
+    lo, hi = start[:-1], start[1:]
+    evaluated = 0
+    accepted = []
+    while lo.size:
+        evaluated += lo.size
+        if evaluated > _TABLE_MAX_PANELS:
+            raise QuadratureFailure(
+                f"log p(y) needs more than {_TABLE_MAX_PANELS} table panels of 17 nodes "
+                f"to meet tol={quad_tol:g} + {_TABLE_REL_TOL:g} p over y in "
+                f"[{y.min():.6g}, {y.max():.6g}]; rescale powers/noises toward order unity"
+            )
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _CHEB_NODES
+        checks = mid[:, None] + half[:, None] * _CHEB_CHECKS
+        both = direct(np.concatenate([nodes.ravel(), checks.ravel()]))
+        vals = both[:nodes.size].reshape(nodes.shape)
+        p = np.exp(both[nodes.size:].reshape(checks.shape))
+        p_hat = np.exp(_barycentric(checks, nodes[:, None], vals[:, None]))
+        ok = (np.abs(p_hat - p) <= quad_tol + _TABLE_REL_TOL * p).all(axis=1)
+        accepted.append((lo[ok], nodes[ok], vals[ok]))
+        lo, hi, mid = lo[~ok], hi[~ok], mid[~ok]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    lo, nodes, vals = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.argsort(lo)
+    edges, nodes, vals = lo[order], nodes[order], vals[order]
+
+    def log_p(yy):
+        s = np.arcsinh(yy / sigma_rec)
+        k = np.maximum(np.searchsorted(edges, s, side="right") - 1, 0)
+        return _barycentric(s, nodes[k], vals[k])
+
+    return log_p
+
+
+@contextlib.contextmanager
+def _failure_stage(stage, hp, sigma2_a, sigma2_rec):
+    """Prefix a QuadratureFailure with the failing stage and the channel."""
+    try:
+        yield
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(
+            f"{stage} at hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}: {exc}"
+        ) from exc
+
 
 def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
                    mc: MonteCarloConfig = MonteCarloConfig()) -> MiEstimate:
@@ -431,14 +517,21 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     the channel, and averages log2 p(Y|X)/p(Y).  The conditional law of the
     squared envelope is the scaled noncentral form with scale sigma2_a and
     noncentrality hP*X, evaluated in log space via the exponentially scaled
-    Bessel term; the processing-noise convolution and the input-averaged
-    marginal are 1-D panel quadratures (a 31-point Gauss-Kronrod rule checked
-    against its embedded 15-point Gauss rule, escalating to 512 Gauss-Legendre
-    nodes where needed) to absolute tolerance mc.quad_tol on each density.
-    Raises QuadratureFailure when a density misses that tolerance at every
-    level.  Results are bit-reproducible for a fixed seed and independent of
-    internal chunking.
+    Bessel term; its processing-noise convolution is a per-sample 1-D panel
+    quadrature (a 31-point Gauss-Kronrod rule checked against its embedded
+    15-point Gauss rule, escalating to 512 Gauss-Legendre nodes where needed)
+    to absolute tolerance mc.quad_tol.  The input-averaged marginal p(Y)
+    depends on Y alone, so it is computed once per call: the same quadrature
+    at the nodes of a piecewise Chebyshev table of log p over the range of the
+    drawn Y (in asinh(Y / sigma_rec)), each panel certified to
+    |p_hat - p| <= mc.quad_tol + 1e-10 p at its check points, and interpolated
+    at every sample.  Raises QuadratureFailure, naming the stage (conditional
+    density or marginal table) and the channel, when a density misses its
+    tolerance at every level or the table needs too many panels.  Results are
+    bit-reproducible for a fixed seed and independent of internal chunking.
     """
+    if not all(math.isfinite(v) for v in (hp, sigma2_a, sigma2_rec)):
+        raise InvalidParams("hp and noise powers must be finite")
     if hp < 0:
         raise InvalidParams("hp must be >= 0")
     if sigma2_a < 0 or sigma2_rec < 0:
@@ -461,12 +554,19 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     else:
         y = w
 
+    channel = (hp, sigma2_a, sigma2_rec)
     llr = np.empty(n)
+    with _failure_stage("conditional density", *channel):
+        for start in range(0, n, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, n))
+            llr[sl] = _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
+    # the table comes second: a channel the quadrature cannot resolve usually
+    # fails in the first conditional chunk, before the table's cost is paid
+    with _failure_stage("marginal table", *channel):
+        log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, mc.quad_tol)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
-        lc = _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
-        lm = _log_p_marg(y[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
-        llr[sl] = (lc - lm) * LOG2E
+        llr[sl] = (llr[sl] - log_p_marg(y[sl])) * LOG2E
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))

@@ -163,7 +163,7 @@ def cmd_region(ns) -> int:
         mc = _mc_config(ns)
 
         def cap_fn(rho):
-            eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho).sigma2_eff
+            eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)
             return cnl_lower_chi2(lp.received_power, lp.sigma2_a, eff, mc).value
 
         bnd = region_int_adc(lp, ns.points, cap_fn)

@@ -88,7 +88,7 @@ def fig8(n_points: int, samples: int) -> list[tuple[str, object]]:
                          sigma2_rec=proc_noise ** 2, sigma2_adc=1.0)
 
         def cap_fn(rho, itg=itg, seed=seed):
-            eff = effective_proc_noise(itg.sigma2_rec, itg.sigma2_adc, rho).sigma2_eff
+            eff = effective_proc_noise(itg.sigma2_rec, itg.sigma2_adc, rho)
             return cnl_lower_chi2(itg.received_power, itg.sigma2_a, eff,
                                   _mc(seed, samples)).value
 

@@ -132,22 +132,28 @@ class TestCnlUpper:
 
 class TestEffectiveProcNoise:
     def test_no_adc_noise(self):
-        assert effective_proc_noise(2.5, 0.0, 0.7).sigma2_eff == 2.5
+        assert effective_proc_noise(2.5, 0.0, 0.7) == 2.5
 
     def test_half_split(self):
-        assert effective_proc_noise(0.0, 1.0, 0.5).sigma2_eff == pytest.approx(4.0)
+        assert effective_proc_noise(0.0, 1.0, 0.5) == pytest.approx(4.0)
 
     def test_rho_zero_is_plain_sum(self):
-        assert effective_proc_noise(1.5, 2.5, 0.0).sigma2_eff == 4.0
+        assert effective_proc_noise(1.5, 2.5, 0.0) == 4.0
 
     def test_strictly_increasing_in_rho(self):
-        vals = [effective_proc_noise(1.0, 1.0, r).sigma2_eff for r in np.linspace(0, 0.99, 25)]
+        vals = [effective_proc_noise(1.0, 1.0, r) for r in np.linspace(0, 0.99, 25)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_split_at_unity(self):
         with pytest.raises(SplitAtUnity):
             effective_proc_noise(1.0, 1.0, 1.0)
-        assert effective_proc_noise(1.0, 0.0, 1.0).sigma2_eff == 1.0
+        assert effective_proc_noise(1.0, 0.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5)):
+            with pytest.raises(InvalidParams, match="finite"):
+                effective_proc_noise(*args)
 
 
 class TestMiEstimator:
@@ -162,6 +168,14 @@ class TestMiEstimator:
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(InvalidParams):
             MonteCarloConfig(n_samples=100)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_inputs_rejected(self, bad, position):
+        args = [10.0, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            cnl_lower_chi2(*args, MC_FAST)
 
     def test_bit_reproducible(self):
         a = cnl_lower_chi2(10.0, 0.5, 1.0, MonteCarloConfig(n_samples=10_000, seed=9))
@@ -394,3 +408,61 @@ class TestDensityOracle:
         x, y = _channel_draws(np.random.default_rng(5), 4, hp, 0.0, s2r)
         marg = np.exp(cap._log_p_marg(y, hp, 0.0, s2r, 1e-10))
         assert marg == pytest.approx([_p_marg_oracle(yi, hp, 0.0, s2r) for yi in y], rel=1e-8)
+
+
+def _count_marginal_nodes(monkeypatch):
+    """Route the direct marginal quadrature through a counter of its y nodes."""
+    seen = []
+    direct = cap._log_p_marg
+
+    def counting(y, *args, **kwargs):
+        seen.append(np.size(y))
+        return direct(y, *args, **kwargs)
+
+    monkeypatch.setattr(cap, "_log_p_marg", counting)
+    return seen
+
+
+class TestMarginalTable:
+    """The certified Chebyshev table of log p(y) built once per estimate."""
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(log_hp=st.floats(0.0, 3.0), log_ratio=st.none() | st.floats(-4.0, 2.0),
+           log_s2r=st.floats(-2.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_quadrature(self, log_hp, log_ratio, log_s2r, seed):
+        hp, s2r = 10.0 ** log_hp, 10.0 ** log_s2r
+        s2a = 0.0 if log_ratio is None else s2r * 10.0 ** log_ratio
+        _, y = _channel_draws(np.random.default_rng(seed), 2000, hp, s2a, s2r)
+        p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r, 1e-10)(y))
+        # the reference at a tighter tolerance: at 1e-10 the direct quadrature
+        # itself can be off by a few times 1e-10 at single samples
+        p = np.exp(cap._log_p_marg(y, hp, s2a, s2r, 1e-13))
+        assert np.all(np.abs(p_hat - p) <= 1e-10 + 1e-10 * p)
+
+    @pytest.mark.parametrize("n", [10_000, 40_000])
+    def test_marginal_work_does_not_grow_with_samples(self, n, monkeypatch):
+        seen = _count_marginal_nodes(monkeypatch)
+        cnl_lower_chi2(100.0, 0.01, 100.0, MonteCarloConfig(n_samples=n, seed=7))
+        assert 0 < sum(seen) < 1000  # per-sample quadrature would see n nodes
+
+    def test_runaway_refinement_hits_the_cap(self, monkeypatch):
+        # the conditional stage fails first on this channel; a stub lets the run
+        # reach the table, which cannot certify the densities at this scale
+        seen = _count_marginal_nodes(monkeypatch)
+        monkeypatch.setattr(cap, "_log_p_cond", lambda y, *args: np.zeros_like(y))
+        with pytest.raises(QuadratureFailure) as info:
+            cnl_lower_chi2(1e12, 1e-20, 1e-20, MC_FAST)
+        msg = str(info.value)
+        assert msg.startswith("marginal table at hP=1e+12, sigma2_a=1e-20, sigma2_rec=1e-20: ")
+        assert f"more than {cap._TABLE_MAX_PANELS} table panels" in msg
+        y_range = re.search(r"over y in \[(\S+), (\S+)\]", msg)
+        assert y_range and 0.0 < float(y_range.group(1)) < float(y_range.group(2))
+        assert 0 < sum(seen) <= cap._TABLE_MAX_PANELS * 33  # 17 nodes + 16 checks each
+
+    def test_conditional_failure_names_stage_and_channel(self):
+        with pytest.raises(QuadratureFailure) as info:
+            cnl_lower_chi2(1e12, 1e-20, 1e-20, MC_FAST)
+        msg = str(info.value)
+        assert msg.startswith("conditional density at hP=1e+12, sigma2_a=1e-20, "
+                              "sigma2_rec=1e-20: ")
+        assert "output-density integrals missed tol=1e-10" in msg

@@ -222,3 +222,13 @@ class TestErrorHandling:
         for field in ("output-density integrals missed tol=1e-10", "worst |delta|",
                       "of the batch", "integration window [", "rescale"):
             assert field in doc["message"]
+
+    @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1"],
+                                       ["--hp", "100", "--sa2", "inf"]])
+    def test_non_finite_capacity_input_exit_2(self, flags, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["capacity", *flags, "--srec2", "1", "--lower",
+                            "--samples", "10000"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and doc["exit_code"] == 2
+        assert "finite" in doc["message"]
