@@ -12,7 +12,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .core import (
-    CircuitPower,
     LinkParams,
     OpsPair,
     REBoundary,
@@ -30,7 +29,6 @@ from .errors import (
     AliasedCarrier,
     BadConstellation,
     DegenerateCircuitPower,
-    Infeasible,
     InfeasibleTarget,
     InvalidParams,
     NonPositivePower,
@@ -42,10 +40,10 @@ from .errors import (
 
 __all__ = [
     "__version__",
-    "LinkParams", "OpsPair", "SplitVector", "CircuitPower", "REPoint", "REBoundary",
+    "LinkParams", "OpsPair", "SplitVector", "REPoint", "REBoundary",
     "q_function", "awgn_rate", "split_snr", "harvested_energy", "upper_bound_region",
     "dbm_to_watts", "watts_to_dbm",
     "SwiptError", "InvalidParams", "ZeroNoise", "NonPositivePower", "SplitAtUnity",
-    "QuadratureFailure", "InfeasibleTarget", "Infeasible", "DegenerateCircuitPower",
+    "QuadratureFailure", "InfeasibleTarget", "DegenerateCircuitPower",
     "BadConstellation", "AliasedCarrier",
 ]

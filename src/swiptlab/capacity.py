@@ -125,8 +125,8 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
     Coarse log/linear grid followed by coordinate descent; any grid coarseness
     only loosens the (still valid) bound.
     """
-    if not (hp > 0 and sigma_rec > 0):
-        raise InvalidParams("c1_upper_optimized needs hp > 0 and sigma_rec > 0")
+    if not (0 < hp < math.inf and 0 < sigma_rec < math.inf):
+        raise InvalidParams("c1_upper_optimized needs finite hp > 0 and sigma_rec > 0")
     log_beta_lo = math.log(1e-3 * sigma_rec)
     log_beta_hi = math.log(1e3 * (hp + sigma_rec))
     delta_hi = 10.0 * sigma_rec
@@ -163,8 +163,8 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
 
 def c2_upper(hp: float, sigma2_a: float) -> float:
     """Noncoherent-channel capacity upper bound with Euler-constant correction."""
-    if hp < 0 or sigma2_a <= 0:
-        raise InvalidParams("c2_upper needs hp >= 0 and sigma2_a > 0")
+    if not (0 <= hp < math.inf and 0 < sigma2_a < math.inf):
+        raise InvalidParams("c2_upper needs finite hp >= 0 and sigma2_a > 0")
     return 0.5 * math.log2(1.0 + hp / sigma2_a) + 0.5 * (
         math.log2(2.0 * math.pi / math.e) - EULER_GAMMA * LOG2E
     )

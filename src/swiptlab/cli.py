@@ -22,7 +22,6 @@ from .capacity import (
     c2_upper,
     cnl_lower_chi2,
     cnl_upper,
-    effective_proc_noise,
 )
 from .core import LinkParams, REBoundary, REPoint, upper_bound_region
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
 from .figures import build_figure
 from .modulation import LinkBudget, link_budget_to_params, solve_p1, solve_p2
 from .regions import (
+    int_adc_cap_fn,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -114,21 +114,6 @@ def _link_params(ns) -> LinkParams:
                       sigma2_adc=ns.sadc2, theta=ns.theta)
 
 
-def _add_link_flags(sub):
-    sub.add_argument("--h", type=float, help="channel power gain")
-    sub.add_argument("--p", type=float, help="average transmit power [W]")
-    sub.add_argument("--zeta", type=float, help="energy conversion efficiency")
-    sub.add_argument("--sa2", type=float, help="antenna noise power [W]")
-    sub.add_argument("--scov2", type=float, help="conversion noise power [W]")
-    sub.add_argument("--srec2", type=float, help="rectifier noise variance [W^2]")
-    sub.add_argument("--sadc2", type=float, help="ADC noise power [W]")
-    sub.add_argument("--theta", type=float, help="channel phase [rad]")
-
-
-_LINK_DEFAULTS = dict(h=1.0, p=100.0, zeta=1.0, sa2=0.0, scov2=0.0,
-                      srec2=0.0, sadc2=0.0, theta=0.0)
-
-
 def _mc_config(ns) -> MonteCarloConfig:
     return MonteCarloConfig(n_samples=ns.samples, seed=ns.seed, quad_tol=ns.quad_tol)
 
@@ -140,41 +125,30 @@ def _resolve_cap(ns, lp: LinkParams) -> float:
     return est.value
 
 
+# scheme name -> boundary builder; the keys are the --scheme choices
+REGION_SCHEMES = {
+    "ub": lambda ns, lp: upper_bound_region(lp, ns.points),
+    "ts": lambda ns, lp: region_ts(lp, ns.points),
+    "sps": lambda ns, lp: region_sps(lp, ns.points),
+    "ops-circuit": lambda ns, lp: region_sep_circuit(lp, ns.ps, ns.points),
+    "ts-circuit": lambda ns, lp: region_ts_circuit(lp, ns.ps, ns.points),
+    "sps-circuit": lambda ns, lp: region_sps_circuit(lp, ns.ps, ns.points),
+    "int-ideal": lambda ns, lp: region_int_ideal(lp, _resolve_cap(ns, lp), ns.points),
+    "int-adc": lambda ns, lp: region_int_adc(lp, ns.points,
+                                             int_adc_cap_fn(lp, _mc_config(ns))),
+    "int-circuit": lambda ns, lp: region_int_circuit(lp, ns.pi, _resolve_cap(ns, lp),
+                                                     ns.points),
+}
+
+
 def cmd_region(ns) -> int:
     lp = _link_params(ns)
-    scheme = ns.scheme
-    if scheme == "ub":
-        bnd = upper_bound_region(lp, ns.points)
-    elif scheme == "ts":
-        bnd = region_ts(lp, ns.points)
-    elif scheme == "sps":
-        bnd = region_sps(lp, ns.points)
-    elif scheme == "ops-circuit":
-        bnd = region_sep_circuit(lp, ns.ps, ns.points)
-    elif scheme == "ts-circuit":
-        bnd = region_ts_circuit(lp, ns.ps, ns.points)
-    elif scheme == "sps-circuit":
-        bnd = region_sps_circuit(lp, ns.ps, ns.points)
-    elif scheme == "int-ideal":
-        bnd = region_int_ideal(lp, _resolve_cap(ns, lp), ns.points)
-    elif scheme == "int-circuit":
-        bnd = region_int_circuit(lp, ns.pi, _resolve_cap(ns, lp), ns.points)
-    elif scheme == "int-adc":
-        mc = _mc_config(ns)
-
-        def cap_fn(rho):
-            eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)
-            return cnl_lower_chi2(lp.received_power, lp.sigma2_a, eff, mc).value
-
-        bnd = region_int_adc(lp, ns.points, cap_fn)
-    else:
-        raise InvalidParams(f"unknown scheme {scheme!r}")
-
-    out = ns.out or f"region_{scheme}.{ns.format}"
+    bnd = REGION_SCHEMES[ns.scheme](ns, lp)
+    out = ns.out or f"region_{ns.scheme}.{ns.format}"
     if ns.format == "csv":
         write_csv(out, CSV_HEADER, bnd.to_csv_rows())
     else:
-        inputs = {"scheme": scheme, "ps": ns.ps, "pi": ns.pi, "cap": ns.cap,
+        inputs = {"scheme": ns.scheme, "ps": ns.ps, "pi": ns.pi, "cap": ns.cap,
                   "points": ns.points, **lp.to_json_dict()}
         write_json(out, inputs=inputs, outputs=bnd.to_json_dict(), seed=ns.seed)
     print(out)
@@ -212,19 +186,15 @@ def cmd_solve(ns) -> int:
         outputs = {"alpha_star": sol.alpha_star, "rho_star": sol.rho_star,
                    "rate_bits": sol.rate, "q_target": sol.q_target,
                    "converged": sol.converged}
-        inputs = {"problem": "p0", "ps": ns.ps, "q": ns.q, **lp.to_json_dict()}
-    elif ns.problem == "p1":
-        plan = solve_p1(lp, ns.ps, ns.qreq, ns.ser_target)
-        outputs = {"family": plan.family, "m": plan.m, "alpha": plan.alpha,
-                   "rho": plan.rho, "rate_bits": plan.rate}
-        inputs = {"problem": "p1", "ps": ns.ps, "qreq": ns.qreq,
-                  "ser_target": ns.ser_target, **lp.to_json_dict()}
+        inputs = {"ps": ns.ps, "q": ns.q}
     else:
-        plan = solve_p2(lp, ns.pi, ns.qreq, ns.ser_target)
+        solver, power = (solve_p1, "ps") if ns.problem == "p1" else (solve_p2, "pi")
+        plan = solver(lp, getattr(ns, power), ns.qreq, ns.ser_target)
         outputs = {"family": plan.family, "m": plan.m, "alpha": plan.alpha,
                    "rho": plan.rho, "rate_bits": plan.rate}
-        inputs = {"problem": "p2", "pi": ns.pi, "qreq": ns.qreq,
-                  "ser_target": ns.ser_target, **lp.to_json_dict()}
+        inputs = {power: getattr(ns, power), "qreq": ns.qreq,
+                  "ser_target": ns.ser_target}
+    inputs = {"problem": ns.problem, **inputs, **lp.to_json_dict()}
     write_json(ns.out, inputs=inputs, outputs=outputs)
     print(ns.out)
     return 0
@@ -280,31 +250,92 @@ def cmd_figure(ns) -> int:
     return 0
 
 
-_COMMAND_DEFAULTS = {
-    "region": dict(points=512, samples=100_000, seed=0, quad_tol=1e-10,
-                   cap=None, ps=0.0, pi=0.0, out=None, format="csv",
-                   **_LINK_DEFAULTS),
-    "capacity": dict(hp=100.0, sa2=0.0, srec2=0.0, lower=False, upper=False,
-                     samples=100_000, seed=0, quad_tol=1e-10, out="capacity.json"),
-    "solve": dict(problem="p0", q=0.0, qreq=0.0, ps=0.0, pi=0.0, ser_target=1e-5,
-                  out="solve.json", **_LINK_DEFAULTS),
-    "link": dict(distance=1.0, tx_power=1.0, carrier=900e6, bandwidth=10e6,
-                 antenna_noise_dbm=-104.0, conv_noise_dbm=-70.0,
-                 rec_noise_dbm=-50.0, zeta=1.0, out="link.json"),
-    "simulate": dict(kind="qam", m=4, rho=0.0, symbols=100_000, seed=0,
-                     oversampling=8, carrier=16.0, bandwidth=1.0, noise_scale=1.0,
-                     diode_gamma=40.0, truncation_order=2, constant_envelope=False,
-                     out="simulate.json", **_LINK_DEFAULTS),
-    "figure": dict(points=512, samples=100_000, out_dir="."),
-}
+# Option table: one row per option, (dest, type or a tuple of choices,
+# default, help).  The flag is "--" + dest with "_" written "-", a bool row
+# is a switch, and a --config file takes the dests as keys.  The required
+# selector of a command (--scheme, --problem, --kind, the figure id) is not
+# an option: it has no default and no config key.
+_LINK_OPTIONS = (
+    ("h", float, 1.0, "channel power gain"),
+    ("p", float, 100.0, "average transmit power [W]"),
+    ("zeta", float, 1.0, "energy conversion efficiency"),
+    ("sa2", float, 0.0, "antenna noise power [W]"),
+    ("scov2", float, 0.0, "conversion noise power [W]"),
+    ("srec2", float, 0.0, "rectifier noise variance [W^2]"),
+    ("sadc2", float, 0.0, "ADC noise power [W]"),
+    ("theta", float, 0.0, "channel phase [rad]"),
+)
+_MC_OPTIONS = (
+    ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
+    ("seed", int, 0, "Monte Carlo seed"),
+    ("quad_tol", float, 1e-10, "absolute tolerance of the output-density quadrature"),
+)
 
-_HANDLERS = {
-    "region": cmd_region,
-    "capacity": cmd_capacity,
-    "solve": cmd_solve,
-    "link": cmd_link,
-    "simulate": cmd_simulate,
-    "figure": cmd_figure,
+# command -> (handler, help, required selector as (name, choices), options)
+COMMANDS = {
+    "region": (cmd_region, "emit a rate-energy boundary as CSV/JSON",
+               ("--scheme", tuple(REGION_SCHEMES)), (
+        *_LINK_OPTIONS,
+        ("ps", float, 0.0, "separated decoder power [W]"),
+        ("pi", float, 0.0, "integrated decoder power [W]"),
+        ("cap", float, None, "integrated-receiver rate [bits]; estimated if omitted"),
+        ("points", int, 512, "boundary points"),
+        *_MC_OPTIONS,
+        ("out", str, None, "output file [region_<scheme>.<format>]"),
+        ("format", ("csv", "json"), "csv", "output format"),
+    )),
+    "capacity": (cmd_capacity, "nonlinear-channel capacity bounds", None, (
+        ("hp", float, 100.0, "received power h*P [W]"),
+        ("sa2", float, 0.0, "antenna noise power [W]"),
+        ("srec2", float, 0.0, "rectifier noise variance [W^2]"),
+        ("lower", bool, False, "estimate the chi-square-input lower bound"),
+        ("upper", bool, False, "evaluate the upper bounds (the default)"),
+        *_MC_OPTIONS,
+        ("out", str, "capacity.json", "output file"),
+    )),
+    "solve": (cmd_solve, "run one of the boundary/rate maximizers",
+              ("--problem", ("p0", "p1", "p2")), (
+        *_LINK_OPTIONS,
+        ("q", float, 0.0, "energy target for p0"),
+        ("qreq", float, 0.0, "required net energy for p1/p2"),
+        ("ps", float, 0.0, "separated decoder power [W]"),
+        ("pi", float, 0.0, "integrated decoder power [W]"),
+        ("ser_target", float, 1e-5, "symbol error rate target for p1/p2"),
+        ("out", str, "solve.json", "output file"),
+    )),
+    "link": (cmd_link, "convert a link budget to channel parameters", None, (
+        ("distance", float, 1.0, "link distance [m]"),
+        ("tx_power", float, 1.0, "transmit power [W]"),
+        ("carrier", float, 900e6, "carrier frequency [Hz]"),
+        ("bandwidth", float, 10e6, "bandwidth [Hz]"),
+        ("antenna_noise_dbm", float, -104.0, "antenna noise [dBm]"),
+        ("conv_noise_dbm", float, -70.0, "conversion noise [dBm]"),
+        ("rec_noise_dbm", float, -50.0, "rectifier noise std [dBm]"),
+        ("zeta", float, 1.0, "energy conversion efficiency"),
+        ("out", str, "link.json", "output file"),
+    )),
+    "simulate": (cmd_simulate, "Monte Carlo symbol/waveform oracles",
+                 ("--kind", ("qam", "pem", "rectifier")), (
+        *_LINK_OPTIONS,
+        ("m", int, 4, "constellation size"),
+        ("rho", float, 0.0, "power split ratio (qam)"),
+        ("symbols", int, 100_000, "symbols to simulate"),
+        ("seed", int, 0, "Monte Carlo seed"),
+        ("oversampling", int, 8, "samples per carrier period (rectifier)"),
+        ("carrier", float, 16.0, "carrier frequency (rectifier)"),
+        ("bandwidth", float, 1.0, "signal bandwidth (rectifier)"),
+        ("noise_scale", float, 1.0, "importance-sampling noise scale, >= 1 (qam)"),
+        ("diode_gamma", float, 40.0, "diode exponent (rectifier)"),
+        ("truncation_order", int, 2, "diode series order (rectifier)"),
+        ("constant_envelope", bool, False, "constant-envelope input (rectifier)"),
+        ("out", str, "simulate.json", "output file"),
+    )),
+    "figure": (cmd_figure, "emit a canned benchmark scenario as CSV files",
+               ("figure_id", None), (
+        ("points", int, 512, "boundary points"),
+        ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
+        ("out_dir", str, ".", "output directory"),
+    )),
 }
 
 
@@ -318,99 +349,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    region = subs.add_parser("region", argument_default=argparse.SUPPRESS,
-                             help="emit a rate-energy boundary as CSV/JSON")
-    region.add_argument("--scheme", required=True,
-                        choices=["ub", "ts", "sps", "ops-circuit", "ts-circuit",
-                                 "sps-circuit", "int-ideal", "int-adc",
-                                 "int-circuit"])
-    _add_link_flags(region)
-    region.add_argument("--ps", type=float, help="separated decoder power [W]")
-    region.add_argument("--pi", type=float, help="integrated decoder power [W]")
-    region.add_argument("--cap", type=float,
-                        help="integrated-receiver rate [bits]; estimated if omitted")
-    region.add_argument("--points", type=int)
-    region.add_argument("--samples", type=int)
-    region.add_argument("--seed", type=int)
-    region.add_argument("--quad-tol", dest="quad_tol", type=float)
-    region.add_argument("--out")
-    region.add_argument("--format", choices=["csv", "json"])
-
-    capacity = subs.add_parser("capacity", argument_default=argparse.SUPPRESS,
-                               help="nonlinear-channel capacity bounds")
-    capacity.add_argument("--hp", type=float, help="received power h*P [W]")
-    capacity.add_argument("--sa2", type=float)
-    capacity.add_argument("--srec2", type=float)
-    capacity.add_argument("--lower", action="store_true")
-    capacity.add_argument("--upper", action="store_true")
-    capacity.add_argument("--samples", type=int)
-    capacity.add_argument("--seed", type=int)
-    capacity.add_argument("--quad-tol", dest="quad_tol", type=float)
-    capacity.add_argument("--out")
-
-    solve = subs.add_parser("solve", argument_default=argparse.SUPPRESS,
-                            help="run one of the boundary/rate maximizers")
-    solve.add_argument("--problem", required=True, choices=["p0", "p1", "p2"])
-    _add_link_flags(solve)
-    solve.add_argument("--q", type=float, help="energy target for p0")
-    solve.add_argument("--qreq", type=float, help="required net energy for p1/p2")
-    solve.add_argument("--ps", type=float)
-    solve.add_argument("--pi", type=float)
-    solve.add_argument("--ser-target", dest="ser_target", type=float)
-    solve.add_argument("--out")
-
-    link = subs.add_parser("link", argument_default=argparse.SUPPRESS,
-                           help="convert a link budget to channel parameters")
-    link.add_argument("--distance", type=float)
-    link.add_argument("--tx-power", dest="tx_power", type=float)
-    link.add_argument("--carrier", type=float)
-    link.add_argument("--bandwidth", type=float)
-    link.add_argument("--antenna-noise-dbm", dest="antenna_noise_dbm", type=float)
-    link.add_argument("--conv-noise-dbm", dest="conv_noise_dbm", type=float)
-    link.add_argument("--rec-noise-dbm", dest="rec_noise_dbm", type=float)
-    link.add_argument("--zeta", type=float)
-    link.add_argument("--out")
-
-    simulate = subs.add_parser("simulate", argument_default=argparse.SUPPRESS,
-                               help="Monte Carlo symbol/waveform oracles")
-    simulate.add_argument("--kind", required=True, choices=["qam", "pem", "rectifier"])
-    _add_link_flags(simulate)
-    simulate.add_argument("--m", type=int)
-    simulate.add_argument("--rho", type=float)
-    simulate.add_argument("--symbols", type=int)
-    simulate.add_argument("--seed", type=int)
-    simulate.add_argument("--oversampling", type=int)
-    simulate.add_argument("--carrier", type=float)
-    simulate.add_argument("--bandwidth", type=float)
-    simulate.add_argument("--noise-scale", dest="noise_scale", type=float)
-    simulate.add_argument("--diode-gamma", dest="diode_gamma", type=float)
-    simulate.add_argument("--truncation-order", dest="truncation_order", type=int)
-    simulate.add_argument("--constant-envelope", dest="constant_envelope",
-                          action="store_true")
-    simulate.add_argument("--out")
-
-    figure = subs.add_parser("figure", argument_default=argparse.SUPPRESS,
-                             help="emit a canned benchmark scenario as CSV files")
-    figure.add_argument("figure_id")
-    figure.add_argument("--points", type=int)
-    figure.add_argument("--samples", type=int)
-    figure.add_argument("--out-dir", dest="out_dir")
-
-    for sub in (region, capacity, solve, link, simulate, figure):
+    for command, (_, help_text, selector, options) in COMMANDS.items():
+        sub = subs.add_parser(command, argument_default=argparse.SUPPRESS,
+                              help=help_text)
+        if selector is not None:
+            name, choices = selector
+            if choices is None:
+                sub.add_argument(name)
+            else:
+                sub.add_argument(name, required=True, choices=choices)
+        for dest, kind, _, help_text in options:
+            flag = "--" + dest.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                sub.add_argument(flag, choices=kind, help=help_text)
+            else:
+                sub.add_argument(flag, type=kind, help=help_text)
         sub.add_argument("--config", help="JSON file of option values; flags win")
     return parser
 
 
+def _config_value_ok(kind, default, value) -> bool:
+    if value is None:
+        return default is None
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _merge_options(ns: argparse.Namespace) -> argparse.Namespace:
-    merged = dict(_COMMAND_DEFAULTS[ns.command])
+    _, _, _, options = COMMANDS[ns.command]
+    merged = {dest: default for dest, _, default, _ in options}
     config_path = getattr(ns, "config", None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise InvalidParams(f"config {config_path} must hold a JSON object of "
+                                f"option values, got {type(file_values).__name__}")
         unknown = set(file_values) - set(merged)
         if unknown:
             raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
+        for dest, kind, default, _ in options:
+            value = file_values.get(dest, default)
+            if not _config_value_ok(kind, default, value):
+                expected = (f"one of {list(kind)}" if isinstance(kind, tuple)
+                            else kind.__name__)
+                raise InvalidParams(f"config key {dest!r} must be {expected}, "
+                                    f"got {value!r}")
         merged.update(file_values)
     explicit = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     merged.update(explicit)
@@ -423,7 +414,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         ns = _merge_options(ns)
-        return _HANDLERS[ns.command](ns)
+        return COMMANDS[ns.command][0](ns)
     except _INFEASIBLE as exc:
         _emit_error(exc, 3)
         return 3

@@ -43,15 +43,15 @@ class LinkParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise InvalidParams(f"channel gain must be > 0, got h={self.h}")
-        if self.p < 0:
-            raise InvalidParams(f"transmit power must be >= 0, got p={self.p}")
+        if not 0 < self.h < math.inf:
+            raise InvalidParams(f"channel gain must be finite and > 0, got h={self.h}")
+        if not 0 <= self.p < math.inf:
+            raise InvalidParams(f"transmit power must be finite and >= 0, got p={self.p}")
         if not 0 < self.zeta <= 1:
             raise InvalidParams(f"conversion efficiency must lie in (0, 1], got zeta={self.zeta}")
         for name in ("sigma2_a", "sigma2_cov", "sigma2_rec", "sigma2_adc"):
-            if getattr(self, name) < 0:
-                raise InvalidParams(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidParams(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 <= self.theta < 2 * math.pi:
             raise InvalidParams(f"theta must lie in [0, 2*pi), got {self.theta}")
 
@@ -115,18 +115,6 @@ class SplitVector:
 
 
 PowerSchedule = OpsPair | SplitVector
-
-
-@dataclass(frozen=True)
-class CircuitPower:
-    """Information-decoder power draw [W] for the two architectures."""
-
-    p_s: float = 0.0
-    p_i: float = 0.0
-
-    def __post_init__(self):
-        if self.p_s < 0 or self.p_i < 0:
-            raise InvalidParams("circuit powers must be >= 0")
 
 
 @dataclass(frozen=True)

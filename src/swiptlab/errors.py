@@ -29,10 +29,6 @@ class InfeasibleTarget(SwiptError):
     """Requested harvested-energy target exceeds what the link can deliver."""
 
 
-# Modulation-side alias: same failure mode, raised by the rate maximizers.
-Infeasible = InfeasibleTarget
-
-
 class DegenerateCircuitPower(SwiptError):
     """Zero decoding circuit power: the on-off solver degenerates (use the plain
     static-split sweep instead)."""

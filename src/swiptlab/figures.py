@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .capacity import MonteCarloConfig, cnl_lower_chi2, effective_proc_noise
+from .capacity import MonteCarloConfig, cnl_lower_chi2
 from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams
 from .modulation import LinkBudget, link_budget_to_params, solve_p1, solve_p2
 from .regions import (
+    int_adc_cap_fn,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -86,14 +87,9 @@ def fig8(n_points: int, samples: int) -> list[tuple[str, object]]:
         out.append((f"fig8_seprx_proc{proc_noise:g}.csv", region_sps(sep, n_points)))
         itg = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_rec=proc_noise ** 2, sigma2_adc=1.0)
-
-        def cap_fn(rho, itg=itg, seed=seed):
-            eff = effective_proc_noise(itg.sigma2_rec, itg.sigma2_adc, rho)
-            return cnl_lower_chi2(itg.received_power, itg.sigma2_a, eff,
-                                  _mc(seed, samples)).value
-
         out.append((f"fig8_intrx_proc{proc_noise:g}.csv",
-                    region_int_adc(itg, sweep_points, cap_fn)))
+                    region_int_adc(itg, sweep_points,
+                                   int_adc_cap_fn(itg, _mc(seed, samples)))))
     return out
 
 
@@ -161,11 +157,10 @@ def fig11(n_points: int, samples: int) -> list[tuple[str, object]]:
 
 
 def fig12(n_points: int, samples: int) -> list[tuple[str, object]]:
-    """Constellation size and off-time fraction vs distance (same sweep, same
-    columns; the figure reads m and alpha instead of the rate)."""
-    sep_rows, int_rows = distance_sweep_rows()
-    return [("fig12_seprx.csv", (PLAN_HEADER, sep_rows)),
-            ("fig12_intrx.csv", (PLAN_HEADER, int_rows))]
+    """Constellation size and off-time fraction vs distance: fig11's tables,
+    from which the figure reads m and alpha instead of the rate."""
+    return [(name.replace("fig11", "fig12"), table)
+            for name, table in fig11(n_points, samples)]
 
 
 FIGURES = {

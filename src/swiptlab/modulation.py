@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LinkParams, dbm_to_watts, q_function, split_snr
-from .errors import BadConstellation, Infeasible, InvalidParams
+from .errors import BadConstellation, InfeasibleTarget, InvalidParams
 
 MAX_BITS = 10  # largest supported constellation is 2**10
 
@@ -144,7 +144,7 @@ def p2_alpha(lp: LinkParams, p_i: float, q_req: float) -> float:
 
 def _check_q_req(lp: LinkParams, q_req: float):
     if q_req < 0 or q_req > lp.q_max:
-        raise Infeasible(f"required energy {q_req} outside [0, {lp.q_max}]")
+        raise InfeasibleTarget(f"required energy {q_req} outside [0, {lp.q_max}]")
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

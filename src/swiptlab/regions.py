@@ -14,7 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import MiEstimate
+from .capacity import (
+    MiEstimate,
+    MonteCarloConfig,
+    cnl_lower_chi2,
+    effective_proc_noise,
+)
 from .core import LinkParams, REBoundary, REPoint, awgn_rate, split_snr
 from .errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
 
@@ -88,9 +93,7 @@ class DominanceReport:
 
     rate_dps: float
     rate_sps: float
-    energy_dps: float
-    energy_sps: float
-    energies_match: bool
+    energy: float     # harvested energy of both schedules
     sps_dominates: bool
 
     @property
@@ -133,14 +136,10 @@ def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
     mean_rho = float(np.mean(rho))
     rate_dps = float(np.mean(rates))
     rate_sps = math.log2(1.0 + split_snr(mean_rho, lp))
-    energy_dps = lp.q_max * float(np.mean(rho))
-    energy_sps = lp.q_max * mean_rho
     return DominanceReport(
         rate_dps=rate_dps,
         rate_sps=rate_sps,
-        energy_dps=energy_dps,
-        energy_sps=energy_sps,
-        energies_match=energy_dps == energy_sps,
+        energy=lp.q_max * mean_rho,
         sps_dominates=rate_sps >= rate_dps - 1e-12,
     )
 
@@ -181,6 +180,15 @@ def region_int_adc(lp: LinkParams, n_points: int,
             best_rate = rate
     pts.reverse()
     return REBoundary(points=tuple(pts), scheme="int-adc", receiver="integrated")
+
+
+def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], float]:
+    """The rate region_int_adc sweeps: the chi-square-input MI at split ratio
+    rho, with the ADC noise folded into the effective processing noise."""
+    def cap_fn(rho: float) -> float:
+        eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)
+        return cnl_lower_chi2(lp.received_power, lp.sigma2_a, eff, mc).value
+    return cap_fn
 
 
 def rs_coefficients(lp: LinkParams, p_s: float, q_target: float) -> RsCoefficients:

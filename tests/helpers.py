@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from swiptlab.core import LinkParams
+from swiptlab.core import LinkParams, OpsPair, SplitVector, harvested_energy
 
 
 def gaussian_tail_oracle(x):
@@ -71,3 +71,13 @@ def random_circuit_instance(rng):
     p_s = rng.uniform(0.05, 0.8) * lp.q_max
     q_target = rng.uniform(0.0, 0.95) * lp.q_max
     return lp, p_s, q_target
+
+
+def dominance_energy_matches(rep, lp: LinkParams, rho_vector) -> bool:
+    """A dominance report's energy is what both compared schedules harvest:
+    the per-symbol split vector and the constant split at its mean, each from
+    harvested_energy, to 1e-12 relative."""
+    vec = tuple(float(r) for r in rho_vector)
+    expected = (harvested_energy(SplitVector(vec), lp),
+                harvested_energy(OpsPair(0.0, math.fsum(vec) / len(vec)), lp))
+    return all(math.isclose(rep.energy, e, rel_tol=1e-12) for e in expected)

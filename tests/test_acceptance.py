@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 
-from helpers import central_diff1, central_diff2, p0_grid_oracle, random_circuit_instance
+from helpers import (
+    central_diff1,
+    central_diff2,
+    dominance_energy_matches,
+    p0_grid_oracle,
+    random_circuit_instance,
+)
 from swiptlab.capacity import (
     MonteCarloConfig,
     c1_upper_optimized,
@@ -94,16 +100,17 @@ def test_criterion_2_jensen_dominance_suites():
         n = int(rng.integers(2, 129))
         vec = rng.uniform(0.0, 1.0, size=n)
         rep = check_dps_dominated_by_sps(lp, vec)
-        strict_ok &= rep.energies_match and rep.rate_gap > 1e-12
+        strict_ok &= dominance_energy_matches(rep, lp, vec) and rep.rate_gap > 1e-12
         const = check_dps_dominated_by_sps(lp, [float(vec[0])] * n)
         equal_ok &= abs(const.rate_gap) <= 1e-12
     for _ in range(200):
         alpha = float(rng.uniform(0.0, 0.95))
         vec = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 65)))
         rep = check_dps_dominated_by_sps(lp, vec)
-        # circuit-power energy terms agree by construction; rate scales by 1-alpha
+        # equal on-period energies make the circuit-power energy terms agree;
+        # rate scales by 1-alpha
         ops_ok &= (1 - alpha) * rep.rate_sps >= (1 - alpha) * rep.rate_dps
-        ops_ok &= rep.energies_match
+        ops_ok &= dominance_energy_matches(rep, lp, vec)
     checks = [("static-split dominance strict on 200 non-constant vectors", strict_ok),
               ("equality on constant vectors (tol 1e-12)", equal_ok),
               ("on-off dominance on 200 (alpha, vector) draws", ops_ok)]

@@ -1,12 +1,24 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swiptlab.cli import CSV_HEADER, main, read_boundary_csv
+from swiptlab.cli import (
+    CSV_HEADER,
+    REGION_SCHEMES,
+    _merge_options,
+    build_parser,
+    main,
+    read_boundary_csv,
+)
 from swiptlab.core import REBoundary
+from swiptlab.figures import FIGURES
 
 FIG9_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--scov2", "10"]
 
@@ -223,12 +235,191 @@ class TestErrorHandling:
                       "of the batch", "integration window [", "rescale"):
             assert field in doc["message"]
 
-    @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1"],
-                                       ["--hp", "100", "--sa2", "inf"]])
+    @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1", "--lower"],
+                                       ["--hp", "100", "--sa2", "inf", "--lower"],
+                                       ["--hp", "100", "--sa2", "nan", "--upper"],
+                                       ["--hp", "100", "--sa2", "inf", "--upper"],
+                                       ["--hp", "inf", "--sa2", "1", "--upper"],
+                                       ["--hp", "100", "--srec2", "inf", "--upper"]])
     def test_non_finite_capacity_input_exit_2(self, flags, tmp_path, monkeypatch, capsys):
-        code, _, err = run(["capacity", *flags, "--srec2", "1", "--lower",
-                            "--samples", "10000"], tmp_path, monkeypatch, capsys)
+        code, _, err = run(["capacity", "--srec2", "1", *flags, "--samples", "10000"],
+                           tmp_path, monkeypatch, capsys)
         assert code == 2
         doc = json.loads(err)["error"]
         assert doc["type"] == "InvalidParams" and doc["exit_code"] == 2
         assert "finite" in doc["message"]
+
+    @pytest.mark.parametrize("argv", [["region", "--scheme", "ts", "--p", "nan", "--sa2", "1"],
+                                      ["solve", "--problem", "p1", "--p", "nan", "--sa2", "1"]])
+    def test_non_finite_link_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        code, _, err = run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
+        assert "p=nan" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,config,named", [
+        (["region", "--scheme", "ts"], {"p": "100"}, "'p'"),
+        (["region", "--scheme", "ts"], {"points": 3.5, "sa2": 1}, "'points'"),
+        (["region", "--scheme", "ts"], {"points": True, "sa2": 1}, "'points'"),
+        (["region", "--scheme", "ts"], {"p": False, "sa2": 1}, "'p'"),
+        (["region", "--scheme", "ts"], {"format": "xml", "sa2": 1}, "'format'"),
+        (["region", "--scheme", "ts"], {"out": 7, "sa2": 1}, "'out'"),
+        (["capacity"], {"lower": "yes"}, "'lower'"),
+        (["solve", "--problem", "p0"], {"problem": "p1"}, "'problem'"),
+        (["region", "--scheme", "ts"], [1, 2], "JSON object"),
+    ])
+    def test_config_type_errors_exit_2(self, argv, config, named, tmp_path, monkeypatch,
+                                       capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, _, err = run([*argv, "--config", "cfg.json"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and named in doc["message"]
+
+    def test_config_int_for_float(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        for name, p in (("int", 100), ("float", 100.0)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"p": p, "sa2": 1}))
+            code, _, _ = run(["region", "--scheme", "sps", "--config", f"{name}.json",
+                              "--points", "9", "--out", f"{name}.csv"],
+                             tmp_path, monkeypatch, capsys)
+            assert code == 0
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeCli:
+    SECTION = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+
+    def test_examples_parse(self):
+        block = re.search(r"```bash\n(.*?)```", self.SECTION, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(ln, comments=True) for ln in lines]
+        examples = [argv[1:] for argv in examples if argv[:1] == ["swiptlab"]]
+        assert len(examples) >= 10
+        parser = build_parser()
+        for argv in examples:
+            parser.parse_args(argv)
+
+    def listed(self, label):
+        return re.findall(r"`([^`]+)`", re.search(label + r"(.*?)\.\s", self.SECTION, re.S)[1])
+
+    def test_region_schemes_listed(self):
+        assert self.listed("Region schemes:") == list(REGION_SCHEMES)
+
+    def test_scenario_ids_listed(self):
+        assert self.listed("Scenario ids:") == list(FIGURES)
+
+
+_LINK = {"--h": ("h", float), "--p": ("p", float), "--zeta": ("zeta", float),
+         "--sa2": ("sa2", float), "--scov2": ("scov2", float), "--srec2": ("srec2", float),
+         "--sadc2": ("sadc2", float), "--theta": ("theta", float)}
+_LINK_VALUES = dict(h=1.0, p=100.0, zeta=1.0, sa2=0.0, scov2=0.0, srec2=0.0, sadc2=0.0,
+                    theta=0.0)
+_SCHEMES = ("ub", "ts", "sps", "ops-circuit", "ts-circuit", "sps-circuit", "int-ideal",
+            "int-adc", "int-circuit")
+
+# Each subcommand's arguments as flag -> (dest, type, choices, required), with
+# a switch typed bool and a plain string typed str, then the argv of a minimal
+# run and the options it resolves to.
+PARSER_PIN = {
+    "region": ({
+        "--scheme": ("scheme", str, _SCHEMES, True),
+        **{f: (d, t, None, False) for f, (d, t) in _LINK.items()},
+        "--ps": ("ps", float, None, False), "--pi": ("pi", float, None, False),
+        "--cap": ("cap", float, None, False), "--points": ("points", int, None, False),
+        "--samples": ("samples", int, None, False), "--seed": ("seed", int, None, False),
+        "--quad-tol": ("quad_tol", float, None, False), "--out": ("out", str, None, False),
+        "--format": ("format", str, ("csv", "json"), False),
+        "--config": ("config", str, None, False),
+    }, ["--scheme", "int-adc"], dict(
+        scheme="int-adc", **_LINK_VALUES, ps=0.0, pi=0.0, cap=None, points=512,
+        samples=100_000, seed=0, quad_tol=1e-10, out=None, format="csv")),
+    "capacity": ({
+        "--hp": ("hp", float, None, False), "--sa2": ("sa2", float, None, False),
+        "--srec2": ("srec2", float, None, False), "--lower": ("lower", bool, None, False),
+        "--upper": ("upper", bool, None, False), "--samples": ("samples", int, None, False),
+        "--seed": ("seed", int, None, False), "--quad-tol": ("quad_tol", float, None, False),
+        "--out": ("out", str, None, False), "--config": ("config", str, None, False),
+    }, [], dict(hp=100.0, sa2=0.0, srec2=0.0, lower=False, upper=False, samples=100_000,
+                seed=0, quad_tol=1e-10, out="capacity.json")),
+    "solve": ({
+        "--problem": ("problem", str, ("p0", "p1", "p2"), True),
+        **{f: (d, t, None, False) for f, (d, t) in _LINK.items()},
+        "--q": ("q", float, None, False), "--qreq": ("qreq", float, None, False),
+        "--ps": ("ps", float, None, False), "--pi": ("pi", float, None, False),
+        "--ser-target": ("ser_target", float, None, False),
+        "--out": ("out", str, None, False), "--config": ("config", str, None, False),
+    }, ["--problem", "p2"], dict(problem="p2", **_LINK_VALUES, q=0.0, qreq=0.0, ps=0.0,
+                                 pi=0.0, ser_target=1e-5, out="solve.json")),
+    "link": ({
+        "--distance": ("distance", float, None, False),
+        "--tx-power": ("tx_power", float, None, False),
+        "--carrier": ("carrier", float, None, False),
+        "--bandwidth": ("bandwidth", float, None, False),
+        "--antenna-noise-dbm": ("antenna_noise_dbm", float, None, False),
+        "--conv-noise-dbm": ("conv_noise_dbm", float, None, False),
+        "--rec-noise-dbm": ("rec_noise_dbm", float, None, False),
+        "--zeta": ("zeta", float, None, False),
+        "--out": ("out", str, None, False), "--config": ("config", str, None, False),
+    }, [], dict(distance=1.0, tx_power=1.0, carrier=900e6, bandwidth=10e6,
+                antenna_noise_dbm=-104.0, conv_noise_dbm=-70.0, rec_noise_dbm=-50.0,
+                zeta=1.0, out="link.json")),
+    "simulate": ({
+        "--kind": ("kind", str, ("qam", "pem", "rectifier"), True),
+        **{f: (d, t, None, False) for f, (d, t) in _LINK.items()},
+        "--m": ("m", int, None, False), "--rho": ("rho", float, None, False),
+        "--symbols": ("symbols", int, None, False), "--seed": ("seed", int, None, False),
+        "--oversampling": ("oversampling", int, None, False),
+        "--carrier": ("carrier", float, None, False),
+        "--bandwidth": ("bandwidth", float, None, False),
+        "--noise-scale": ("noise_scale", float, None, False),
+        "--diode-gamma": ("diode_gamma", float, None, False),
+        "--truncation-order": ("truncation_order", int, None, False),
+        "--constant-envelope": ("constant_envelope", bool, None, False),
+        "--out": ("out", str, None, False), "--config": ("config", str, None, False),
+    }, ["--kind", "rectifier"], dict(
+        kind="rectifier", **_LINK_VALUES, m=4, rho=0.0, symbols=100_000, seed=0,
+        oversampling=8, carrier=16.0, bandwidth=1.0, noise_scale=1.0, diode_gamma=40.0,
+        truncation_order=2, constant_envelope=False, out="simulate.json")),
+    "figure": ({
+        "figure_id": ("figure_id", str, None, True),
+        "--points": ("points", int, None, False), "--samples": ("samples", int, None, False),
+        "--out-dir": ("out_dir", str, None, False), "--config": ("config", str, None, False),
+    }, ["fig5"], dict(figure_id="fig5", points=512, samples=100_000, out_dir=".")),
+}
+
+
+def _arguments(sub: argparse.ArgumentParser) -> dict:
+    found = {}
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag, = action.option_strings or [action.dest]
+        kind = bool if isinstance(action, argparse._StoreTrueAction) else action.type or str
+        choices = tuple(action.choices) if action.choices is not None else None
+        found[flag] = (action.dest, kind, choices, action.required)
+    return found
+
+
+class TestParserPin:
+    SUBS = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_commands(self):
+        assert list(self.SUBS) == list(PARSER_PIN)
+
+    @pytest.mark.parametrize("command", list(PARSER_PIN))
+    def test_arguments(self, command):
+        assert _arguments(self.SUBS[command]) == PARSER_PIN[command][0]
+
+    @pytest.mark.parametrize("command", list(PARSER_PIN))
+    def test_resolved_defaults(self, command):
+        _, argv, values = PARSER_PIN[command]
+        ns = _merge_options(build_parser().parse_args([command, *argv]))
+        typed = {k: (type(v), v) for k, v in vars(ns).items()}
+        assert typed == {k: (type(v), v) for k, v in dict(values, command=command).items()}

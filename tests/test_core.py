@@ -1,5 +1,7 @@
 """Tests for shared types and elementary link quantities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ class TestLinkParams:
             LinkParams(h=1.0, p=1.0, zeta=1.2)
         with pytest.raises(InvalidParams):
             LinkParams(h=1.0, p=1.0, sigma2_a=-1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["h", "p", "zeta", "sigma2_a", "sigma2_cov",
+                                       "sigma2_rec", "sigma2_adc", "theta"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidParams):
+            LinkParams(**{"h": 1.0, "p": 1.0, field: value})
 
     def test_derived_quantities(self):
         lp = LinkParams(h=0.5, p=10.0, zeta=0.6, sigma2_a=1.0)

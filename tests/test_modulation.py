@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swiptlab.core import LinkParams
-from swiptlab.errors import BadConstellation, Infeasible, InvalidParams
+from swiptlab.errors import BadConstellation, InfeasibleTarget, InvalidParams
 from swiptlab.modulation import (
     PEM,
     QAM,
@@ -148,7 +148,7 @@ class TestSolveP1:
 
     def test_infeasible_requirement(self):
         lp = fig11_params(2.0)
-        with pytest.raises(Infeasible):
+        with pytest.raises(InfeasibleTarget):
             solve_p1(lp, FIG11_PS, lp.q_max * 1.01, SER_TARGET)
 
     def test_fig11_close_distance(self):

@@ -5,9 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from helpers import central_diff1, central_diff2, p0_grid_oracle, random_circuit_instance
+from helpers import (
+    central_diff1,
+    central_diff2,
+    dominance_energy_matches,
+    p0_grid_oracle,
+    random_circuit_instance,
+)
 from swiptlab.capacity import MiEstimate
-from swiptlab.core import LinkParams, split_snr, upper_bound_region
+from swiptlab.core import (
+    LinkParams,
+    OpsPair,
+    SplitVector,
+    harvested_energy,
+    split_snr,
+    upper_bound_region,
+)
 from swiptlab.errors import DegenerateCircuitPower, InfeasibleTarget
 from swiptlab.regions import (
     check_dps_dominated_by_sps,
@@ -67,22 +80,22 @@ class TestJensenDominance:
 
     def test_constant_vector_equality(self):
         rep = check_dps_dominated_by_sps(self.LP, [0.37] * 8)
-        assert rep.energies_match
+        assert dominance_energy_matches(rep, self.LP, [0.37] * 8)
         assert abs(rep.rate_gap) <= 1e-12
 
     def test_two_point_vector(self):
         rep = check_dps_dominated_by_sps(self.LP, [0.0, 1.0])
         assert rep.rate_dps == pytest.approx(0.5 * 3.334984247712809, rel=1e-13)
         assert rep.rate_sps == pytest.approx(2.5265458144958344, rel=1e-13)
-        assert rep.energy_dps == pytest.approx(0.5 * self.LP.q_max)
-        assert rep.energies_match and rep.sps_dominates
+        assert rep.energy == pytest.approx(0.5 * self.LP.q_max)
+        assert dominance_energy_matches(rep, self.LP, [0.0, 1.0]) and rep.sps_dominates
 
     def test_randomized_dominance(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             vec = rng.uniform(0, 1, size=64)
             rep = check_dps_dominated_by_sps(self.LP, vec)
-            assert rep.sps_dominates and rep.energies_match
+            assert rep.sps_dominates and dominance_energy_matches(rep, self.LP, vec)
             assert rep.rate_gap > 0.0  # strict for non-constant vectors
 
 
@@ -291,7 +304,9 @@ class TestOpsOnPeriodDominance:
             rep = check_dps_dominated_by_sps(lp, vec)
             rate_dps = (1 - alpha) * rep.rate_dps
             rate_ops = (1 - alpha) * rep.rate_sps
-            e_dps = alpha * lp.q_max + (1 - alpha) * rep.energy_dps - (1 - alpha) * p_s
-            e_ops = alpha * lp.q_max + (1 - alpha) * rep.energy_sps - (1 - alpha) * p_s
-            assert e_dps == e_ops
+            assert dominance_energy_matches(rep, lp, vec)
+            e_dps = (alpha * lp.q_max + (1 - alpha) * harvested_energy(SplitVector(vec), lp)
+                     - (1 - alpha) * p_s)
+            e_ops = harvested_energy(OpsPair(alpha, float(np.mean(vec))), lp) - (1 - alpha) * p_s
+            assert e_dps == pytest.approx(e_ops, rel=1e-12, abs=1e-12 * lp.q_max)
             assert rate_ops >= rate_dps
