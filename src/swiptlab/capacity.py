@@ -13,6 +13,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +106,16 @@ def c1_upper(hp: float, sigma_rec: float, params: C1BoundParams) -> float:
     """
     if not (hp > 0 and sigma_rec > 0):
         raise InvalidParams("c1_upper needs hp > 0 and sigma_rec > 0")
-    beta, delta = params.beta, params.delta
+    return float(_c1_upper_bits(hp, sigma_rec, params.beta, params.delta))
+
+
+def _c1_upper_bits(hp, sigma_rec, beta, delta):
+    """The c1_upper formula; beta and delta may be broadcasting arrays."""
     dr = delta / sigma_rec
-    edr = math.exp(-0.5 * dr * dr)
+    edr = np.exp(-0.5 * dr * dr)
     q_dr = q_function(dr)
     sqrt_2pi = math.sqrt(2.0 * math.pi)
-    term1 = math.log2(beta * edr + sqrt_2pi * sigma_rec * q_dr)
+    term1 = np.log2(beta * edr + sqrt_2pi * sigma_rec * q_dr)
     term2 = (0.5 * q_dr + (delta + hp + sigma_rec * edr / sqrt_2pi) / beta) * LOG2E
     term3 = (
         delta * edr / (2.0 * sqrt_2pi * sigma_rec)
@@ -133,18 +139,14 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
 
     betas = np.exp(np.linspace(log_beta_lo, log_beta_hi, 48))
     deltas = np.linspace(0.0, delta_hi, 25)
-    best_val, best_b, best_d = math.inf, betas[0], 0.0
-    for b in betas:
-        for d in deltas:
-            v = c1_upper(hp, sigma_rec, C1BoundParams(b, d))
-            if v < best_val:
-                best_val, best_b, best_d = v, b, d
+    grid = _c1_upper_bits(hp, sigma_rec, betas[:, None], deltas[None, :])
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)  # first minimum, row-major
 
     def eval_at(log_b, d):
         return c1_upper(hp, sigma_rec, C1BoundParams(math.exp(log_b), d))
 
-    log_b, d = math.log(best_b), best_d
-    prev = best_val
+    log_b, d = math.log(betas[i]), float(deltas[j])
+    prev = float(grid[i, j])
     for _ in range(60):
         res = minimize_scalar(lambda lb: eval_at(lb, d), bounds=(log_beta_lo, log_beta_hi),
                               method="bounded", options={"xatol": 1e-12})
@@ -229,6 +231,8 @@ def _density_t_marg(t, hp, sigma2_a):
 
 
 _GL_LEVELS = (64, 128, 256, 512)   # escalation after the Kronrod start
+# worker threads fetch the cached rules under this lock, so a cold rule is built once
+_RULES_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -294,7 +298,8 @@ def _panelized_integrals(knots, integrand, quad_tol):
     owner, col = np.nonzero(~(widths <= 0))  # NaN-width panels are kept, and fail
     lower, widths = lower[owner, col], widths[owner, col]
 
-    u, wk, wg = _kronrod_nodes()
+    with _RULES_LOCK:
+        u, wk, wg = _kronrod_nodes()
     cur, coarse = _panel_rule_sums(integrand, n, owner, lower, widths, u, wk, wg)
     delta = np.abs(cur - coarse)
     pending = ~(delta <= quad_tol)
@@ -303,7 +308,8 @@ def _panelized_integrals(knots, integrand, quad_tol):
             return cur
         keep = pending[owner]
         owner, lower, widths = owner[keep], lower[keep], widths[keep]
-        u, gw = _gl_nodes(n_nodes)
+        with _RULES_LOCK:
+            u, gw = _gl_nodes(n_nodes)
         (finer,) = _panel_rule_sums(integrand, n, owner, lower, widths, u, gw)
         delta = np.abs(finer - cur)
         cur = np.where(pending, finer, cur)
@@ -317,7 +323,8 @@ def _panelized_integrals(knots, integrand, quad_tol):
         f"with {_GL_LEVELS[-1]} nodes per panel; worst |delta| between the last two "
         f"levels {delta[worst]:.3g} at sample {worst} of the batch, integration "
         f"window [{knots[worst, 0]:.6g}, {knots[worst, -1]:.6g}]; "
-        "rescale powers/noises toward order unity"
+        "rescale powers/noises toward order unity",
+        sample=int(worst),
     )
 
 
@@ -416,7 +423,14 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol):
     return np.log(np.maximum(vals, 5e-324))
 
 
-_CHUNK = 4096
+# chunks run on one thread per CPU the process may use (see taskset)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# samples per chunk.  On several threads, 1024: a 10k-sample estimate splits
+# evenly, and a chunk's (panels, 1, 31) node arrays stay near 2 MB each, which
+# bounds peak memory.  On one thread, 4096: arrays of 4 MiB and more get huge
+# pages from numpy, and the smaller arrays measured slower from page faults.
+_CHUNK = 1024 if _WORKERS > 1 else 4096
 
 # Piecewise Chebyshev table of log p(y) in s = asinh(y / sigma_rec): panels are
 # sigma_rec wide near y = 0 and grow geometrically in y.  Each panel holds the 17
@@ -430,6 +444,25 @@ _TABLE_MAX_PANELS = 256
 # relative part of the certification tolerance: an absolute quad_tol alone asks
 # for accuracy below rounding where the density is large
 _TABLE_REL_TOL = 1e-10
+
+
+def _map_chunks(fn, n):
+    """fn(sl) over the consecutive _CHUNK-sample slices sl of range(n), run on
+    _WORKERS threads (numpy and scipy release the GIL in their loops), with the
+    results concatenated in slice order.
+
+    The first slice in order whose fn raises raises here: later slices not yet
+    started are cancelled, those running finish and are discarded, and every
+    worker has exited before this returns or raises.  A single worker is the
+    calling thread.
+    """
+    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    if _WORKERS == 1:
+        return np.concatenate([fn(sl) for sl in slices])
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import swiptlab`
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return np.concatenate(list(pool.map(fn, slices)))
 
 
 def _barycentric(s, nodes, values):
@@ -459,8 +492,8 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
 
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
-        return np.concatenate([_log_p_marg(y_at[i:i + _CHUNK], hp, sigma2_a, sigma2_rec, quad_tol)
-                               for i in range(0, s.size, _CHUNK)])
+        return _map_chunks(
+            lambda sl: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol), s.size)
 
     s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
     start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)
@@ -527,8 +560,12 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     |p_hat - p| <= mc.quad_tol + 1e-10 p at its check points, and interpolated
     at every sample.  Raises QuadratureFailure, naming the stage (conditional
     density or marginal table) and the channel, when a density misses its
-    tolerance at every level or the table needs too many panels.  Results are
-    bit-reproducible for a fixed seed and independent of internal chunking.
+    tolerance at every level or the table needs too many panels; a conditional
+    failure also names its worst sample's index in the draw and its (y, x).
+    The per-sample work runs in chunks on one thread per CPU of the process's
+    affinity mask, so `taskset -c 0` limits it to one.  Results are
+    bit-reproducible for a fixed seed and independent of internal chunking and
+    of the thread count.
     """
     if not all(math.isfinite(v) for v in (hp, sigma2_a, sigma2_rec)):
         raise InvalidParams("hp and noise powers must be finite")
@@ -554,19 +591,23 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     else:
         y = w
 
+    def log_p_cond(sl):
+        try:
+            return _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
+        except QuadratureFailure as exc:
+            k = sl.start + exc.sample
+            raise QuadratureFailure(
+                f"worst sample {k} of the draw (y={y[k]:.6g}, x={x[k]:.6g}): {exc}"
+            ) from exc
+
     channel = (hp, sigma2_a, sigma2_rec)
-    llr = np.empty(n)
     with _failure_stage("conditional density", *channel):
-        for start in range(0, n, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n))
-            llr[sl] = _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
+        cond = _map_chunks(log_p_cond, n)
     # the table comes second: a channel the quadrature cannot resolve usually
     # fails in the first conditional chunk, before the table's cost is paid
     with _failure_stage("marginal table", *channel):
         log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, mc.quad_tol)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        llr[sl] = (llr[sl] - log_p_marg(y[sl])) * LOG2E
+    llr = _map_chunks(lambda sl: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))

@@ -21,7 +21,6 @@ from .capacity import (
     c1_upper_optimized,
     c2_upper,
     cnl_lower_chi2,
-    cnl_upper,
 )
 from .core import LinkParams, REBoundary, REPoint, upper_bound_region
 from .errors import (
@@ -162,12 +161,13 @@ def cmd_capacity(ns) -> int:
     if ns.upper:
         sigma_rec = math.sqrt(ns.srec2)
         c1, params = c1_upper_optimized(ns.hp, sigma_rec)
+        c2 = c2_upper(ns.hp, ns.sa2)
         outputs["upper"] = {
-            "cnl_upper_bits": cnl_upper(ns.hp, ns.sa2, sigma_rec),
+            "cnl_upper_bits": min(c1, c2),  # cnl_upper, without optimizing c1 again
             "c1_upper_bits": c1,
             "c1_beta": params.beta,
             "c1_delta": params.delta,
-            "c2_upper_bits": c2_upper(ns.hp, ns.sa2),
+            "c2_upper_bits": c2,
         }
     if ns.lower:
         est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2, _mc_config(ns))

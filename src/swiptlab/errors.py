@@ -22,7 +22,15 @@ class SplitAtUnity(SwiptError):
 
 
 class QuadratureFailure(SwiptError):
-    """Adaptive quadrature did not reach tolerance; inputs likely need rescaling."""
+    """Adaptive quadrature did not reach tolerance; inputs likely need rescaling.
+
+    `sample` is the index of the worst unresolved integral in its batch, where
+    the failure has one.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
 
 
 class InfeasibleTarget(SwiptError):

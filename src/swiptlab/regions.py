@@ -191,9 +191,15 @@ def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], fl
     return cap_fn
 
 
+def _check_p_s(p_s: float):
+    if not 0 <= p_s < math.inf:
+        raise InvalidParams(f"p_s must be finite and >= 0, got {p_s}")
+
+
 def rs_coefficients(lp: LinkParams, p_s: float, q_target: float) -> RsCoefficients:
     """Reduced-objective coefficients for a fixed energy target."""
-    if p_s <= 0:
+    _check_p_s(p_s)
+    if p_s == 0:
         raise DegenerateCircuitPower("rs_coefficients needs p_s > 0")
     q_max = lp.q_max
     if not 0 <= q_target < q_max:
@@ -226,11 +232,10 @@ def solve_p0(lp: LinkParams, p_s: float, q_target: float) -> P0Solution:
     bisection on dR/ds, with endpoint optima taken when the derivative does
     not change sign.
     """
+    _check_p_s(p_s)
     if p_s == 0:
         raise DegenerateCircuitPower(
             "p_s = 0 has no on-off tradeoff; use region_sps for the ideal boundary")
-    if p_s < 0:
-        raise InvalidParams(f"p_s must be >= 0, got {p_s}")
     q_max = lp.q_max
     if q_target < 0 or q_target > q_max:
         raise InfeasibleTarget(f"energy target {q_target} outside [0, {q_max}]")
@@ -277,8 +282,7 @@ def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoun
     """Time switching with circuit power: the chord truncated where the net
     energy crosses zero."""
     _check_points(n_points)
-    if p_s < 0:
-        raise InvalidParams("p_s must be >= 0")
+    _check_p_s(p_s)
     r_max = awgn_rate(lp)
     # net energy alpha*q_max - (1-alpha)*p_s >= 0 from this alpha on
     alpha0 = p_s / (lp.q_max + p_s) if lp.q_max + p_s > 0 else 1.0
@@ -294,8 +298,7 @@ def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoun
 def region_sps_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Always-on static split with circuit power, truncated at zero net energy."""
     _check_points(n_points)
-    if p_s < 0:
-        raise InvalidParams("p_s must be >= 0")
+    _check_p_s(p_s)
     if p_s >= lp.q_max:
         # decoder can never be energy-neutral: only the zero-energy point at rho = 1
         return REBoundary(points=(REPoint(0.0, 0.0),), scheme="sps-circuit",

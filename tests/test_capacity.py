@@ -1,7 +1,9 @@
 """Tests for the nonlinear-channel capacity bounds and the MI estimator."""
 
+import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +82,16 @@ class TestC1UpperOptimized:
             beta = math.exp(rng.uniform(math.log(1e-3 * sr), math.log(1e3 * (hp + sr))))
             delta = rng.uniform(0.0, 10.0 * sr)
             assert opt <= c1_upper(hp, sr, C1BoundParams(beta, delta)) + 1e-12
+
+    def test_array_grid_equals_scalar_bound(self):
+        # the start grid as one array expression against the scalar loop it replaced
+        hp, sr = 37.0, 2.5
+        betas = np.exp(np.linspace(math.log(1e-3 * sr), math.log(1e3 * (hp + sr)), 48))
+        deltas = np.linspace(0.0, 10.0 * sr, 25)
+        grid = cap._c1_upper_bits(hp, sr, betas[:, None], deltas[None, :])
+        loop = np.array([[c1_upper(hp, sr, C1BoundParams(b, d)) for d in deltas]
+                         for b in betas])
+        assert np.array_equal(grid, loop)
 
 
 class TestClosedFormBounds:
@@ -187,6 +199,76 @@ class TestMiEstimator:
         monkeypatch.setattr(cap, "_CHUNK", 1111)
         alt = cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
         assert ref == alt
+
+    def test_independent_of_worker_count(self, monkeypatch):
+        # (100, 1e-4, 1) escalates to 128 nodes, so the workers share cached rules
+        threads = set()
+        cond = cap._log_p_cond
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return cond(*args)
+
+        monkeypatch.setattr(cap, "_log_p_cond", recording)
+        runs = {}
+        for workers, chunk in itertools.product((1, 2, 3), (1024, 1111, 4096)):
+            monkeypatch.setattr(cap, "_WORKERS", workers)
+            monkeypatch.setattr(cap, "_CHUNK", chunk)
+            threads.clear()
+            runs[workers, chunk] = cnl_lower_chi2(100.0, 1e-4, 1.0, MC_FAST)
+            if workers == 1:  # one worker is the calling thread
+                assert threads == {threading.get_ident()}
+            else:
+                assert 1 <= len(threads) <= workers
+                assert threading.get_ident() not in threads
+        assert len(set(runs.values())) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_outlives_the_call(self, workers, monkeypatch):
+        monkeypatch.setattr(cap, "_WORKERS", workers)
+        before = threading.active_count()
+        cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        assert threading.active_count() == before
+        with pytest.raises(QuadratureFailure):
+            cnl_lower_chi2(1e-4, 1e-6, 1e-12, MC_FAST)
+        assert threading.active_count() == before
+
+    def test_failure_independent_of_worker_count(self, monkeypatch):
+        # every chunk fails at this rescaled point; the first one in sample order
+        # raises, whichever thread finishes first
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cap, "_WORKERS", workers)
+            with pytest.raises(QuadratureFailure) as info:
+                cnl_lower_chi2(1e-4, 1e-6, 1e-12, MC_FAST)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_conditional_failure_names_the_sample(self, monkeypatch):
+        # every chunk fails at this rescaled point; pass the first two, in order on
+        # one worker, so that the failure's index in the draw is not its batch index
+        hp, s2a, s2r = 1e-4, 1e-6, 1e-12
+        calls = []
+        cond = cap._log_p_cond
+
+        def third_chunk_on(y, *args):
+            calls.append(y.size)
+            return np.zeros_like(y) if len(calls) <= 2 else cond(y, *args)
+
+        monkeypatch.setattr(cap, "_WORKERS", 1)
+        monkeypatch.setattr(cap, "_log_p_cond", third_chunk_on)
+        with pytest.raises(QuadratureFailure) as info:
+            cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+        msg = str(info.value)
+        found = re.search(r"worst sample (\d+) of the draw \(y=(\S+), x=(\S+)\): .* "
+                          r"at sample (\d+) of the batch", msg)
+        assert found, msg
+        k, batch_k = int(found.group(1)), int(found.group(4))
+        assert k == 2 * cap._CHUNK + batch_k
+        x, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
+                              hp, s2a, s2r)
+        assert float(found.group(2)) == pytest.approx(y[k], rel=1e-5)
+        assert float(found.group(3)) == pytest.approx(x[k], rel=1e-5)
 
     def test_sandwich_against_upper_bound(self):
         for hp, s2a, s2r in [(100.0, 1e-4, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 25.0)]:

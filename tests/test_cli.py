@@ -232,7 +232,8 @@ class TestErrorHandling:
         doc = json.loads(err)["error"]
         assert doc["type"] == "QuadratureFailure" and doc["exit_code"] == 4
         for field in ("output-density integrals missed tol=1e-10", "worst |delta|",
-                      "of the batch", "integration window [", "rescale"):
+                      "of the batch", "integration window [", "rescale",
+                      "of the draw (y="):
             assert field in doc["message"]
 
     @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1", "--lower"],
@@ -257,6 +258,21 @@ class TestErrorHandling:
         doc = json.loads(err)["error"]
         assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
         assert "p=nan" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["solve", "--problem", "p0", "--q", "30"],
+                                      ["region", "--scheme", "ops-circuit"],
+                                      ["region", "--scheme", "ts-circuit"],
+                                      ["region", "--scheme", "sps-circuit"]])
+    def test_non_finite_circuit_power_exit_2(self, argv, value, tmp_path, monkeypatch,
+                                             capsys):
+        code, _, err = run([*argv, f"--ps={value}", *FIG9_FLAGS], tmp_path, monkeypatch,
+                           capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams"
+        assert f"p_s must be finite and >= 0, got {value}" in doc["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,config,named", [

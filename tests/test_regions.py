@@ -21,7 +21,7 @@ from swiptlab.core import (
     split_snr,
     upper_bound_region,
 )
-from swiptlab.errors import DegenerateCircuitPower, InfeasibleTarget
+from swiptlab.errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
 from swiptlab.regions import (
     check_dps_dominated_by_sps,
     region_int_adc,
@@ -130,6 +130,20 @@ class TestRsCoefficients:
             rs_coefficients(FIG9_LP, FIG9_PS, FIG9_LP.q_max)
         with pytest.raises(InfeasibleTarget):
             rs_coefficients(FIG9_LP, FIG9_PS, -1.0)
+
+
+class TestCircuitPowerDomain:
+    @pytest.mark.parametrize("p_s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda p_s: rs_coefficients(FIG9_LP, p_s, 10.0),
+        lambda p_s: solve_p0(FIG9_LP, p_s, 10.0),
+        lambda p_s: region_sep_circuit(FIG9_LP, p_s, 8),
+        lambda p_s: region_ts_circuit(FIG9_LP, p_s, 8),
+        lambda p_s: region_sps_circuit(FIG9_LP, p_s, 8),
+    ], ids=["rs_coefficients", "solve_p0", "sep_circuit", "ts_circuit", "sps_circuit"])
+    def test_non_finite_rejected(self, call, p_s):
+        with pytest.raises(InvalidParams, match="p_s must be finite"):
+            call(p_s)
 
 
 class TestDerivativeFormulas:
