@@ -201,11 +201,22 @@ def _log_density_w_cond(w, nu, sigma2_a):
     )
 
 
-def _density_t_cond(t, nu, sigma2_a):
-    """Density of T = sqrt(W) given nu (Rice law)."""
-    return (2.0 * t / sigma2_a) * np.exp(-((t - nu) ** 2) / sigma2_a) * i0e(
-        2.0 * t * nu / sigma2_a
-    )
+def _density_t_cond(t, nu, sigma2_a, out, tmp):
+    """Density of T = sqrt(W) given nu (Rice law):
+    (2 t / sigma2_a) exp(-(t - nu)^2 / sigma2_a) i0e(2 t nu / sigma2_a),
+    computed in place in out with tmp as the second buffer (both of t's shape)."""
+    np.multiply(2.0, t, out=out)
+    out /= sigma2_a
+    np.subtract(t, nu, out=tmp)
+    np.square(tmp, out=tmp)
+    np.negative(tmp, out=tmp)
+    tmp /= sigma2_a
+    out *= np.exp(tmp, out=tmp)
+    np.multiply(2.0, t, out=tmp)
+    tmp *= nu
+    tmp /= sigma2_a
+    out *= i0e(tmp, out=tmp)
+    return out
 
 
 def _marginal_w_variances(hp, sigma2_a):
@@ -228,6 +239,27 @@ def _density_t_marg(t, hp, sigma2_a):
     return (t / math.sqrt(v1 * v2)) * np.exp(-t * t / (2.0 * v1)) * i0e(
         t * t * (v1 - v2) / (4.0 * v1 * v2)
     )
+
+
+class _Scratch:
+    """Float buffers that one worker reuses from chunk to chunk.
+
+    The quadrature's (panels, 1, nodes) node arrays take about 1 MB each per
+    512-sample chunk.  As fresh temporaries, malloc hands them back to the OS
+    after every chunk and the next chunk faults them in again, which costs
+    more than the arithmetic on them whenever page faults are slow.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, name, shape):
+        """The buffer called name, viewed as shape (grown when too small)."""
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 _GL_LEVELS = (64, 128, 256, 512)   # escalation after the Kronrod start
@@ -267,19 +299,21 @@ def _kronrod_nodes(n=15):
     return 0.5 * (x + 1.0), 0.5 * wk, 0.5 * wg_full
 
 
-def _panel_rule_sums(integrand, n, owner, lower, widths, u, *weights):
+def _panel_rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights):
     """Evaluate the integrand at the nodes u of every listed panel and return, for
     each weight vector, the per-sample sums of the panel integrals.
 
     Panels arrive grouped by sample in knot order, and np.bincount adds them in
     that order, so each sample's sum does not depend on the other samples.
     """
-    vals = integrand(lower[:, None, None] + widths[:, None, None] * u, owner)[:, 0, :]
+    t = np.multiply(widths[:, None, None], u, out=scratch.take("t", (owner.size, 1, u.size)))
+    np.add(lower[:, None, None], t, out=t)
+    vals = integrand(t, owner)[:, 0, :]
     return [np.bincount(owner, np.einsum("pk,k,p->p", vals, w, widths), minlength=n)
             for w in weights]
 
 
-def _panelized_integrals(knots, integrand, quad_tol):
+def _panelized_integrals(knots, integrand, quad_tol, scratch=None):
     """Integrate a smooth nonnegative integrand over per-sample panels.
 
     knots: (n, k) sorted panel edges per sample; equal neighbouring knots make
@@ -290,8 +324,10 @@ def _panelized_integrals(knots, integrand, quad_tol):
     64..512 Gauss-Legendre nodes, each level accepted when it is within
     quad_tol of the level before.  The integrand is called as
     integrand(t, owner) with t of shape (P, 1, nodes) for the P evaluated
-    panels and owner the sample index of each panel.
+    panels and owner the sample index of each panel; t is a buffer of scratch
+    (a fresh _Scratch when none is given), overwritten by the next call.
     """
+    scratch = _Scratch() if scratch is None else scratch
     n = knots.shape[0]
     lower = knots[:, :-1]
     widths = knots[:, 1:] - lower
@@ -300,7 +336,7 @@ def _panelized_integrals(knots, integrand, quad_tol):
 
     with _RULES_LOCK:
         u, wk, wg = _kronrod_nodes()
-    cur, coarse = _panel_rule_sums(integrand, n, owner, lower, widths, u, wk, wg)
+    cur, coarse = _panel_rule_sums(integrand, n, owner, lower, widths, scratch, u, wk, wg)
     delta = np.abs(cur - coarse)
     pending = ~(delta <= quad_tol)
     for n_nodes in _GL_LEVELS:
@@ -310,7 +346,7 @@ def _panelized_integrals(knots, integrand, quad_tol):
         owner, lower, widths = owner[keep], lower[keep], widths[keep]
         with _RULES_LOCK:
             u, gw = _gl_nodes(n_nodes)
-        (finer,) = _panel_rule_sums(integrand, n, owner, lower, widths, u, gw)
+        (finer,) = _panel_rule_sums(integrand, n, owner, lower, widths, scratch, u, gw)
         delta = np.abs(finer - cur)
         cur = np.where(pending, finer, cur)
         pending &= ~(delta <= quad_tol)
@@ -342,12 +378,18 @@ def _gaussian_window(y, sigma_rec):
     return np.sqrt(lo), np.sqrt(hi)
 
 
-def _log_phi(z, sigma2):
-    return -(z * z) / (2.0 * sigma2) - 0.5 * math.log(2.0 * math.pi * sigma2)
+def _log_phi(z, sigma2, out=None):
+    """log N(z; 0, sigma2) for an array z, written into out when given (out may be z)."""
+    out = np.multiply(z, z, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * sigma2
+    out -= 0.5 * math.log(2.0 * math.pi * sigma2)
+    return out
 
 
-def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol):
-    """log p(y | x) for each sample."""
+def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
+    """log p(y | x) for each sample; the quadrature's node arrays live in scratch
+    (a fresh _Scratch when none is given)."""
     if sigma2_rec == 0.0:
         return _log_density_w_cond(y, np.sqrt(hp * x), sigma2_a)
     if sigma2_a == 0.0:
@@ -364,13 +406,18 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol):
          ty - 6 * phi_w, ty - 2 * phi_w, ty + 2 * phi_w, ty + 6 * phi_w],
     )
 
-    def integrand(t, active):
-        yy = y[active, None, None]
-        nn = nu[active, None, None]
-        gauss = np.exp(_log_phi(yy - t * t, sigma2_rec))
-        return _density_t_cond(t, nn, sigma2_a) * gauss
+    scratch = _Scratch() if scratch is None else scratch
 
-    vals = _panelized_integrals(knots, integrand, quad_tol)
+    def integrand(t, active):
+        # exp(log_phi(y - t^2)) * density(t), in three of the scratch buffers
+        gauss = np.multiply(t, t, out=scratch.take("gauss", t.shape))
+        np.subtract(y[active, None, None], gauss, out=gauss)
+        np.exp(_log_phi(gauss, sigma2_rec, out=gauss), out=gauss)
+        dens = _density_t_cond(t, nu[active, None, None], sigma2_a,
+                               scratch.take("dens", t.shape), scratch.take("tmp", t.shape))
+        return np.multiply(dens, gauss, out=dens)
+
+    vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
     return np.log(np.maximum(vals, 5e-324))
 
 
@@ -426,11 +473,10 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol):
 # chunks run on one thread per CPU the process may use (see taskset)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# samples per chunk.  On several threads, 1024: a 10k-sample estimate splits
-# evenly, and a chunk's (panels, 1, 31) node arrays stay near 2 MB each, which
-# bounds peak memory.  On one thread, 4096: arrays of 4 MiB and more get huge
-# pages from numpy, and the smaller arrays measured slower from page faults.
-_CHUNK = 1024 if _WORKERS > 1 else 4096
+# samples per chunk: a chunk's (panels, 1, 31) node arrays are about 1 MB each,
+# so a worker's scratch buffers stay small, and a 10k-sample estimate splits
+# into 20 chunks, which keep both threads busy when one CPU is slowed
+_CHUNK = 512
 
 # Piecewise Chebyshev table of log p(y) in s = asinh(y / sigma_rec): panels are
 # sigma_rec wide near y = 0 and grow geometrically in y.  Each panel holds the 17
@@ -447,22 +493,31 @@ _TABLE_REL_TOL = 1e-10
 
 
 def _map_chunks(fn, n):
-    """fn(sl) over the consecutive _CHUNK-sample slices sl of range(n), run on
-    _WORKERS threads (numpy and scipy release the GIL in their loops), with the
-    results concatenated in slice order.
+    """fn(sl, scratch) over the consecutive _CHUNK-sample slices sl of range(n),
+    run on _WORKERS threads (numpy and scipy release the GIL in their loops),
+    with the results concatenated in slice order.  scratch is the _Scratch of
+    the worker running the slice, so a worker's buffers serve all its slices.
 
     The first slice in order whose fn raises raises here: later slices not yet
     started are cancelled, those running finish and are discarded, and every
-    worker has exited before this returns or raises.  A single worker is the
-    calling thread.
+    worker has exited before this returns or raises.  A single worker, or a
+    single slice, runs in the calling thread.
     """
     slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    if _WORKERS == 1:
-        return np.concatenate([fn(sl) for sl in slices])
+    if _WORKERS == 1 or len(slices) == 1:
+        scratch = _Scratch()
+        return np.concatenate([fn(sl, scratch) for sl in slices])
     from concurrent.futures import ThreadPoolExecutor  # not loaded by `import swiptlab`
 
+    local = threading.local()
+
+    def run(sl):
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch()
+        return fn(sl, local.scratch)
+
     with ThreadPoolExecutor(_WORKERS) as pool:
-        return np.concatenate(list(pool.map(fn, slices)))
+        return np.concatenate(list(pool.map(run, slices)))
 
 
 def _barycentric(s, nodes, values):
@@ -493,7 +548,7 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
         return _map_chunks(
-            lambda sl: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol), s.size)
+            lambda sl, _: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol), s.size)
 
     s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
     start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)
@@ -591,9 +646,9 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     else:
         y = w
 
-    def log_p_cond(sl):
+    def log_p_cond(sl, scratch):
         try:
-            return _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol)
+            return _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol, scratch)
         except QuadratureFailure as exc:
             k = sl.start + exc.sample
             raise QuadratureFailure(
@@ -607,7 +662,7 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     # fails in the first conditional chunk, before the table's cost is paid
     with _failure_stage("marginal table", *channel):
         log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, mc.quad_tol)
-    llr = _map_chunks(lambda sl: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
+    llr = _map_chunks(lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))

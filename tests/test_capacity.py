@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import erf
+from scipy.special import erf, i0e
 
 import swiptlab.capacity as cap
 from swiptlab.capacity import (
@@ -372,6 +372,37 @@ class TestPanelQuadrature:
         assert np.array_equal(vals, ref)
         # a sample's sum does not depend on its row or on the other rows
         assert np.array_equal(cap._panelized_integrals(dup[::-1], smooth, 1e-12), vals[::-1])
+
+    def test_scratch_serves_calls_of_any_size(self):
+        scratch = cap._Scratch()
+        knots = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 3.0]])
+        nodes = []
+
+        def cube(t, owner):
+            nodes.append(t)
+            return t ** 3
+
+        both = cap._panelized_integrals(knots, cube, 1e-12, scratch)
+        first = cap._panelized_integrals(knots[:1], cube, 1e-12, scratch)
+        assert np.shares_memory(nodes[0], nodes[1])  # the smaller call reused the buffer
+        assert np.array_equal(first, both[:1])
+        assert np.array_equal(both, cap._panelized_integrals(knots, cube, 1e-12))
+
+    def test_in_place_densities_match_their_formulas(self):
+        # bit for bit, so that the buffers change no estimate
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, 12.0, (50, 1, 31))
+        nu = rng.uniform(0.0, 12.0, (50, 1, 1))
+        s2 = 0.7
+        want = (2.0 * t / s2) * np.exp(-((t - nu) ** 2) / s2) * i0e(2.0 * t * nu / s2)
+        out, tmp = np.empty_like(t), np.empty_like(t)
+        assert cap._density_t_cond(t, nu, s2, out, tmp) is out
+        assert np.array_equal(out, want)
+        z = t - nu
+        want = -(z * z) / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * s2)
+        assert np.array_equal(cap._log_phi(z, s2), want)
+        assert cap._log_phi(z, s2, out=z) is z
+        assert np.array_equal(z, want)
 
     def test_nan_panel_is_not_dropped_as_empty(self):
         with pytest.raises(QuadratureFailure, match="1 of 2 "):
