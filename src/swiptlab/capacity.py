@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import i0e
 
 from .core import LOG2E, q_function
@@ -125,41 +124,44 @@ def _c1_upper_bits(hp, sigma_rec, beta, delta):
     return term1 + term2 + term3 + term4
 
 
+def _c1_beta_star(hp, sigma_rec, delta):
+    """The beta minimizing c1_upper at a fixed delta; delta may be an array.
+
+    With e = exp(-delta^2 / 2 sigma^2), k = sqrt(2 pi) sigma Q(delta/sigma)
+    and A = delta + hP + sigma e / sqrt(2 pi), c1 depends on beta through
+    log2(beta e + k) + A log2(e) / beta, which is least at the positive root
+    of e beta^2 - A e beta - A k = 0.
+    """
+    dr = delta / sigma_rec
+    e = np.exp(-0.5 * dr * dr)
+    k = math.sqrt(2.0 * math.pi) * sigma_rec * q_function(dr)
+    a = delta + hp + sigma_rec * e / math.sqrt(2.0 * math.pi)
+    return 0.5 * a * (1.0 + np.sqrt(1.0 + 4.0 * k / (a * e)))
+
+
+_C1_GRID, _C1_ROUNDS = 257, 4  # the delta search: points per grid, zoom rounds
+
+
 def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParams]:
     """Minimize the free parameters of c1_upper.
 
-    Coarse log/linear grid followed by coordinate descent; any grid coarseness
-    only loosens the (still valid) bound.
+    beta takes its closed-form minimizer at each delta (_c1_beta_star), which
+    leaves a search over delta in [0, 10 sigma_rec]: a uniform grid, zoomed to
+    the neighbours of its argmin for a fixed number of rounds.  Any residual
+    search error only loosens the (still valid) bound.
     """
     if not (0 < hp < math.inf and 0 < sigma_rec < math.inf):
         raise InvalidParams("c1_upper_optimized needs finite hp > 0 and sigma_rec > 0")
-    log_beta_lo = math.log(1e-3 * sigma_rec)
-    log_beta_hi = math.log(1e3 * (hp + sigma_rec))
-    delta_hi = 10.0 * sigma_rec
-
-    betas = np.exp(np.linspace(log_beta_lo, log_beta_hi, 48))
-    deltas = np.linspace(0.0, delta_hi, 25)
-    grid = _c1_upper_bits(hp, sigma_rec, betas[:, None], deltas[None, :])
-    i, j = np.unravel_index(np.argmin(grid), grid.shape)  # first minimum, row-major
-
-    def eval_at(log_b, d):
-        return c1_upper(hp, sigma_rec, C1BoundParams(math.exp(log_b), d))
-
-    log_b, d = math.log(betas[i]), float(deltas[j])
-    prev = float(grid[i, j])
-    for _ in range(60):
-        res = minimize_scalar(lambda lb: eval_at(lb, d), bounds=(log_beta_lo, log_beta_hi),
-                              method="bounded", options={"xatol": 1e-12})
-        log_b = res.x
-        res = minimize_scalar(lambda dd: eval_at(log_b, dd), bounds=(0.0, delta_hi),
-                              method="bounded", options={"xatol": 1e-12})
-        d = res.x
-        val = res.fun
-        if abs(prev - val) <= 1e-6 * max(1.0, abs(val)):
-            prev = val
-            break
-        prev = val
-    params = C1BoundParams(math.exp(log_b), d)
+    lo, hi = 0.0, 10.0 * sigma_rec
+    best_val, best_delta = math.inf, 0.0
+    for _ in range(_C1_ROUNDS):
+        deltas = np.linspace(lo, hi, _C1_GRID)
+        vals = _c1_upper_bits(hp, sigma_rec, _c1_beta_star(hp, sigma_rec, deltas), deltas)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_delta = float(vals[i]), float(deltas[i])
+        lo, hi = deltas[max(i - 1, 0)], deltas[min(i + 1, _C1_GRID - 1)]
+    params = C1BoundParams(float(_c1_beta_star(hp, sigma_rec, best_delta)), best_delta)
     return c1_upper(hp, sigma_rec, params), params
 
 

@@ -184,8 +184,7 @@ def cmd_solve(ns) -> int:
     if ns.problem == "p0":
         sol = solve_p0(lp, ns.ps, ns.q)
         outputs = {"alpha_star": sol.alpha_star, "rho_star": sol.rho_star,
-                   "rate_bits": sol.rate, "q_target": sol.q_target,
-                   "converged": sol.converged}
+                   "rate_bits": sol.rate, "q_target": sol.q_target}
         inputs = {"ps": ns.ps, "q": ns.q}
     else:
         solver, power = (solve_p1, "ps") if ns.problem == "p1" else (solve_p2, "pi")

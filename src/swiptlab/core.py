@@ -123,8 +123,8 @@ class REPoint:
     energy: float    # energy units per symbol
 
     def __post_init__(self):
-        if self.rate < 0 or self.energy < 0:
-            raise InvalidParams(f"rate-energy point must be nonnegative, got {self}")
+        if not (0 <= self.rate < math.inf and 0 <= self.energy < math.inf):
+            raise InvalidParams(f"rate-energy point must be finite and nonnegative, got {self}")
 
 
 # slack for float noise in the monotonicity check of swept boundaries
@@ -167,15 +167,16 @@ class REBoundary:
     def rate_at(self, energy) -> np.ndarray:
         """Boundary rate at the given energies by linear interpolation.
 
-        Duplicate energies (vertical boundary segments) resolve to the larger
-        rate; energies beyond the boundary's span give rate 0.
+        Each knot takes the largest rate at its energy or above, so duplicate
+        energies (vertical boundary segments) and points out of order within
+        the Pareto slack resolve to the dominating rate; energies beyond the
+        boundary's span give rate 0.
         """
         e = self.energies()
-        r = self.rates()
-        # keep the max rate per energy so np.interp sees strictly useful knots
-        uniq_e, idx = np.unique(e, return_index=True)
-        uniq_r = np.maximum.reduceat(r, idx) if len(uniq_e) < len(e) else r[idx]
-        return np.interp(np.asarray(energy, dtype=float), uniq_e, uniq_r, right=0.0)
+        order = np.argsort(e)
+        uniq_e, idx = np.unique(e[order], return_index=True)
+        r = np.maximum.accumulate(self.rates()[order][::-1])[::-1]
+        return np.interp(np.asarray(energy, dtype=float), uniq_e, r[idx], right=0.0)
 
     def to_csv_rows(self) -> list[tuple[str, str, float, float]]:
         return [(self.scheme, self.receiver, p.rate, p.energy) for p in self.points]

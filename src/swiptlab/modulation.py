@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcinv
 
 from .core import LinkParams, dbm_to_watts, q_function, split_snr
 from .errors import BadConstellation, InfeasibleTarget, InvalidParams
@@ -112,12 +113,16 @@ def ser_pem(m: int, snr_per_symbol: float) -> float:
 _SER_BY_FAMILY = {QAM: ser_qam, PEM: ser_pem}
 
 
+def _check_ser_target(ser_target: float):
+    if not 0 < ser_target < 1:
+        raise InvalidParams(f"ser_target must lie in (0, 1), got {ser_target}")
+
+
 def max_modulation(family: str, snr: float, ser_target: float) -> int | None:
     """Largest supported constellation meeting the SER target, or None."""
     if family not in _SER_BY_FAMILY:
         raise InvalidParams(f"unknown modulation family {family!r}")
-    if not 0 < ser_target < 1:
-        raise InvalidParams(f"ser_target must lie in (0, 1), got {ser_target}")
+    _check_ser_target(ser_target)
     ser = _SER_BY_FAMILY[family]
     for l in range(MAX_BITS, 0, -1):
         m = 1 << l
@@ -143,78 +148,70 @@ def p2_alpha(lp: LinkParams, p_i: float, q_req: float) -> float:
 
 
 def _check_q_req(lp: LinkParams, q_req: float):
-    if q_req < 0 or q_req > lp.q_max:
+    if not math.isfinite(q_req):
+        raise InvalidParams(f"required energy must be finite, got {q_req}")
+    if not 0 <= q_req <= lp.q_max:
         raise InfeasibleTarget(f"required energy {q_req} outside [0, {lp.q_max}]")
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the largest split ratio the planner proposes; split_snr is 0 at rho = 1
+_RHO_MAX = 1.0 - 1e-12
 
 
-def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float,
-             rho_grid=None) -> ModulationPlan:
+def _qam_thresholds(lp: LinkParams, ser_target: float) -> list[float]:
+    """Largest split ratio at which each QAM size 2**l meets the SER target.
+
+    ser_qam(M, snr) <= target iff snr >= s_l = (M-1)/3 Q^-1(target sqrt(M) /
+    (4 (sqrt(M)-1)))^2, and split_snr(rho) = s_l at 1 - rho = s_l sigma2_cov /
+    (hP - s_l sigma2_a); a size with hP <= s_l sigma2_a is never feasible.
+    Each threshold steps down until ser_qam itself meets the target, so that
+    rounding cannot drop the size at its own threshold.
+    """
+    hp = lp.received_power
+    rhos = []
+    for l in range(1, MAX_BITS + 1):
+        m = 1 << l
+        sm = math.sqrt(m)
+        z = math.sqrt(2.0) * float(erfcinv(2.0 * ser_target * sm / (4.0 * (sm - 1.0))))
+        s = (m - 1) / 3.0 * max(z, 0.0) ** 2
+        if hp <= s * lp.sigma2_a:
+            continue
+        rho = min(max(1.0 - s * lp.sigma2_cov / (hp - s * lp.sigma2_a), 0.0), _RHO_MAX)
+        gap = 0.0
+        while rho > 0.0 and _SER_BY_FAMILY[QAM](m, split_snr(rho, lp)) > ser_target:
+            gap = max(2.0 * gap, math.ulp(rho))
+            rho = max(rho - gap, 0.0)
+        rhos.append(rho)
+    return rhos
+
+
+def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> ModulationPlan:
     """Maximize the separated receiver's QAM rate under SER and net-energy
     constraints.
 
-    Exhaustive search over the split ratio (the rate is piecewise-flat in rho
-    through the constellation choice, so derivative methods are unsafe):
-    a uniform grid on [0, 1) plus golden-section refinement of the best
-    bracket down to width 1e-6, never returning less than the best grid point.
+    The largest feasible size is a nonincreasing step function of rho with
+    its steps at _qam_thresholds, while the on fraction 1 - alpha rises until
+    it reaches 1 at rho0 = (Q_req + P_S) / (zeta h P).  So the optimum is one
+    of rho = 0, rho0 and the thresholds, each clipped to [0, 1 - 1e-12].
     Ties break toward the smaller constellation, then the smaller split.
     """
-    if p_s < 0:
-        raise InvalidParams("p_s must be >= 0")
+    if not 0 <= p_s < math.inf:
+        raise InvalidParams(f"p_s must be finite and >= 0, got {p_s}")
     _check_q_req(lp, q_req)
+    _check_ser_target(ser_target)
     if q_req == lp.q_max:
         # decoder permanently off; no constellation is usable at the limit
         return ModulationPlan(family=QAM, m=None, ser_target=ser_target,
                               alpha=1.0, rho=1.0, rate=0.0)
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
-
-    def evaluate(rho: float):
+    rho0 = min((q_req + p_s) / lp.q_max, _RHO_MAX)
+    best = None
+    for rho in sorted({0.0, rho0, *_qam_thresholds(lp, ser_target)}):
         alpha = min(p1_alpha(lp, p_s, q_req, rho), 1.0)
         m = max_modulation(QAM, split_snr(rho, lp), ser_target)
         rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
-        return rate, m, alpha
-
-    def better(cand, best):
-        (rate_c, m_c, _, rho_c), (rate_b, m_b, _, rho_b) = cand, best
-        if rate_c != rate_b:
-            return rate_c > rate_b
-        mc = 0 if m_c is None else m_c
-        mb = 0 if m_b is None else m_b
-        if mc != mb:
-            return mc < mb
-        return rho_c < rho_b
-
-    best = None
-    best_idx = 0
-    for i, rho in enumerate(rho_grid):
-        rate, m, alpha = evaluate(float(rho))
-        cand = (rate, m, alpha, float(rho))
-        if best is None or better(cand, best):
-            best, best_idx = cand, i
-
-    # golden-section refinement of the bracket around the best grid point
-    lo = float(rho_grid[best_idx - 1]) if best_idx > 0 else 0.0
-    hi = float(rho_grid[best_idx + 1]) if best_idx + 1 < len(rho_grid) else \
-        min(1.0 - 1e-12, 2.0 * float(rho_grid[best_idx]) - lo)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = evaluate(x1), evaluate(x2)
-    while hi - lo > 1e-6:
-        for x, f in ((x1, f1), (x2, f2)):
-            cand = (f[0], f[1], f[2], x)
-            if better(cand, best):
-                best = cand
-        if f1[0] < f2[0]:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = evaluate(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = evaluate(x1)
+        # candidates ascend in rho, so a tie keeps the smaller split
+        if best is None or (rate, -(m or 0)) > (best[0], -(best[1] or 0)):
+            best = (rate, m, alpha, rho)
 
     rate, m, alpha, rho = best
     return ModulationPlan(family=QAM, m=m, ser_target=ser_target,
@@ -224,8 +221,8 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float,
 def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> ModulationPlan:
     """Maximize the integrated receiver's PEM rate under SER and net-energy
     constraints; the off fraction is closed-form and the split plays no role."""
-    if p_i < 0:
-        raise InvalidParams("p_i must be >= 0")
+    if not 0 <= p_i < math.inf:
+        raise InvalidParams(f"p_i must be finite and >= 0, got {p_i}")
     _check_q_req(lp, q_req)
     if lp.sigma2_rec <= 0:
         raise InvalidParams("integrated receiver needs sigma2_rec > 0")

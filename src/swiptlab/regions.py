@@ -39,7 +39,6 @@ class P0Solution:
     rho_star: float
     rate: float       # bits/channel use
     q_target: float   # energy units, met with equality
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
 
 def _cap_bits(cap) -> float:
     value = cap.value if isinstance(cap, MiEstimate) else float(cap)
-    if value < 0:
-        raise InvalidParams(f"capacity must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise InvalidParams(f"capacity must be finite and >= 0, got {value}")
     return value
 
 
@@ -240,8 +239,7 @@ def solve_p0(lp: LinkParams, p_s: float, q_target: float) -> P0Solution:
     if q_target < 0 or q_target > q_max:
         raise InfeasibleTarget(f"energy target {q_target} outside [0, {q_max}]")
     if q_target == q_max:
-        return P0Solution(alpha_star=1.0, rho_star=1.0, rate=0.0,
-                          q_target=q_target, converged=True)
+        return P0Solution(alpha_star=1.0, rho_star=1.0, rate=0.0, q_target=q_target)
 
     co = rs_coefficients(lp, p_s, q_target)
     lo, hi = co.s_lo, co.s_hi
@@ -263,8 +261,7 @@ def solve_p0(lp: LinkParams, p_s: float, q_target: float) -> P0Solution:
     alpha = 1.0 - s_star
     rho = _rho_from_alpha(lp, p_s, q_target, alpha)
     rate = (1.0 - alpha) * math.log2(1.0 + split_snr(rho, lp))
-    return P0Solution(alpha_star=alpha, rho_star=rho, rate=rate,
-                      q_target=q_target, converged=True)
+    return P0Solution(alpha_star=alpha, rho_star=rho, rate=rate, q_target=q_target)
 
 
 def region_sep_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:

@@ -84,7 +84,8 @@ class TestC1UpperOptimized:
             assert opt <= c1_upper(hp, sr, C1BoundParams(beta, delta)) + 1e-12
 
     def test_array_grid_equals_scalar_bound(self):
-        # the start grid as one array expression against the scalar loop it replaced
+        # the bound on an array grid, as the delta search evaluates it, against
+        # scalar calls
         hp, sr = 37.0, 2.5
         betas = np.exp(np.linspace(math.log(1e-3 * sr), math.log(1e3 * (hp + sr)), 48))
         deltas = np.linspace(0.0, 10.0 * sr, 25)
@@ -92,6 +93,44 @@ class TestC1UpperOptimized:
         loop = np.array([[c1_upper(hp, sr, C1BoundParams(b, d)) for d in deltas]
                          for b in betas])
         assert np.array_equal(grid, loop)
+
+
+    @pytest.mark.parametrize("hp,sr", [(1.0, 1.0), (100.0, 1.0), (37.0, 2.5),
+                                       (1e-6, 1.0), (1e3, 0.1), (100.0, 1000.0)])
+    def test_closed_form_beta_is_the_minimum(self, hp, sr):
+        for delta in np.linspace(0.0, 10.0 * sr, 9):
+            beta = float(cap._c1_beta_star(hp, sr, delta))
+            at = c1_upper(hp, sr, C1BoundParams(beta, delta))
+            for f in (1.0 - 1e-3, 1.0 + 1e-3):
+                assert c1_upper(hp, sr, C1BoundParams(f * beta, delta)) >= at
+
+    # the bound as the earlier coordinate-descent optimizer found it, at the
+    # criterion-9 points, the mi_points and adc_sweep benchmark points and the
+    # test points above; the bound holds for every (beta, delta), so a better
+    # optimizer may only lower it
+    @pytest.mark.parametrize("hp,sr,before", [
+        (1.0, 1.0, 1.0189436234406144),
+        (10.0, 1.0, 3.116470822432182),
+        (100.0, 1.0, 6.0946710743923855),
+        (100.0, 100.0, 1.0189436234404763),
+        (100.0, 10.0, 3.1164708224321),
+        (100.0 * 1e-6, 1e-6, 6.0946710743923855),
+        (100.0, 1.4142135623730951, 5.614959316924702),
+        (100.0, 1.8021519598457014, 5.283501391958593),
+        (100.0, 3.156597489816888, 4.53445308464277),
+        (100.0, 1000.000499999874, 0.20245931794640448),
+        (100.0, 100.00499987500625, 1.0189107920829148),
+        (100.0, 100.0112381269544, 1.018869832399087),
+        (100.0, 100.04481049865964, 1.0186494645826656),
+        (100.0, 1004.9875621120881, 0.20179540489362324),
+        (37.0, 2.5, 3.574416972280556),
+        (50.0, 1.5, 4.601247453824534),
+        (1e-6, 1.0, 0.058962885631196116),
+        (1000.0, 0.1, 12.684040314709154),
+    ])
+    def test_never_above_the_search_it_replaced(self, hp, sr, before):
+        val, _ = c1_upper_optimized(hp, sr)
+        assert val <= before + 1e-12
 
 
 class TestClosedFormBounds:

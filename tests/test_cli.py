@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +137,8 @@ class TestSolveCommand:
                + (1 - out["alpha_star"]) * out["rho_star"] * lp_q_max
                - (1 - out["alpha_star"]) * 25.0)
         assert net == pytest.approx(30.0, abs=1e-8)
-        assert out["converged"] is True
+        assert net >= 30.0 - 1e-9 * lp_q_max  # the plan meets its energy target
+        assert "converged" not in out
 
     def test_p2_full_requirement(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["solve", "--problem", "p2", "--qreq", "60", "--pi", "10",
@@ -275,6 +279,29 @@ class TestErrorHandling:
         assert f"p_s must be finite and >= 0, got {value}" in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv,flag", [(["solve", "--problem", "p1", "--qreq", "0"], "ps"),
+                                           (["solve", "--problem", "p2", "--qreq", "0"], "pi"),
+                                           (["solve", "--problem", "p1"], "qreq"),
+                                           (["solve", "--problem", "p2"], "qreq")])
+    def test_non_finite_modulation_input_exit_2(self, argv, flag, value, tmp_path,
+                                                monkeypatch, capsys):
+        code, _, err = run([*argv, f"--{flag}={value}", *FIG9_FLAGS, "--srec2", "1"],
+                           tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cap_exit_2(self, value, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["region", "--scheme", "int-ideal", f"--cap={value}",
+                            *FIG9_FLAGS], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv,config,named", [
         (["region", "--scheme", "ts"], {"p": "100"}, "'p'"),
         (["region", "--scheme", "ts"], {"points": 3.5, "sa2": 1}, "'points'"),
@@ -303,6 +330,17 @@ class TestErrorHandling:
                              tmp_path, monkeypatch, capsys)
             assert code == 0
         assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, swiptlab.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -229,6 +229,22 @@ class TestREBoundary:
         assert bnd.rate_at(10.0) == pytest.approx(2.0)
         assert bnd.rate_at(11.0) == 0.0
 
+    def test_rate_at_resolves_points_within_the_pareto_slack(self):
+        # (1.5, 1 - 5e-10) sits inside the validation slack below (2, 1),
+        # which dominates it
+        bnd = REBoundary(points=(REPoint(3.0, 0.0), REPoint(2.0, 1.0),
+                                 REPoint(1.5, 1.0 - 5e-10), REPoint(0.5, 2.0)),
+                         scheme="x", receiver="y")
+        assert bnd.rate_at(1.0 - 5e-10) == 2.0
+        assert bnd.rate_at(1.0) == 2.0
+        assert bnd.rate_at(1.5) == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("rate,energy", [(math.nan, 1.0), (1.0, math.nan),
+                                             (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_point(self, rate, energy):
+        with pytest.raises(InvalidParams):
+            REPoint(rate, energy)
+
     def test_json_round_trip(self):
         bnd = region_sps(LinkParams(h=1, p=10, sigma2_a=1, sigma2_cov=0.5), 17)
         again = REBoundary.from_json_dict(bnd.to_json_dict())

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swiptlab.core import LinkParams
+import swiptlab.modulation as modulation
+from swiptlab.core import LinkParams, q_function
 from swiptlab.errors import BadConstellation, InfeasibleTarget, InvalidParams
 from swiptlab.modulation import (
+    MAX_BITS,
     PEM,
     QAM,
     LinkBudget,
@@ -46,7 +50,7 @@ FIG11_PI = 0.2e-3
 
 def p1_brute_force(lp, p_s, q_req, ser_target, n_rho=200_000):
     """Dense search over (rho, l) with the closed-form off fraction; checks the
-    solver's grid+refinement strategy from the raw problem statement."""
+    solver's threshold enumeration from the raw problem statement."""
     rhos = np.linspace(0.0, 1.0, n_rho, endpoint=False)
     noise = (1.0 - rhos) * lp.sigma2_a + lp.sigma2_cov
     snrs = (1.0 - rhos) * lp.received_power / noise
@@ -57,7 +61,6 @@ def p1_brute_force(lp, p_s, q_req, ser_target, n_rho=200_000):
         m = 1 << l
         sm = math.sqrt(m)
         coeff = 4.0 * (sm - 1.0) / sm
-        from swiptlab.core import q_function
         ser = coeff * q_function(np.sqrt(3.0 * snrs / (m - 1)))
         rate = np.where(ser <= ser_target, (1.0 - alphas) * l, 0.0)
         best = max(best, float(rate.max()))
@@ -185,6 +188,36 @@ class TestSolveP1:
                     for ps in (1e-4, 3e-4, 1e-3, 3e-3)]
         assert all(a >= b - 1e-12 for a, b in zip(rates_ps, rates_ps[1:]))
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(log_d=st.floats(0.0, 1.5), q_frac=st.floats(0.0, 0.999),
+           p_s=st.floats(0.0, 2e-3))
+    def test_never_below_brute_force(self, log_d, q_frac, p_s):
+        lp = fig11_params(10.0 ** log_d)
+        q_req = q_frac * lp.q_max
+        plan = solve_p1(lp, p_s, q_req, SER_TARGET)
+        assert plan.rate >= p1_brute_force(lp, p_s, q_req, SER_TARGET) - 1e-12
+
+    @pytest.mark.parametrize("log_d,q_frac", [(0.0, 0.0), (0.5, 0.3), (1.0, 0.0),
+                                              (1.2, 0.9), (1.5, 0.5)])
+    def test_evaluates_at_most_the_candidates(self, log_d, q_frac, monkeypatch):
+        # one max_modulation call per candidate split: 0, rho0 and one
+        # threshold per constellation size
+        calls = []
+        real = modulation.max_modulation
+        monkeypatch.setattr(modulation, "max_modulation",
+                            lambda *args: calls.append(args) or real(*args))
+        lp = fig11_params(10.0 ** log_d)
+        solve_p1(lp, FIG11_PS, q_frac * lp.q_max, SER_TARGET)
+        assert 0 < len(calls) <= MAX_BITS + 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        lp = fig11_params(2.0)
+        with pytest.raises(InvalidParams):
+            solve_p1(lp, bad, 0.0, SER_TARGET)
+        with pytest.raises(InvalidParams):
+            solve_p1(lp, FIG11_PS, bad, SER_TARGET)
+
     def test_off_fraction_identity_when_interior(self):
         # 1 - alpha = (zeta h P - Q_req)/((1-rho) zeta h P + P_S) off the clamp
         rng = np.random.default_rng(2)
@@ -228,6 +261,14 @@ class TestSolveP2:
         lp = fig11_params(10.0 ** 1.5)
         plan = solve_p2(lp, FIG11_PI, 0.0, SER_TARGET)
         assert plan.m is None and plan.rate == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        lp = fig11_params(2.0)
+        with pytest.raises(InvalidParams):
+            solve_p2(lp, bad, 0.0, SER_TARGET)
+        with pytest.raises(InvalidParams):
+            solve_p2(lp, FIG11_PI, bad, SER_TARGET)
 
     def test_rate_nonincreasing_in_q_req(self):
         lp = fig11_params(5.0)

@@ -173,7 +173,7 @@ class TestDerivativeFormulas:
 class TestSolveP0:
     def test_full_harvest_endpoint(self):
         sol = solve_p0(FIG9_LP, FIG9_PS, FIG9_LP.q_max)
-        assert sol.alpha_star == 1.0 and sol.rate == 0.0 and sol.converged
+        assert sol.alpha_star == 1.0 and sol.rate == 0.0
 
     def test_degenerate_circuit_power(self):
         with pytest.raises(DegenerateCircuitPower):
