@@ -15,7 +15,6 @@ from .core import (
     LinkParams,
     OpsPair,
     REBoundary,
-    REPoint,
     SplitVector,
     awgn_rate,
     dbm_to_watts,
@@ -40,7 +39,7 @@ from .errors import (
 
 __all__ = [
     "__version__",
-    "LinkParams", "OpsPair", "SplitVector", "REPoint", "REBoundary",
+    "LinkParams", "OpsPair", "SplitVector", "REBoundary",
     "q_function", "awgn_rate", "split_snr", "harvested_energy", "upper_bound_region",
     "dbm_to_watts", "watts_to_dbm",
     "SwiptError", "InvalidParams", "ZeroNoise", "NonPositivePower", "SplitAtUnity",

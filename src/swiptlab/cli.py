@@ -22,7 +22,7 @@ from .capacity import (
     c2_upper,
     cnl_lower_chi2,
 )
-from .core import LinkParams, REBoundary, REPoint, upper_bound_region
+from .core import LinkParams, REBoundary, upper_bound_region
 from .errors import (
     AliasedCarrier,
     DegenerateCircuitPower,
@@ -85,11 +85,10 @@ def read_boundary_csv(path: str) -> REBoundary:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if lines[0] != ",".join(CSV_HEADER):
         raise InvalidParams(f"unexpected CSV header in {path}: {lines[0]}")
-    pts, scheme, receiver = [], None, None
-    for ln in lines[1:]:
-        scheme, receiver, rate, energy = ln.split(",")
-        pts.append(REPoint(float(rate), float(energy)))
-    return REBoundary(points=tuple(pts), scheme=scheme, receiver=receiver)
+    rows = [ln.split(",") for ln in lines[1:]]
+    scheme, receiver = rows[-1][:2] if rows else (None, None)
+    return REBoundary(points=[(float(r), float(e)) for _, _, r, e in rows],
+                      scheme=scheme, receiver=receiver)
 
 
 def provenance(seed=None) -> dict:

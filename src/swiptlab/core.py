@@ -117,52 +117,48 @@ class SplitVector:
 PowerSchedule = OpsPair | SplitVector
 
 
-@dataclass(frozen=True)
-class REPoint:
-    rate: float      # bits per channel use
-    energy: float    # energy units per symbol
-
-    def __post_init__(self):
-        if not (0 <= self.rate < math.inf and 0 <= self.energy < math.inf):
-            raise InvalidParams(f"rate-energy point must be finite and nonnegative, got {self}")
-
-
 # slack for float noise in the monotonicity check of swept boundaries
 _PARETO_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class REBoundary:
     """Sampled boundary of an achievable rate-energy region.
 
-    Points are ordered by nondecreasing energy and carry nonincreasing rate,
-    i.e. the upper-right Pareto frontier of the region.
+    ``points`` is a read-only (n, 2) float64 copy of any array-like, one row
+    (rate [bits/use], energy [energy units]) per point, finite and
+    nonnegative.  Points are ordered by nondecreasing energy and carry
+    nonincreasing rate, i.e. the upper-right Pareto frontier of the region.
     """
 
-    points: tuple[REPoint, ...]
+    points: np.ndarray
     scheme: str
     receiver: str
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if len(pts) == 0:
-            raise InvalidParams("boundary must contain at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if b.energy < a.energy - _PARETO_SLACK * max(1.0, a.energy):
-                raise InvalidParams("boundary points must be sorted by nondecreasing energy")
-            if b.rate > a.rate + _PARETO_SLACK * max(1.0, a.rate):
-                raise InvalidParams("boundary rate must be nonincreasing in energy")
+        pts = np.array(self.points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+            raise InvalidParams(f"boundary needs at least one point in an (n, 2) array, "
+                                f"got shape {pts.shape}")
+        if not np.all(np.isfinite(pts) & (pts >= 0)):
+            raise InvalidParams("rate-energy points must be finite and nonnegative")
+        rate, energy = pts[:, 0], pts[:, 1]
+        if np.any(energy[1:] < energy[:-1] - _PARETO_SLACK * np.maximum(1.0, energy[:-1])):
+            raise InvalidParams("boundary points must be sorted by nondecreasing energy")
+        if np.any(rate[1:] > rate[:-1] + _PARETO_SLACK * np.maximum(1.0, rate[:-1])):
+            raise InvalidParams("boundary rate must be nonincreasing in energy")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def energies(self) -> np.ndarray:
-        return np.array([p.energy for p in self.points])
+        return self.points[:, 1]
 
     def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
+        return self.points[:, 0]
 
     @property
     def max_energy(self) -> float:
-        return self.points[-1].energy
+        return float(self.points[-1, 1])
 
     def rate_at(self, energy) -> np.ndarray:
         """Boundary rate at the given energies by linear interpolation.
@@ -179,13 +175,13 @@ class REBoundary:
         return np.interp(np.asarray(energy, dtype=float), uniq_e, r[idx], right=0.0)
 
     def to_csv_rows(self) -> list[tuple[str, str, float, float]]:
-        return [(self.scheme, self.receiver, p.rate, p.energy) for p in self.points]
+        return [(self.scheme, self.receiver, r, e) for r, e in self.points.tolist()]
 
     def to_json_dict(self, provenance: dict | None = None) -> dict:
         d = {
             "scheme": self.scheme,
             "receiver": self.receiver,
-            "points": [{"rate_bits": p.rate, "energy_units": p.energy} for p in self.points],
+            "points": [{"rate_bits": r, "energy_units": e} for r, e in self.points.tolist()],
         }
         if provenance:
             d["provenance"] = dict(provenance)
@@ -193,7 +189,7 @@ class REBoundary:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "REBoundary":
-        pts = tuple(REPoint(p["rate_bits"], p["energy_units"]) for p in d["points"])
+        pts = [(p["rate_bits"], p["energy_units"]) for p in d["points"]]
         return cls(points=pts, scheme=d["scheme"], receiver=d["receiver"])
 
 
@@ -218,18 +214,20 @@ def awgn_rate(lp: LinkParams) -> float:
     return math.log2(1.0 + lp.received_power / noise)
 
 
-def split_snr(rho: float, lp: LinkParams) -> float:
-    """Decoder SNR under a power split: (1-rho) hP / ((1-rho) sigma2_a + sigma2_cov)."""
-    if not 0 <= rho <= 1:
-        raise InvalidParams(f"split ratio must lie in [0, 1], got {rho}")
-    if rho == 1.0:
-        return 0.0
-    noise = (1.0 - rho) * lp.sigma2_a + lp.sigma2_cov
-    if noise <= 0:
-        if lp.p > 0:
-            raise ZeroNoise("split-path noise is zero; SNR is unbounded")
-        return 0.0
-    return (1.0 - rho) * lp.received_power / noise
+def split_snr(rho, lp: LinkParams):
+    """Decoder SNR under a power split: (1-rho) hP / ((1-rho) sigma2_a + sigma2_cov),
+    elementwise over an array of split ratios; a scalar rho gives a float."""
+    rho = np.asarray(rho, dtype=float)
+    ok = (rho >= 0) & (rho <= 1)
+    if not ok.all():
+        raise InvalidParams(f"split ratio must lie in [0, 1], got {np.extract(~ok, rho)[0]}")
+    keep = 1.0 - rho
+    noise = keep * lp.sigma2_a + lp.sigma2_cov
+    # noise >= sigma2_cov, so only sigma2_cov = 0 can leave an unsplit share noiseless
+    if lp.p > 0 and lp.sigma2_cov <= 0 and ((noise <= 0) & (keep > 0)).any():
+        raise ZeroNoise("split-path noise is zero; SNR is unbounded")
+    out = keep * lp.received_power / np.where(noise > 0, noise, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def harvested_energy(schedule: PowerSchedule, lp: LinkParams) -> float:
@@ -248,9 +246,10 @@ def upper_bound_region(lp: LinkParams, n_points: int = 512) -> REBoundary:
         raise InvalidParams("need at least 2 boundary points")
     r_max = math.log2(1.0 + lp.received_power / lp.sigma2_a)
     q_max = lp.received_power
-    energies = np.linspace(0.0, q_max, n_points - 1)
-    pts = tuple(REPoint(r_max, float(e)) for e in energies) + (REPoint(0.0, q_max),)
-    return REBoundary(points=pts, scheme="ub", receiver="any")
+    rates = np.append(np.full(n_points - 1, r_max), 0.0)
+    energies = np.append(np.linspace(0.0, q_max, n_points - 1), q_max)
+    return REBoundary(points=np.column_stack((rates, energies)), scheme="ub",
+                      receiver="any")
 
 
 def dbm_to_watts(dbm: float) -> float:

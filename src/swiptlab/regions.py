@@ -1,9 +1,11 @@
 """Rate-energy region boundaries for both receivers, with and without
 decoder circuit power.
 
-Separated-receiver boundaries come from sweeping the split schedule; with
-circuit power the optimal on-off pair per energy target is found by bisection
-on the concave reduced objective R(s) = s*log2(1 + (cs+d)/(as+b)), s = 1-alpha.
+Each boundary is one (n, 2) array of (rate, energy) rows, built by array
+expressions over its sweep.  Separated-receiver boundaries come from sweeping
+the split schedule; with circuit power the optimal on-off pair per energy
+target is found by bisection on the concave reduced objective
+R(s) = s*log2(1 + (cs+d)/(as+b)), s = 1-alpha, for every target at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .capacity import (
     cnl_lower_chi2,
     effective_proc_noise,
 )
-from .core import LinkParams, REBoundary, REPoint, awgn_rate, split_snr
+from .core import LinkParams, REBoundary, awgn_rate, split_snr
 from .errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
 
 LN2 = math.log(2.0)
@@ -33,12 +35,13 @@ _RHO_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class P0Solution:
-    """Boundary point of the circuit-power separated-receiver region."""
+    """Boundary points of the circuit-power separated-receiver region: floats
+    for one energy target, arrays shaped like the targets for an array."""
 
-    alpha_star: float
-    rho_star: float
-    rate: float       # bits/channel use
-    q_target: float   # energy units, met with equality
+    alpha_star: float | np.ndarray
+    rho_star: float | np.ndarray
+    rate: float | np.ndarray       # bits/channel use
+    q_target: float | np.ndarray   # energy units, met with equality
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,15 @@ class RsCoefficients:
 
     a = sigma2_cov - sigma2_a*P_S/(zeta h P);  b = sigma2_a*(1 - Q/(zeta h P));
     c = -P_S/zeta;  d = hP*(1 - Q/(zeta h P));  s in [d/(hP - c), min(-d/c, 1)].
+    b, d, s_lo and s_hi are arrays for an array of targets Q.
     """
 
     a: float
-    b: float
+    b: float | np.ndarray
     c: float
-    d: float
-    s_lo: float
-    s_hi: float
+    d: float | np.ndarray
+    s_lo: float | np.ndarray
+    s_hi: float | np.ndarray
 
     def rate(self, s):
         """R(s) = s log2(1 + (cs+d)/(as+b))."""
@@ -105,24 +109,23 @@ def _check_points(n_points: int, minimum: int = 2):
         raise InvalidParams(f"need at least {minimum} boundary points, got {n_points}")
 
 
+def _boundary(rates, energies, scheme: str, receiver: str) -> REBoundary:
+    return REBoundary(points=np.column_stack((rates, energies)), scheme=scheme,
+                      receiver=receiver)
+
+
 def region_ts(lp: LinkParams, n_points: int = 512) -> REBoundary:
     """Time-switching boundary: the chord from (R_max, 0) to (0, zeta h P)."""
     _check_points(n_points)
-    r_max = awgn_rate(lp)
     alphas = np.linspace(0.0, 1.0, n_points)
-    pts = tuple(REPoint(float((1.0 - a) * r_max), float(a * lp.q_max)) for a in alphas)
-    return REBoundary(points=pts, scheme="ts", receiver="separated")
+    return _boundary((1.0 - alphas) * awgn_rate(lp), alphas * lp.q_max, "ts", "separated")
 
 
 def region_sps(lp: LinkParams, n_points: int = 512) -> REBoundary:
     """Static power splitting boundary swept over the split ratio."""
     _check_points(n_points)
     rhos = np.linspace(0.0, 1.0, n_points)
-    pts = tuple(
-        REPoint(float(math.log2(1.0 + split_snr(float(r), lp))), float(r * lp.q_max))
-        for r in rhos
-    )
-    return REBoundary(points=pts, scheme="sps", receiver="separated")
+    return _boundary(np.log2(1.0 + split_snr(rhos, lp)), rhos * lp.q_max, "sps", "separated")
 
 
 def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
@@ -131,9 +134,8 @@ def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
     rho = np.asarray(rho_vector, dtype=float)
     if rho.size == 0 or np.any((rho < 0) | (rho > 1)):
         raise InvalidParams("split vector entries must lie in [0, 1]")
-    rates = np.array([math.log2(1.0 + split_snr(float(r), lp)) for r in rho])
     mean_rho = float(np.mean(rho))
-    rate_dps = float(np.mean(rates))
+    rate_dps = float(np.mean(np.log2(1.0 + split_snr(rho, lp))))
     rate_sps = math.log2(1.0 + split_snr(mean_rho, lp))
     return DominanceReport(
         rate_dps=rate_dps,
@@ -155,9 +157,9 @@ def region_int_ideal(lp: LinkParams, cap, n_points: int = 512) -> REBoundary:
     (capacity, zeta h P)."""
     _check_points(n_points)
     c = _cap_bits(cap)
-    energies = np.linspace(0.0, lp.q_max, n_points - 1)
-    pts = tuple(REPoint(c, float(e)) for e in energies) + (REPoint(0.0, lp.q_max),)
-    return REBoundary(points=pts, scheme="int-ideal", receiver="integrated")
+    return _boundary(np.append(np.full(n_points - 1, c), 0.0),
+                     np.append(np.linspace(0.0, lp.q_max, n_points - 1), lp.q_max),
+                     "int-ideal", "integrated")
 
 
 def region_int_adc(lp: LinkParams, n_points: int,
@@ -169,16 +171,12 @@ def region_int_adc(lp: LinkParams, n_points: int,
     resolution."""
     _check_points(n_points)
     rhos = np.linspace(0.0, 1.0 - 1e-3, n_points)
-    raw = [(float(cap_fn(float(r))), float(r * lp.q_max)) for r in rhos]
-    # Pareto frontier: scan from high energy down, keep strictly improving rates
-    pts: list[REPoint] = []
-    best_rate = -math.inf
-    for rate, energy in reversed(raw):
-        if rate > best_rate:
-            pts.append(REPoint(rate, energy))
-            best_rate = rate
-    pts.reverse()
-    return REBoundary(points=tuple(pts), scheme="int-adc", receiver="integrated")
+    rates = np.array([cap_fn(float(r)) for r in rhos], dtype=float)
+    # Pareto frontier: keep a point whose rate strictly beats every rate at
+    # higher energy
+    best_above = np.append(np.fmax.accumulate(rates[:0:-1])[::-1], -math.inf)
+    keep = rates > best_above
+    return _boundary(rates[keep], rhos[keep] * lp.q_max, "int-adc", "integrated")
 
 
 def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], float]:
@@ -190,78 +188,92 @@ def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], fl
     return cap_fn
 
 
-def _check_p_s(p_s: float):
-    if not 0 <= p_s < math.inf:
-        raise InvalidParams(f"p_s must be finite and >= 0, got {p_s}")
+def _check_power(name: str, value: float):
+    if not 0 <= value < math.inf:
+        raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
 
 
-def rs_coefficients(lp: LinkParams, p_s: float, q_target: float) -> RsCoefficients:
-    """Reduced-objective coefficients for a fixed energy target."""
-    _check_p_s(p_s)
+def _energy_targets(q_target, q_max: float, closed: bool) -> np.ndarray:
+    """The targets as an array: finite (else InvalidParams) and within
+    [0, q_max], or [0, q_max) unless closed (else InfeasibleTarget)."""
+    q = np.asarray(q_target, dtype=float)
+    bad = ~np.isfinite(q)
+    if bad.any():
+        raise InvalidParams(f"energy target must be finite, got {np.extract(bad, q)[0]}")
+    bad = (q < 0) | ((q > q_max) if closed else (q >= q_max))
+    if bad.any():
+        raise InfeasibleTarget(f"energy target {np.extract(bad, q)[0]} outside "
+                               f"[0, {q_max}{']' if closed else ')'}")
+    return q
+
+
+def rs_coefficients(lp: LinkParams, p_s: float, q_target) -> RsCoefficients:
+    """Reduced-objective coefficients for one energy target or an array."""
+    _check_power("p_s", p_s)
     if p_s == 0:
         raise DegenerateCircuitPower("rs_coefficients needs p_s > 0")
     q_max = lp.q_max
-    if not 0 <= q_target < q_max:
-        raise InfeasibleTarget(
-            f"energy target {q_target} outside [0, {q_max}) (handle q = q_max upstream)")
     hp = lp.received_power
-    rel = 1.0 - q_target / q_max
+    rel = 1.0 - _energy_targets(q_target, q_max, closed=False) / q_max
     a = lp.sigma2_cov - lp.sigma2_a * p_s / q_max
     b = lp.sigma2_a * rel
     c = -p_s / lp.zeta
     d = hp * rel
     s_lo = d / (hp - c)
-    s_hi = min(-d / c, 1.0)
+    s_hi = np.minimum(-d / c, 1.0)
     return RsCoefficients(a=a, b=b, c=c, d=d, s_lo=s_lo, s_hi=s_hi)
 
 
-def _rho_from_alpha(lp: LinkParams, p_s: float, q_target: float, alpha: float) -> float:
+def _rho_from_alpha(lp: LinkParams, p_s: float, q_target, alpha):
     """Split ratio meeting the energy constraint with equality at a given alpha."""
     rho = (q_target - alpha * lp.q_max + (1.0 - alpha) * p_s) / ((1.0 - alpha) * lp.q_max)
-    if rho < -_RHO_SLACK or rho > 1.0 + _RHO_SLACK:
-        raise InvalidParams(f"reconstructed rho = {rho} outside [0, 1] beyond slack")
-    return min(max(rho, 0.0), 1.0)
+    bad = (rho < -_RHO_SLACK) | (rho > 1.0 + _RHO_SLACK)
+    if np.any(bad):
+        raise InvalidParams(
+            f"reconstructed rho = {np.extract(bad, rho)[0]} outside [0, 1] beyond slack")
+    return np.clip(rho, 0.0, 1.0)
 
 
-def solve_p0(lp: LinkParams, p_s: float, q_target: float) -> P0Solution:
+def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     """Maximize the decoder rate subject to a net harvested-energy target.
 
     The energy constraint binds at the optimum, reducing the problem to the
     concave R(s) on its feasible interval; the stationary point is found by
     bisection on dR/ds, with endpoint optima taken when the derivative does
-    not change sign.
+    not change sign.  q_target is one target or an array; every target is
+    bisected at once, each through the same midpoints as on its own.
     """
-    _check_p_s(p_s)
+    _check_power("p_s", p_s)
     if p_s == 0:
         raise DegenerateCircuitPower(
             "p_s = 0 has no on-off tradeoff; use region_sps for the ideal boundary")
     q_max = lp.q_max
-    if q_target < 0 or q_target > q_max:
-        raise InfeasibleTarget(f"energy target {q_target} outside [0, {q_max}]")
-    if q_target == q_max:
-        return P0Solution(alpha_star=1.0, rho_star=1.0, rate=0.0, q_target=q_target)
+    q = _energy_targets(q_target, q_max, closed=True)
+    qs = np.atleast_1d(q)
+    # q = q_max is the full-harvest point: alpha = rho = 1, rate 0
+    alpha, rho, rate = np.ones_like(qs), np.ones_like(qs), np.zeros_like(qs)
+    inner = qs < q_max
+    q_in = qs[inner]
 
-    co = rs_coefficients(lp, p_s, q_target)
+    co = rs_coefficients(lp, p_s, q_in)
     lo, hi = co.s_lo, co.s_hi
-    nudge = 1e-12 * max(hi - lo, 1.0)
-    if co.rate_deriv(lo + nudge) <= 0.0:
-        s_star = lo
-    elif co.rate_deriv(hi - nudge) >= 0.0:
-        s_star = hi
-    else:
-        a, b = lo, hi
-        while b - a > _BISECT_TOL:
-            mid = 0.5 * (a + b)
-            if co.rate_deriv(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        s_star = 0.5 * (a + b)
+    nudge = 1e-12 * np.maximum(hi - lo, 1.0)
+    at_lo = co.rate_deriv(lo + nudge) <= 0.0
+    at_hi = ~at_lo & (co.rate_deriv(hi - nudge) >= 0.0)
+    a, b = lo, hi
+    live = ~(at_lo | at_hi) & (b - a > _BISECT_TOL)
+    while live.any():
+        mid = 0.5 * (a + b)
+        up = co.rate_deriv(mid) > 0.0
+        a = np.where(live & up, mid, a)
+        b = np.where(live & ~up, mid, b)
+        live &= b - a > _BISECT_TOL
+    s_star = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
-    alpha = 1.0 - s_star
-    rho = _rho_from_alpha(lp, p_s, q_target, alpha)
-    rate = (1.0 - alpha) * math.log2(1.0 + split_snr(rho, lp))
-    return P0Solution(alpha_star=alpha, rho_star=rho, rate=rate, q_target=q_target)
+    alpha[inner] = 1.0 - s_star
+    rho[inner] = _rho_from_alpha(lp, p_s, q_in, alpha[inner])
+    rate[inner] = (1.0 - alpha[inner]) * np.log2(1.0 + split_snr(rho[inner], lp))
+    return P0Solution(*(x if q.ndim else float(x[0]) for x in (alpha, rho, rate, qs)))
 
 
 def region_sep_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
@@ -269,45 +281,33 @@ def region_sep_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBou
     swept over the net-energy target."""
     _check_points(n_points)
     qs = np.linspace(0.0, lp.q_max, n_points)
-    pts = tuple(
-        REPoint(solve_p0(lp, p_s, float(q)).rate, float(q)) for q in qs
-    )
-    return REBoundary(points=pts, scheme="ops-circuit", receiver="separated")
+    return _boundary(solve_p0(lp, p_s, qs).rate, qs, "ops-circuit", "separated")
 
 
 def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Time switching with circuit power: the chord truncated where the net
     energy crosses zero."""
     _check_points(n_points)
-    _check_p_s(p_s)
+    _check_power("p_s", p_s)
     r_max = awgn_rate(lp)
     # net energy alpha*q_max - (1-alpha)*p_s >= 0 from this alpha on
     alpha0 = p_s / (lp.q_max + p_s) if lp.q_max + p_s > 0 else 1.0
     alphas = np.linspace(alpha0, 1.0, n_points)
-    pts = tuple(
-        REPoint(float((1.0 - a) * r_max),
-                float(max(a * lp.q_max - (1.0 - a) * p_s, 0.0)))
-        for a in alphas
-    )
-    return REBoundary(points=pts, scheme="ts-circuit", receiver="separated")
+    return _boundary((1.0 - alphas) * r_max,
+                     np.maximum(alphas * lp.q_max - (1.0 - alphas) * p_s, 0.0),
+                     "ts-circuit", "separated")
 
 
 def region_sps_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Always-on static split with circuit power, truncated at zero net energy."""
     _check_points(n_points)
-    _check_p_s(p_s)
+    _check_power("p_s", p_s)
     if p_s >= lp.q_max:
         # decoder can never be energy-neutral: only the zero-energy point at rho = 1
-        return REBoundary(points=(REPoint(0.0, 0.0),), scheme="sps-circuit",
-                          receiver="separated")
-    rho_min = p_s / lp.q_max
-    rhos = np.linspace(rho_min, 1.0, n_points)
-    pts = tuple(
-        REPoint(float(math.log2(1.0 + split_snr(float(r), lp))),
-                float(max(r * lp.q_max - p_s, 0.0)))
-        for r in rhos
-    )
-    return REBoundary(points=pts, scheme="sps-circuit", receiver="separated")
+        return _boundary([0.0], [0.0], "sps-circuit", "separated")
+    rhos = np.linspace(p_s / lp.q_max, 1.0, n_points)
+    return _boundary(np.log2(1.0 + split_snr(rhos, lp)),
+                     np.maximum(rhos * lp.q_max - p_s, 0.0), "sps-circuit", "separated")
 
 
 def region_int_circuit(lp: LinkParams, p_i: float, cap,
@@ -319,26 +319,19 @@ def region_int_circuit(lp: LinkParams, p_i: float, cap,
     chord survives.
     """
     _check_points(n_points, minimum=3)
-    if p_i < 0:
-        raise InvalidParams(f"p_i must be >= 0, got {p_i}")
+    _check_power("p_i", p_i)
     c = _cap_bits(cap)
     q_max = lp.q_max
     if p_i < q_max:
         vertex_energy = q_max - p_i
         n1 = max(n_points // 2, 2)
-        n2 = max(n_points - n1, 2)
-        seg1 = [REPoint(c, float(e)) for e in np.linspace(0.0, vertex_energy, n1)]
-        fracs = np.linspace(0.0, 1.0, n2 + 1)[1:]
-        seg2 = [REPoint(float((1.0 - f) * c), float(vertex_energy + f * p_i))
-                for f in fracs]
-        pts = tuple(seg1 + seg2)
+        fracs = np.linspace(0.0, 1.0, max(n_points - n1, 2) + 1)[1:]
+        rates = np.append(np.full(n1, c), (1.0 - fracs) * c)
+        energies = np.append(np.linspace(0.0, vertex_energy, n1),
+                             vertex_energy + fracs * p_i)
+    elif q_max == 0.0:
+        rates, energies = [0.0], [0.0]
     else:
-        if q_max == 0.0:
-            pts = (REPoint(0.0, 0.0),)
-        else:
-            fracs = np.linspace(0.0, 1.0, n_points)
-            pts = tuple(
-                REPoint(float((1.0 - f) * q_max * c / p_i), float(f * q_max))
-                for f in fracs
-            )
-    return REBoundary(points=pts, scheme="int-circuit", receiver="integrated")
+        fracs = np.linspace(0.0, 1.0, n_points)
+        rates, energies = (1.0 - fracs) * q_max * c / p_i, fracs * q_max
+    return _boundary(rates, energies, "int-circuit", "integrated")

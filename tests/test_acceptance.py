@@ -74,10 +74,10 @@ def test_criterion_1_fig5_regions():
                        bool(np.all(sps.rate_at(grid) >= ts.rate_at(grid) - 1e-12))))
         r0 = math.log2(1.0 + 100.0 / (1.0 + scov2))
         for name, bnd in (("sps", sps), ("ts", ts)):
-            first, last = bnd.points[0], bnd.points[-1]
+            (rate0, energy0), (rate1, energy1) = bnd.points[0], bnd.points[-1]
             checks.append((f"{name} endpoints (scov2={scov2:g})",
-                           abs(first.rate - r0) <= 1e-9 and first.energy == 0.0
-                           and last.rate <= 1e-9 and abs(last.energy - 100.0) <= 1e-9))
+                           abs(rate0 - r0) <= 1e-9 and energy0 == 0.0
+                           and rate1 <= 1e-9 and abs(energy1 - 100.0) <= 1e-9))
     # near-ideal conversion noise: the SPS sweep hugs the outer-bound box
     lp_small = LinkParams(**base, sigma2_cov=1e-6)
     r_ub = math.log2(101.0)
@@ -159,7 +159,8 @@ def test_criterion_4_fig9_circuit_regions():
     q_max = lp.q_max
     r_max = math.log2(1.0 + split_snr(0.0, lp))
     grid = np.linspace(0.0, q_max, 512)
-    ops_rates = np.array([solve_p0(lp, p_s, float(q)).rate for q in grid])
+    ops = solve_p0(lp, p_s, grid)
+    ops_rates = ops.rate
 
     # closed-form boundary rates of the truncated single-knob sweeps
     alpha_ts = (grid + p_s) / (q_max + p_s)
@@ -174,8 +175,7 @@ def test_criterion_4_fig9_circuit_regions():
     contain_ts = bool(np.all(ts_rates <= ops_rates + 1e-9))
     contain_sps = bool(np.all(np.where(sps_valid, sps_rates, 0.0) <= ops_rates + 1e-9))
 
-    alphas = np.array([solve_p0(lp, p_s, float(q)).alpha_star for q in grid])
-    low_q = alphas <= 1e-9
+    low_q = ops.alpha_star <= 1e-9
     coincide = bool(np.all(np.abs(ops_rates[low_q & sps_valid]
                                   - sps_rates[low_q & sps_valid]) <= 1e-6))
     checks = [
@@ -211,7 +211,7 @@ def test_criterion_5_fig10_crossover():
     p_s_high, p_i_high = FIG10_POWERS["high"]
     int_high = region_int_circuit(FIG10_INT, p_i_high, cap, 512)
     grid = np.linspace(0.0, FIG10_INT.q_max, 512)
-    sep_high = np.array([solve_p0(FIG10_SEP, p_s_high, float(q)).rate for q in grid])
+    sep_high = solve_p0(FIG10_SEP, p_s_high, grid).rate
     int_dominates = bool(np.all(int_high.rate_at(grid) >= sep_high - 1e-9))
 
     checks = [

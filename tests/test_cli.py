@@ -44,10 +44,10 @@ class TestRegionCommand:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 512
         bnd = read_boundary_csv(path)
-        assert bnd.points[0].rate == pytest.approx(5.672425341971495, rel=1e-12)
-        assert bnd.points[0].energy == 0.0
-        assert bnd.points[-1].rate == 0.0
-        assert bnd.points[-1].energy == pytest.approx(100.0)
+        assert bnd.rates()[0] == pytest.approx(5.672425341971495, rel=1e-12)
+        assert bnd.energies()[0] == 0.0
+        assert bnd.rates()[-1] == 0.0
+        assert bnd.energies()[-1] == pytest.approx(100.0)
         assert np.all(np.diff(bnd.energies()) >= 0)
 
     def test_ub_box_polyline(self, tmp_path, monkeypatch, capsys):
@@ -60,7 +60,7 @@ class TestRegionCommand:
         # flat top at R_max then the corner drop to (0, Q_max)
         assert np.all(rates[:-1] == rates[0])
         assert rates[-1] == 0.0
-        assert bnd.points[-1].energy == bnd.points[-2].energy == pytest.approx(100.0)
+        assert bnd.energies()[-1] == bnd.energies()[-2] == pytest.approx(100.0)
 
     def test_ops_circuit_dominates_ts_and_sps_files(self, tmp_path, monkeypatch, capsys):
         files = {}
@@ -88,7 +88,8 @@ class TestRegionCommand:
         from_csv = read_boundary_csv(tmp_path / "bnd.csv")
         doc = json.loads((tmp_path / "bnd.json").read_text())
         from_json = REBoundary.from_json_dict(doc["outputs"])
-        assert from_csv == from_json
+        assert np.array_equal(from_csv.points, from_json.points)
+        assert (from_csv.scheme, from_csv.receiver) == (from_json.scheme, from_json.receiver)
 
     def test_int_circuit_with_explicit_cap(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "int-circuit", "--h", "1", "--p", "100",
@@ -99,7 +100,7 @@ class TestRegionCommand:
         bnd = read_boundary_csv(tmp_path / "region_int-circuit.csv")
         assert bnd.rate_at(0.0) == pytest.approx(2.5)
         assert bnd.rate_at(50.0) == pytest.approx(2.5)
-        assert bnd.points[-1].energy == pytest.approx(60.0)
+        assert bnd.energies()[-1] == pytest.approx(60.0)
 
 
 class TestCapacityCommand:
@@ -277,6 +278,27 @@ class TestErrorHandling:
         doc = json.loads(err)["error"]
         assert doc["type"] == "InvalidParams"
         assert f"p_s must be finite and >= 0, got {value}" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_p0_target_exit_2(self, value, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["solve", "--problem", "p0", f"--q={value}", "--ps", "25",
+                            *FIG9_FLAGS], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams"
+        assert f"energy target must be finite, got {value}" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_integrated_circuit_power_exit_2(self, value, tmp_path, monkeypatch,
+                                                        capsys):
+        code, _, err = run(["region", "--scheme", "int-circuit", *FIG9_FLAGS, "--srec2", "1",
+                            "--cap", "3", f"--pi={value}"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams"
+        assert f"p_i must be finite and >= 0, got {value}" in doc["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

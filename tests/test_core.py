@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_tail_oracle
 from swiptlab.core import (
     LinkParams,
     OpsPair,
     REBoundary,
-    REPoint,
     SplitVector,
     awgn_rate,
     dbm_to_watts,
@@ -173,14 +174,15 @@ class TestHarvestedEnergy:
 class TestUpperBoundRegion:
     def test_corner(self):
         ub = upper_bound_region(LinkParams(h=1, p=100, sigma2_a=1))
-        assert ub.points[-2].rate == pytest.approx(6.658211482751795, rel=1e-14)
-        assert ub.points[-2].energy == pytest.approx(100.0)
-        assert ub.points[-1] == REPoint(0.0, 100.0)
+        rate, energy = ub.points[-2]
+        assert rate == pytest.approx(6.658211482751795, rel=1e-14)
+        assert energy == pytest.approx(100.0)
+        assert ub.points[-1].tolist() == [0.0, 100.0]
 
     def test_degenerate_zero_power(self):
         ub = upper_bound_region(LinkParams(h=1, p=0, sigma2_a=1))
         assert ub.max_energy == 0.0
-        assert all(p.rate == 0.0 for p in ub.points)
+        assert np.all(ub.rates() == 0.0)
 
     def test_dominates_ts_and_sps(self):
         lp = LinkParams(h=1, p=100, zeta=1.0, sigma2_a=1, sigma2_cov=2.0)
@@ -215,14 +217,14 @@ class TestDbConversion:
 class TestREBoundary:
     def test_rejects_unsorted_energy(self):
         with pytest.raises(InvalidParams):
-            REBoundary(points=(REPoint(1.0, 5.0), REPoint(0.5, 1.0)), scheme="x", receiver="y")
+            REBoundary(points=[(1.0, 5.0), (0.5, 1.0)], scheme="x", receiver="y")
 
     def test_rejects_increasing_rate(self):
         with pytest.raises(InvalidParams):
-            REBoundary(points=(REPoint(1.0, 1.0), REPoint(2.0, 2.0)), scheme="x", receiver="y")
+            REBoundary(points=[(1.0, 1.0), (2.0, 2.0)], scheme="x", receiver="y")
 
     def test_rate_at_interpolates_and_clamps(self):
-        bnd = REBoundary(points=(REPoint(4.0, 0.0), REPoint(2.0, 10.0), REPoint(0.0, 10.0)),
+        bnd = REBoundary(points=[(4.0, 0.0), (2.0, 10.0), (0.0, 10.0)],
                          scheme="x", receiver="y")
         assert bnd.rate_at(5.0) == pytest.approx(3.0)
         # vertical segment resolves to the larger rate
@@ -232,8 +234,7 @@ class TestREBoundary:
     def test_rate_at_resolves_points_within_the_pareto_slack(self):
         # (1.5, 1 - 5e-10) sits inside the validation slack below (2, 1),
         # which dominates it
-        bnd = REBoundary(points=(REPoint(3.0, 0.0), REPoint(2.0, 1.0),
-                                 REPoint(1.5, 1.0 - 5e-10), REPoint(0.5, 2.0)),
+        bnd = REBoundary(points=[(3.0, 0.0), (2.0, 1.0), (1.5, 1.0 - 5e-10), (0.5, 2.0)],
                          scheme="x", receiver="y")
         assert bnd.rate_at(1.0 - 5e-10) == 2.0
         assert bnd.rate_at(1.0) == 2.0
@@ -242,10 +243,39 @@ class TestREBoundary:
     @pytest.mark.parametrize("rate,energy", [(math.nan, 1.0), (1.0, math.nan),
                                              (math.inf, 1.0), (1.0, math.inf)])
     def test_rejects_non_finite_point(self, rate, energy):
+        with pytest.raises(InvalidParams, match="finite and nonnegative"):
+            REBoundary(points=[(rate, energy)], scheme="x", receiver="y")
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1,
+                    max_size=16),
+           st.data(), st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -5.0]))
+    def test_rejects_any_corrupted_entry(self, pairs, data, bad):
+        rates, energies = zip(*pairs)
+        pts = np.column_stack((sorted(rates, reverse=True), sorted(energies)))
+        REBoundary(points=pts, scheme="x", receiver="y")
+        row = data.draw(st.integers(0, len(pts) - 1))
+        pts[row, data.draw(st.integers(0, 1))] = bad
         with pytest.raises(InvalidParams):
-            REPoint(rate, energy)
+            REBoundary(points=pts, scheme="x", receiver="y")
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (2,), (3, 1), (2, 3), (1, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(InvalidParams):
+            REBoundary(points=np.zeros(shape), scheme="x", receiver="y")
+
+    def test_points_are_a_read_only_copy(self):
+        src = np.array([[2.0, 0.0], [1.0, 5.0]])
+        bnd = REBoundary(points=src, scheme="x", receiver="y")
+        src[0, 0] = 9.0
+        assert bnd.points.tolist() == [[2.0, 0.0], [1.0, 5.0]]
+        assert bnd.points.dtype == np.float64 and bnd.points.shape == (2, 2)
+        assert bnd.rates().tolist() == [2.0, 1.0] and bnd.energies().tolist() == [0.0, 5.0]
+        with pytest.raises(ValueError):
+            bnd.points[0, 0] = 3.0
 
     def test_json_round_trip(self):
         bnd = region_sps(LinkParams(h=1, p=10, sigma2_a=1, sigma2_cov=0.5), 17)
         again = REBoundary.from_json_dict(bnd.to_json_dict())
-        assert again == bnd
+        assert np.array_equal(again.points, bnd.points)
+        assert (again.scheme, again.receiver) == (bnd.scheme, bnd.receiver)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     central_diff1,
@@ -39,34 +41,41 @@ from swiptlab.regions import (
 FIG5_LP = LinkParams(h=1, p=100, zeta=1.0, sigma2_a=1.0, sigma2_cov=1.0)
 FIG9_LP = LinkParams(h=1, p=100, zeta=0.6, sigma2_a=1.0, sigma2_cov=10.0)
 FIG9_PS = 25.0
+# links like random_circuit_instance's, and a wider family for the ideal regions
+CIRCUIT_LINKS = st.builds(LinkParams, h=st.floats(0.3, 2.0), p=st.floats(20.0, 300.0),
+                          zeta=st.floats(0.3, 1.0), sigma2_a=st.floats(0.05, 3.0),
+                          sigma2_cov=st.floats(1.0, 20.0))
+LINKS = st.builds(LinkParams, h=st.floats(0.01, 10.0), p=st.floats(0.0, 1e4),
+                  zeta=st.floats(0.05, 1.0), sigma2_a=st.floats(1e-3, 10.0),
+                  sigma2_cov=st.floats(0.0, 100.0))
 
 
 class TestRegionTs:
     def test_endpoints(self):
         bnd = region_ts(FIG5_LP, 5)
-        assert bnd.points[0].rate == pytest.approx(5.672425341971495, rel=1e-14)
-        assert bnd.points[0].energy == 0.0
-        assert bnd.points[-1].rate == 0.0
-        assert bnd.points[-1].energy == pytest.approx(100.0)
+        assert bnd.rates()[0] == pytest.approx(5.672425341971495, rel=1e-14)
+        assert bnd.energies()[0] == 0.0
+        assert bnd.rates()[-1] == 0.0
+        assert bnd.energies()[-1] == pytest.approx(100.0)
 
     def test_midpoint_linear(self):
         bnd = region_ts(FIG5_LP, 3)
-        mid = bnd.points[1]
-        assert mid.rate == pytest.approx(0.5 * 5.672425341971495, rel=1e-14)
-        assert mid.energy == pytest.approx(50.0)
+        rate, energy = bnd.points[1]
+        assert rate == pytest.approx(0.5 * 5.672425341971495, rel=1e-14)
+        assert energy == pytest.approx(50.0)
 
 
 class TestRegionSps:
     def test_endpoints(self):
         bnd = region_sps(FIG5_LP, 9)
-        assert bnd.points[0].rate == pytest.approx(5.672425341971495, rel=1e-14)
-        assert bnd.points[-1] .rate == 0.0
-        assert bnd.points[-1].energy == pytest.approx(100.0)
+        assert bnd.rates()[0] == pytest.approx(5.672425341971495, rel=1e-14)
+        assert bnd.rates()[-1] == 0.0
+        assert bnd.energies()[-1] == pytest.approx(100.0)
 
     def test_half_split_point(self):
         bnd = region_sps(FIG5_LP, 3)
-        assert bnd.points[1].rate == pytest.approx(5.1015380264620624, rel=1e-14)
-        assert bnd.points[1].energy == pytest.approx(50.0)
+        assert bnd.rates()[1] == pytest.approx(5.1015380264620624, rel=1e-14)
+        assert bnd.energies()[1] == pytest.approx(50.0)
 
     def test_dominates_ts_chord(self):
         sps = region_sps(FIG5_LP, 257)
@@ -145,6 +154,21 @@ class TestCircuitPowerDomain:
         with pytest.raises(InvalidParams, match="p_s must be finite"):
             call(p_s)
 
+    @pytest.mark.parametrize("p_i", [math.nan, math.inf, -math.inf, -1.0])
+    def test_int_circuit_draw_rejected(self, p_i):
+        with pytest.raises(InvalidParams, match=f"p_i must be finite and >= 0, got {p_i}"):
+            region_int_circuit(FIG9_LP, p_i, 2.0, 8)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda q: rs_coefficients(FIG9_LP, FIG9_PS, q),
+        lambda q: solve_p0(FIG9_LP, FIG9_PS, q),
+        lambda q: solve_p0(FIG9_LP, FIG9_PS, np.array([0.0, q, 30.0])),
+    ], ids=["rs_coefficients", "solve_p0", "solve_p0_array"])
+    def test_non_finite_target_rejected(self, call, q):
+        with pytest.raises(InvalidParams, match=f"energy target must be finite, got {q}"):
+            call(q)
+
 
 class TestDerivativeFormulas:
     def test_match_finite_differences(self):
@@ -182,6 +206,37 @@ class TestSolveP0:
     def test_infeasible(self):
         with pytest.raises(InfeasibleTarget):
             solve_p0(FIG9_LP, FIG9_PS, FIG9_LP.q_max + 1.0)
+        with pytest.raises(InfeasibleTarget, match="energy target -1.0 outside"):
+            solve_p0(FIG9_LP, FIG9_PS, np.array([0.0, -1.0, 30.0]))
+
+    def test_array_of_targets(self):
+        qs = np.array([[0.0, 30.0], [55.0, FIG9_LP.q_max]])
+        sol = solve_p0(FIG9_LP, FIG9_PS, qs)
+        for field in (sol.alpha_star, sol.rho_star, sol.rate, sol.q_target):
+            assert isinstance(field, np.ndarray) and field.shape == qs.shape
+        for i, q in np.ndenumerate(qs):
+            one = solve_p0(FIG9_LP, FIG9_PS, float(q))
+            assert isinstance(one.rate, float)
+            assert (sol.alpha_star[i], sol.rho_star[i], sol.rate[i]) == \
+                (one.alpha_star, one.rho_star, one.rate)
+
+    # targets on the grid k/1000 of q_max, like region_sep_circuit's sweep:
+    # within about 1e-9 of q_max, solve_p0's rho reconstruction can fail
+    # (ROADMAP 6)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(CIRCUIT_LINKS, st.floats(0.01, 1.5),
+           st.lists(st.integers(0, 1000), min_size=1, max_size=24), st.data())
+    def test_target_independent_of_batch(self, lp, ps_frac, ks, data):
+        p_s = ps_frac * lp.q_max
+        qs = np.array(ks) / 1000 * lp.q_max
+        alone = [solve_p0(lp, p_s, float(q)) for q in qs]
+        batch = solve_p0(lp, p_s, qs)
+        perm = np.array(data.draw(st.permutations(range(len(qs)))))
+        shuffled = solve_p0(lp, p_s, qs[perm])
+        for field in ("alpha_star", "rho_star", "rate"):
+            want = np.array([getattr(sol, field) for sol in alone])
+            assert getattr(batch, field).tobytes() == want.tobytes()
+            assert getattr(shuffled, field).tobytes() == want[perm].tobytes()
 
     def test_energy_constraint_met_with_equality(self):
         for q in [0.0, 10.0, 30.0, 55.0]:
@@ -220,8 +275,17 @@ class TestRegionSepCircuit:
         for other in (region_ts_circuit(FIG9_LP, FIG9_PS, 257),
                       region_sps_circuit(FIG9_LP, FIG9_PS, 257)):
             grid = np.linspace(0.0, other.max_energy, 129)
-            ops_rates = np.array([solve_p0(FIG9_LP, FIG9_PS, float(q)).rate for q in grid])
+            ops_rates = solve_p0(FIG9_LP, FIG9_PS, grid).rate
             assert np.all(other.rate_at(grid) <= ops_rates + 1e-9)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(CIRCUIT_LINKS, st.floats(0.01, 1.5), st.integers(2, 64))
+    def test_contains_ts_and_sps_variants_on_random_links(self, lp, ps_frac, n):
+        # solve_p0 exactly at the other curve's own knots
+        p_s = ps_frac * lp.q_max
+        for other in (region_ts_circuit(lp, p_s, n), region_sps_circuit(lp, p_s, n)):
+            ops = solve_p0(lp, p_s, other.energies()).rate
+            assert np.all(other.rates() <= ops + 1e-9)
 
     def test_rate_monotone_in_target(self):
         ops = region_sep_circuit(FIG9_LP, FIG9_PS, 65)
@@ -246,8 +310,8 @@ class TestIntegratedRegions:
         bnd = region_int_ideal(self.LP, 3.0, 65)
         assert bnd.rate_at(0.0) == pytest.approx(3.0)
         assert bnd.rate_at(59.999) == pytest.approx(3.0, abs=1e-9)
-        assert bnd.points[-1].energy == pytest.approx(60.0)
-        assert bnd.points[-1].rate == 0.0
+        assert bnd.energies()[-1] == pytest.approx(60.0)
+        assert bnd.rates()[-1] == 0.0
 
     def test_ideal_accepts_mi_estimate(self):
         est = MiEstimate(value=2.5, std_error=0.01, n_samples=10000,
@@ -280,7 +344,7 @@ class TestIntegratedRegions:
         assert bnd.rate_at(0.0) == pytest.approx(2.0)
         assert bnd.rate_at(50.0) == pytest.approx(2.0)
         assert bnd.rate_at(55.0) == pytest.approx(1.0)
-        assert bnd.points[-1].energy == pytest.approx(60.0)
+        assert bnd.energies()[-1] == pytest.approx(60.0)
 
     def test_int_circuit_zero_draw_is_ideal_box(self):
         a = region_int_circuit(self.LP, 0.0, 2.0, 64)
@@ -292,7 +356,7 @@ class TestIntegratedRegions:
         bnd = region_int_circuit(self.LP, 80.0, 2.0, 65)
         assert bnd.rate_at(0.0) == pytest.approx(60.0 * 2.0 / 80.0)
         assert bnd.rate_at(30.0) == pytest.approx(0.75, rel=1e-9)
-        assert bnd.points[-1].energy == pytest.approx(60.0)
+        assert bnd.energies()[-1] == pytest.approx(60.0)
 
 
 class TestContainmentChain:
@@ -303,6 +367,14 @@ class TestContainmentChain:
         r_ts, r_sps, r_ub = ts.rate_at(grid), sps.rate_at(grid), ub.rate_at(grid)
         assert np.all(r_ts <= r_sps + 1e-12)
         assert np.all(r_sps <= r_ub + 1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(LINKS, st.integers(2, 64))
+    def test_ts_inside_sps_inside_upper_bound_on_random_links(self, lp, n):
+        # each inner boundary at its own knots against the outer one
+        ts, sps, ub = region_ts(lp, n), region_sps(lp, n), upper_bound_region(lp, n)
+        for inner, outer in ((ts, sps), (sps, ub)):
+            assert np.all(inner.rates() <= outer.rate_at(inner.energies()) + 1e-12)
 
 
 class TestOpsOnPeriodDominance:

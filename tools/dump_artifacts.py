@@ -1,0 +1,107 @@
+"""Write a fixed set of swiptlab CLI artifacts into OUT_DIR.
+
+Usage:
+    PYTHONPATH=src python tools/dump_artifacts.py OUT_DIR
+
+Every run goes through ``swiptlab.cli.main`` in this process, from its own
+subdirectory of OUT_DIR, with SOURCE_DATE_EPOCH pinned, so the set is
+byte-reproducible. To see which bytes a change moves, run the script once per
+tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
+
+The set: every CLI example in README.md; every region scheme as CSV and as
+JSON; ``solve`` p0, p1 and p2; and every figure, fig7, fig8 and fig10 at 10000
+Monte Carlo samples and the others at their defaults.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import shlex
+import sys
+from pathlib import Path
+
+from swiptlab.cli import REGION_SCHEMES, main
+from swiptlab.figures import FIGURES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCE_DATE_EPOCH = "1700000000"
+
+FIG9 = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--scov2", "10"]
+FIG10_INT = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "0.01", "--srec2", "100"]
+# per-scheme link and scheme flags; the integrated schemes estimate their rate
+# from 10000 samples, and int-adc sweeps one estimate per point
+SCHEME_FLAGS = {
+    "ub": FIG9,
+    "ts": FIG9,
+    "sps": FIG9,
+    "ops-circuit": [*FIG9, "--ps", "25"],
+    "ts-circuit": [*FIG9, "--ps", "25"],
+    "sps-circuit": [*FIG9, "--ps", "25"],
+    "int-ideal": [*FIG10_INT, "--samples", "10000", "--seed", "3"],
+    "int-adc": ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--srec2", "1",
+                "--sadc2", "1", "--points", "9", "--samples", "10000", "--seed", "4"],
+    "int-circuit": [*FIG10_INT, "--pi", "10", "--samples", "10000", "--seed", "5"],
+}
+SOLVE_RUNS = {
+    "p0": ["--q", "30", "--ps", "25", *FIG9],
+    "p1": ["--qreq", "0", "--ps", "5e-4", "--h", "1e-3", "--p", "1", "--zeta", "0.6",
+           "--sa2", "3.98e-14", "--scov2", "1e-10"],
+    "p2": ["--qreq", "10", "--pi", "10", "--h", "1", "--p", "100", "--zeta", "0.6",
+           "--srec2", "100"],
+}
+# the figures that estimate the MI run at 10000 samples, the others at their defaults
+MI_FIGURES = ("fig7", "fig8", "fig10")
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each `swiptlab` command in README's CLI code block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    argvs = [shlex.split(ln, comments=True)
+             for ln in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in argvs if argv[:1] == ["swiptlab"]]
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    """(subdirectory, argv) of every run, in a fixed order."""
+    out = [(f"readme/{i:02d}", argv) for i, argv in enumerate(readme_examples())]
+    for scheme, flags in SCHEME_FLAGS.items():
+        for fmt in ("csv", "json"):
+            out.append((f"region/{scheme}-{fmt}",
+                        ["region", "--scheme", scheme, *flags, "--format", fmt]))
+    for problem, flags in SOLVE_RUNS.items():
+        out.append((f"solve/{problem}", ["solve", "--problem", problem, *flags]))
+    for fig in FIGURES:
+        flags = ["--samples", "10000"] if fig in MI_FIGURES else []
+        out.append((f"figure/{fig}", ["figure", fig, *flags]))
+    return out
+
+
+def dump(out_dir: Path) -> int:
+    """Run every argv from its subdirectory of out_dir; the number that failed."""
+    os.environ["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
+    if set(SCHEME_FLAGS) != set(REGION_SCHEMES):
+        raise SystemExit(f"SCHEME_FLAGS must cover {sorted(REGION_SCHEMES)}")
+    failed = 0
+    cwd = os.getcwd()
+    for sub, argv in runs():
+        target = out_dir / sub
+        target.mkdir(parents=True, exist_ok=True)
+        os.chdir(target)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        print(f"{code}  {sub}: swiptlab {shlex.join(argv)}")
+        failed += code != 0
+    return failed
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(1 if dump(Path(sys.argv[1]).resolve()) else 0)
