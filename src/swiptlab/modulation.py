@@ -168,7 +168,7 @@ def _qam_thresholds(lp: LinkParams, ser_target: float) -> list[float]:
     rounding cannot drop the size at its own threshold.
     """
     hp = lp.received_power
-    rhos = []
+    sizes, rhos = [], []
     for l in range(1, MAX_BITS + 1):
         m = 1 << l
         sm = math.sqrt(m)
@@ -176,12 +176,17 @@ def _qam_thresholds(lp: LinkParams, ser_target: float) -> list[float]:
         s = (m - 1) / 3.0 * max(z, 0.0) ** 2
         if hp <= s * lp.sigma2_a:
             continue
-        rho = min(max(1.0 - s * lp.sigma2_cov / (hp - s * lp.sigma2_a), 0.0), _RHO_MAX)
-        gap = 0.0
-        while rho > 0.0 and _SER_BY_FAMILY[QAM](m, split_snr(rho, lp)) > ser_target:
+        sizes.append(m)
+        rhos.append(min(max(1.0 - s * lp.sigma2_cov / (hp - s * lp.sigma2_a), 0.0),
+                        _RHO_MAX))
+    snrs = split_snr(np.array(rhos), lp).tolist()
+    for i, m in enumerate(sizes):
+        rho, snr, gap = rhos[i], snrs[i], 0.0
+        while rho > 0.0 and ser_qam(m, snr) > ser_target:
             gap = max(2.0 * gap, math.ulp(rho))
             rho = max(rho - gap, 0.0)
-        rhos.append(rho)
+            snr = split_snr(rho, lp)
+        rhos[i] = rho
     return rhos
 
 
@@ -204,10 +209,11 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
         return ModulationPlan(family=QAM, m=None, ser_target=ser_target,
                               alpha=1.0, rho=1.0, rate=0.0)
     rho0 = min((q_req + p_s) / lp.q_max, _RHO_MAX)
+    rhos = sorted({0.0, rho0, *_qam_thresholds(lp, ser_target)})
     best = None
-    for rho in sorted({0.0, rho0, *_qam_thresholds(lp, ser_target)}):
+    for rho, snr in zip(rhos, split_snr(np.array(rhos), lp).tolist()):
         alpha = min(p1_alpha(lp, p_s, q_req, rho), 1.0)
-        m = max_modulation(QAM, split_snr(rho, lp), ser_target)
+        m = max_modulation(QAM, snr, ser_target)
         rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
         # candidates ascend in rho, so a tie keeps the smaller split
         if best is None or (rate, -(m or 0)) > (best[0], -(best[1] or 0)):

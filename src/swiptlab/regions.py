@@ -224,9 +224,12 @@ def rs_coefficients(lp: LinkParams, p_s: float, q_target) -> RsCoefficients:
     return RsCoefficients(a=a, b=b, c=c, d=d, s_lo=s_lo, s_hi=s_hi)
 
 
-def _rho_from_alpha(lp: LinkParams, p_s: float, q_target, alpha):
-    """Split ratio meeting the energy constraint with equality at a given alpha."""
-    rho = (q_target - alpha * lp.q_max + (1.0 - alpha) * p_s) / ((1.0 - alpha) * lp.q_max)
+def _rho_from_split(lp: LinkParams, p_s: float, q_target, s):
+    """Split ratio meeting the energy constraint with equality at on fraction s:
+    rho = 1 + P_S/(zeta h P) - rel/s, with rel = 1 - Q/(zeta h P) rounded as
+    in rs_coefficients.  s came from that rel, so near Q = zeta h P the two
+    cancellations match and rho stays in [0, 1]."""
+    rho = 1.0 + p_s / lp.q_max - (1.0 - q_target / lp.q_max) / s
     bad = (rho < -_RHO_SLACK) | (rho > 1.0 + _RHO_SLACK)
     if np.any(bad):
         raise InvalidParams(
@@ -271,7 +274,7 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     s_star = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
     alpha[inner] = 1.0 - s_star
-    rho[inner] = _rho_from_alpha(lp, p_s, q_in, alpha[inner])
+    rho[inner] = _rho_from_split(lp, p_s, q_in, s_star)
     rate[inner] = (1.0 - alpha[inner]) * np.log2(1.0 + split_snr(rho[inner], lp))
     return P0Solution(*(x if q.ndim else float(x[0]) for x in (alpha, rho, rate, qs)))
 

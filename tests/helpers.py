@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's solver paths: the grid oracle works on
-the raw (alpha, rho) formulation and the difference oracles use only function
-values.
+the raw (alpha, rho) formulation, the difference oracles use only function
+values and the rectifier reference filters the whole waveform record in the
+frequency domain.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from swiptlab.core import LinkParams, OpsPair, SplitVector, harvested_energy
+from swiptlab.simkit import DiodeModel, SimConfig
 
 
 def gaussian_tail_oracle(x):
@@ -81,3 +83,36 @@ def dominance_energy_matches(rep, lp: LinkParams, rho_vector) -> bool:
     expected = (harvested_energy(SplitVector(vec), lp),
                 harvested_energy(OpsPair(0.0, math.fsum(vec) / len(vec)), lp))
     return all(math.isclose(rep.energy, e, rel_tol=1e-12) for e in expected)
+
+
+def fft_rectifier_dc(lp: LinkParams, diode: DiodeModel, cfg: SimConfig,
+                     constant_envelope: bool = False) -> float:
+    """Rectifier dc_mean by the whole-record route: synthesize every symbol's
+    passband samples at once, zero every rfft bin above the bandwidth (an
+    ideal brick-wall low-pass), invert, and average, divided by a2.  Draws
+    the symbols and noise as simulate_rectifier_waveform does."""
+    f = cfg.carrier_hz
+    spp = int(round(f / cfg.bandwidth_hz)) * cfg.oversampling
+    n = cfg.n_symbols
+    rng = np.random.default_rng(cfg.seed)
+    if constant_envelope:
+        x = np.ones(n, dtype=complex)
+    else:
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    if lp.sigma2_a > 0:
+        nstd = math.sqrt(lp.sigma2_a / 2.0)
+        na = nstd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    else:
+        na = np.zeros(n, dtype=complex)
+    dt = 1.0 / (f * cfg.oversampling)
+    phase = 2.0 * math.pi * f * dt * np.arange(spp)
+    envelope = math.sqrt(lp.received_power) * x * np.exp(1j * lp.theta) + na
+    y = math.sqrt(2.0) * (np.outer(envelope.real, np.cos(phase))
+                          - np.outer(envelope.imag, np.sin(phase))).reshape(-1)
+    i_t = sum(diode.coefficient(k) * y ** k
+              for k in range(1, diode.truncation_order + 1))
+    spectrum = np.fft.rfft(i_t)
+    freqs = np.fft.rfftfreq(len(i_t), d=dt)
+    filtered = np.fft.irfft(np.where(freqs <= cfg.bandwidth_hz, spectrum, 0.0),
+                            n=len(i_t))
+    return float(np.mean(filtered)) / diode.coefficient(2)

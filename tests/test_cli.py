@@ -324,6 +324,34 @@ class TestErrorHandling:
         assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--kind", "rectifier", "--carrier=inf"], "carrier"),
+        (["--kind", "rectifier", "--carrier=nan"], "carrier"),
+        (["--kind", "rectifier", "--bandwidth=0"], "bandwidth"),
+        (["--kind", "qam", "--bandwidth=0"], "bandwidth"),
+        (["--kind", "pem", "--bandwidth=0"], "bandwidth"),
+        (["--kind", "rectifier", "--diode-gamma=nan"], "gamma"),
+        (["--kind", "rectifier", "--diode-gamma=inf"], "gamma"),
+        (["--kind", "rectifier", "--diode-gamma=1e200"], "overflow"),
+        (["--kind", "qam", "--noise-scale=nan"], "noise_scale"),
+        (["--kind", "qam", "--noise-scale=inf"], "noise_scale")])
+    def test_simulate_bad_input_exit_2(self, flags, named, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["simulate", *flags, "--h", "1", "--p", "100", "--sa2", "1",
+                            "--srec2", "1", "--symbols", "100"], tmp_path, monkeypatch,
+                           capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and named in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_simulate_waveform_overflow_exit_4(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["simulate", "--kind", "rectifier", "--h", "1", "--p", "1e200",
+                            "--truncation-order", "5", "--oversampling", "12",
+                            "--symbols", "100"], tmp_path, monkeypatch, capsys)
+        assert code == 4
+        assert json.loads(err)["error"]["type"] == "FloatingPointError"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv,config,named", [
         (["region", "--scheme", "ts"], {"p": "100"}, "'p'"),
         (["region", "--scheme", "ts"], {"points": 3.5, "sa2": 1}, "'points'"),

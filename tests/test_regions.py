@@ -220,15 +220,17 @@ class TestSolveP0:
             assert (sol.alpha_star[i], sol.rho_star[i], sol.rate[i]) == \
                 (one.alpha_star, one.rho_star, one.rate)
 
-    # targets on the grid k/1000 of q_max, like region_sep_circuit's sweep:
-    # within about 1e-9 of q_max, solve_p0's rho reconstruction can fail
-    # (ROADMAP 6)
+    # targets anywhere in [0, q_max], many of them within 1e-6 relative of
+    # q_max, where rho is rebuilt from a tiny 1 - q/q_max
     @settings(max_examples=40, deadline=None, database=None)
     @given(CIRCUIT_LINKS, st.floats(0.01, 1.5),
-           st.lists(st.integers(0, 1000), min_size=1, max_size=24), st.data())
-    def test_target_independent_of_batch(self, lp, ps_frac, ks, data):
+           st.lists(st.one_of(st.floats(0.0, 1.0),
+                              st.floats(6.0, 16.0).map(lambda e: 1.0 - 10.0 ** -e),
+                              st.just(1.0 - 1e-16)), min_size=1, max_size=24),
+           st.data())
+    def test_target_independent_of_batch(self, lp, ps_frac, fracs, data):
         p_s = ps_frac * lp.q_max
-        qs = np.array(ks) / 1000 * lp.q_max
+        qs = np.minimum(np.array(fracs) * lp.q_max, lp.q_max)
         alone = [solve_p0(lp, p_s, float(q)) for q in qs]
         batch = solve_p0(lp, p_s, qs)
         perm = np.array(data.draw(st.permutations(range(len(qs)))))

@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
+from helpers import fft_rectifier_dc
+from swiptlab import simkit
 from swiptlab.core import LinkParams, split_snr
 from swiptlab.errors import AliasedCarrier, BadConstellation, InvalidParams
 from swiptlab.modulation import ser_pem, ser_qam
 from swiptlab.simkit import (
+    _CHUNK_SYMBOLS,
     DiodeModel,
     SimConfig,
     simulate_pem_integrated,
@@ -27,6 +31,25 @@ class TestSimConfig:
             SimConfig(carrier_hz=10.0, bandwidth_hz=3.0)  # non-integer ratio
         with pytest.raises(InvalidParams):
             SimConfig(carrier_hz=4.0, bandwidth_hz=1.0)   # ratio below 8
+
+    @pytest.mark.parametrize("carrier,bandwidth", [
+        (math.inf, 1.0), (math.nan, 1.0), (-16.0, 1.0), (16.0, 0.0), (16.0, math.nan),
+        (16.0, math.inf), (16.0, -1.0), (1e300, 1e-300)])   # the last ratio overflows
+    def test_rejects_non_finite_or_non_positive_frequencies(self, carrier, bandwidth):
+        with pytest.raises(InvalidParams, match="finite"):
+            SimConfig(carrier_hz=carrier, bandwidth_hz=bandwidth)
+
+
+class TestDiodeModel:
+    @pytest.mark.parametrize("field", ["i_s", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_constants(self, field, value):
+        with pytest.raises(InvalidParams, match="finite and > 0"):
+            DiodeModel(**{field: value})
+
+    def test_rejects_overflowing_coefficients(self):
+        with pytest.raises(InvalidParams, match="overflow"):
+            DiodeModel(gamma=1e200)
 
 
 class TestQamSimulator:
@@ -79,6 +102,12 @@ class TestQamSimulator:
         with pytest.raises(InvalidParams):
             simulate_qam_separated(lp, 1.0, 4, SimConfig(n_symbols=10))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.5])
+    def test_rejects_bad_noise_scale(self, scale):
+        lp = LinkParams(h=1, p=50, sigma2_a=1.0)
+        with pytest.raises(InvalidParams, match="noise_scale must be finite and >= 1"):
+            simulate_qam_separated(lp, 0.0, 4, SimConfig(n_symbols=10), noise_scale=scale)
+
 
 class TestPemSimulator:
     def test_vanishing_snr_is_coin_flip(self):
@@ -122,9 +151,57 @@ class TestRectifierWaveform:
                                           constant_envelope=True)
         assert res.dc_mean == pytest.approx(100.0, rel=1e-6)
 
-    def test_harmonic_residual_removed(self):
-        res = simulate_rectifier_waveform(self.LP, DiodeModel(), WAVE_CFG)
-        assert res.harmonic_residual <= 1e-8
+    def test_harmonic_powers_match_closed_form(self):
+        for constant_envelope in (False, True):
+            res = simulate_rectifier_waveform(self.LP, DiodeModel(), WAVE_CFG,
+                                              constant_envelope=constant_envelope)
+            assert res.harmonic_error <= 1e-8
+
+    # a2 off by 1e-6 relative on one side only puts the DC power, which
+    # normalizes every harmonic, off by about 2e-6; a closed form one order
+    # short misses the top harmonic's power altogether
+    @pytest.mark.parametrize("side,corrupt,order", [
+        ("_diode_current", lambda c: [c[0], c[1] * (1.0 + 1e-6), *c[2:]], 2),
+        ("_harmonic_amplitudes", lambda c: [c[0], c[1] * (1.0 + 1e-6), *c[2:]], 2),
+        ("_harmonic_amplitudes", lambda c: [*c[:-1], 0.0], 3)],
+        ids=["horner-a2", "closed-form-a2", "closed-form-truncated"])
+    def test_harmonic_error_detects_a_wrong_coefficient(self, side, corrupt, order,
+                                                        monkeypatch):
+        real = getattr(simkit, side)
+        monkeypatch.setattr(simkit, side, lambda arr, coeffs: real(arr, corrupt(coeffs)))
+        res = simulate_rectifier_waveform(self.LP, DiodeModel(truncation_order=order),
+                                          WAVE_CFG)
+        assert res.harmonic_error > 1e-8
+
+    @pytest.mark.parametrize("constant_envelope", [False, True])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 300, _CHUNK_SYMBOLS, _CHUNK_SYMBOLS + 1])
+    def test_dc_matches_fft_reference(self, n, order, constant_envelope):
+        lp = LinkParams(h=1, p=100, zeta=0.6, sigma2_a=0.5, theta=0.7)
+        diode = DiodeModel(gamma=0.02, truncation_order=order)
+        cfg = SimConfig(n_symbols=n, seed=order, oversampling=12, carrier_hz=8.0,
+                        bandwidth_hz=1.0)
+        res = simulate_rectifier_waveform(lp, diode, cfg, constant_envelope)
+        ref = fft_rectifier_dc(lp, diode, cfg, constant_envelope)
+        assert res.dc_mean == pytest.approx(ref, rel=1e-13)
+        assert res.harmonic_error <= 1e-8
+
+    def test_memory_bounded_by_chunk(self):
+        # the whole 20k-symbol record would be 1.28M samples, 10 MB per array
+        cfg = dataclasses.replace(WAVE_CFG, n_symbols=20_000)
+        tracemalloc.start()
+        try:
+            simulate_rectifier_waveform(self.LP, DiodeModel(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_overflowing_waveform_raises(self):
+        lp = LinkParams(h=1, p=1e200)
+        cfg = dataclasses.replace(WAVE_CFG, oversampling=12)
+        with pytest.raises(FloatingPointError):
+            simulate_rectifier_waveform(lp, DiodeModel(truncation_order=5), cfg)
 
     def test_gaussian_signaling_matches_harvest_law(self):
         cfg = dataclasses.replace(WAVE_CFG, n_symbols=30_000)

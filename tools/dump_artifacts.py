@@ -9,8 +9,10 @@ byte-reproducible. To see which bytes a change moves, run the script once per
 tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
 The set: every CLI example in README.md; every region scheme as CSV and as
-JSON; ``solve`` p0, p1 and p2; and every figure, fig7, fig8 and fig10 at 10000
-Monte Carlo samples and the others at their defaults.
+JSON; ``solve`` p0, p1 and p2; every ``simulate`` kind (qam plain and
+importance-sampled, pem, and the rectifier with a Gaussian and a constant
+envelope and at truncation order 3); and every figure, fig7, fig8 and fig10 at
+10000 Monte Carlo samples and the others at their defaults.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ SOLVE_RUNS = {
     "p2": ["--qreq", "10", "--pi", "10", "--h", "1", "--p", "100", "--zeta", "0.6",
            "--srec2", "100"],
 }
+WAVE = ["--h", "1", "--p", "100", "--zeta", "0.6", "--carrier", "8", "--bandwidth", "1"]
+SIMULATE_RUNS = {
+    "qam": ["--kind", "qam", "--m", "16", "--rho", "0.2", "--h", "1", "--p", "200",
+            "--sa2", "1", "--scov2", "1", "--symbols", "20000", "--seed", "3"],
+    "qam-is": ["--kind", "qam", "--m", "4", "--rho", "0", "--h", "1", "--p", "25",
+               "--sa2", "0.5", "--scov2", "0.5", "--noise-scale", "2.2",
+               "--symbols", "100000", "--seed", "6"],
+    "pem": ["--kind", "pem", "--m", "16", "--h", "1", "--p", "50", "--srec2", "1",
+            "--symbols", "100000", "--seed", "4"],
+    "rectifier": ["--kind", "rectifier", *WAVE, "--sa2", "0.5", "--theta", "0.7",
+                  "--symbols", "20000", "--seed", "801"],
+    "rectifier-const": ["--kind", "rectifier", *WAVE, "--constant-envelope",
+                        "--symbols", "256", "--seed", "800"],
+    "rectifier-order3": ["--kind", "rectifier", *WAVE, "--truncation-order", "3",
+                         "--oversampling", "8", "--symbols", "20000", "--seed", "802"],
+}
 # the figures that estimate the MI run at 10000 samples, the others at their defaults
 MI_FIGURES = ("fig7", "fig8", "fig10")
 
@@ -74,6 +92,8 @@ def runs() -> list[tuple[str, list[str]]]:
                         ["region", "--scheme", scheme, *flags, "--format", fmt]))
     for problem, flags in SOLVE_RUNS.items():
         out.append((f"solve/{problem}", ["solve", "--problem", problem, *flags]))
+    for name, flags in SIMULATE_RUNS.items():
+        out.append((f"simulate/{name}", ["simulate", *flags]))
     for fig in FIGURES:
         flags = ["--samples", "10000"] if fig in MI_FIGURES else []
         out.append((f"figure/{fig}", ["figure", fig, *flags]))
