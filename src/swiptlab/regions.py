@@ -261,8 +261,12 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     co = rs_coefficients(lp, p_s, q_in)
     lo, hi = co.s_lo, co.s_hi
     nudge = 1e-12 * np.maximum(hi - lo, 1.0)
-    at_lo = co.rate_deriv(lo + nudge) <= 0.0
-    at_hi = ~at_lo & (co.rate_deriv(hi - nudge) >= 0.0)
+    # an interval no wider than the endpoint nudge is far below the bisection
+    # tolerance: s* is its midpoint, and dR/ds is never probed outside it
+    fits = nudge < hi - lo
+    centre = 0.5 * (lo + hi)
+    at_lo = fits & (co.rate_deriv(np.where(fits, lo + nudge, centre)) <= 0.0)
+    at_hi = fits & ~at_lo & (co.rate_deriv(np.where(fits, hi - nudge, centre)) >= 0.0)
     a, b = lo, hi
     live = ~(at_lo | at_hi) & (b - a > _BISECT_TOL)
     while live.any():

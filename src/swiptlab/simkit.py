@@ -1,11 +1,12 @@
 """Independent Monte Carlo oracles for the closed-form link quantities.
 
 Symbol-level simulators reproduce both receiver chains sample by sample;
-the waveform simulator synthesizes the passband signal a block of symbols at a
-time, pushes it through a truncated diode polynomial, and projects each
-symbol's current onto the carrier harmonics.  Its DC term is the component
-the energy-harvesting model predicts; the harmonic powers are checked against
-their closed form.
+the waveform simulator synthesizes the passband signal, pushes it through a
+truncated diode polynomial, and projects each symbol's current onto the
+carrier harmonics.  Its DC term is the component the energy-harvesting model
+predicts; the harmonic powers are checked against their closed form.  Every
+oracle draws, detects and accumulates one fixed block of symbols at a time,
+so its memory does not grow with n_symbols.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ from .modulation import _check_constellation
 
 # 95% normal-approximation half-width factor for binomial confidence intervals
 _CI_FACTOR = 1.959963984540054
+# symbols per block of the QAM and PEM oracles: a dozen arrays of this length
+# stay cache-sized, whatever n_symbols is
+_SYMBOL_BLOCK = 1 << 14
 # symbols per block of the waveform oracle: its working set is a few
 # _CHUNK_SYMBOLS x samples-per-symbol arrays, whatever n_symbols is
 _CHUNK_SYMBOLS = 2048
+# samples per symbol the waveform oracle accepts: one block array is then at
+# most 2048 x 4096 float64 samples, 64 MiB
+_MAX_SAMPLES_PER_SYMBOL = 4096
 
 
 def _binomial_ci(p_hat: float, n: int) -> float:
@@ -71,9 +78,11 @@ class DiodeModel:
 class SimConfig:
     """Trial count, RNG seed and (for waveform mode) sampling parameters.
 
-    carrier_hz / bandwidth_hz must be an integer ratio >= 8 so every symbol
-    holds complete carrier cycles (narrowband assumption, exact harmonic
-    cancellation in the time average).
+    The oracles stream n_symbols in fixed blocks, so n_symbols sets the run
+    time but not the memory.  carrier_hz / bandwidth_hz must be an integer
+    ratio >= 8 so every symbol holds complete carrier cycles (narrowband
+    assumption, exact harmonic cancellation in the time average); the waveform
+    oracle also bounds the samples per symbol.
     """
 
     n_symbols: int = 100_000
@@ -150,20 +159,48 @@ def _detect_levels(values: np.ndarray, n_levels: int, spacing: float) -> np.ndar
     return np.clip(idx, 0, n_levels - 1).astype(np.int64)
 
 
+def _blocks(n: int, size: int):
+    """Lengths of the consecutive blocks of at most size that make up n."""
+    for start in range(0, n, size):
+        yield min(size, n - start)
+
+
+def _merge_moments(count: int, mean: float, m2: float, block: np.ndarray):
+    """Fold a block of samples into a running (count, mean, M2) by the pairwise
+    update of Chan, Golub and LeVeque (1979); M2 is the sum of squared
+    deviations from the mean."""
+    k = len(block)
+    block_mean = float(np.mean(block))
+    dev = block - block_mean
+    dev *= dev
+    total = count + k
+    delta = block_mean - mean
+    mean += delta * (k / total)
+    m2 += float(dev.sum()) + delta * delta * (count * k / total)
+    return total, mean, m2
+
+
 def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
                            noise_scale: float = 1.0) -> SerResult:
     """Symbol simulation of the split linear channel with minimum-distance
     QAM detection.
 
-    noise_scale > 1 switches to importance sampling: noise is drawn with the
-    inflated std and every error event carries the analytic likelihood ratio,
-    for symbol error rates far below 1/n_symbols.
+    Symbols are drawn, detected and tallied _SYMBOL_BLOCK at a time (index
+    pair, then noise pair, per block), so the working set does not grow with
+    n_symbols.  noise_scale > 1 switches to importance sampling: noise is
+    drawn with the inflated std and every error event carries the analytic
+    likelihood ratio, for symbol error rates far below 1/n_symbols; its
+    confidence interval needs n_symbols >= 2.
     """
     m = _check_constellation(m)
     if not 0 <= rho < 1:
         raise InvalidParams(f"rho must lie in [0, 1), got {rho}")
     if not 1.0 <= noise_scale < math.inf:
         raise InvalidParams(f"noise_scale must be finite and >= 1, got {noise_scale}")
+    if noise_scale > 1.0 and cfg.n_symbols < 2:
+        raise InvalidParams(
+            f"importance sampling (noise_scale={noise_scale}) needs n_symbols >= 2 "
+            f"for its confidence interval, got {cfg.n_symbols}")
     sigma2_eff = (1.0 - rho) * lp.sigma2_a + lp.sigma2_cov
     if sigma2_eff <= 0:
         raise InvalidParams("split-path noise must be > 0 for detection")
@@ -171,63 +208,75 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
     levels_i, levels_q, delta = _qam_levels(m)
     n = cfg.n_symbols
     rng = np.random.default_rng(cfg.seed)
-    ii = rng.integers(0, len(levels_i), size=n)
-    qq = rng.integers(0, len(levels_q), size=n)
-    sym_i, sym_q = levels_i[ii], levels_q[qq]
-
     amp = math.sqrt((1.0 - rho) * lp.received_power)
     nstd = math.sqrt(sigma2_eff / 2.0) * noise_scale
-    noise_i = nstd * rng.standard_normal(n)
-    noise_q = nstd * rng.standard_normal(n)
-    rx_i = amp * sym_i + noise_i
-    rx_q = amp * sym_q + noise_q
-
     spacing = amp * delta
-    err = (_detect_levels(rx_i, len(levels_i), spacing) != ii) \
-        | (_detect_levels(rx_q, len(levels_q), spacing) != qq)
+    k2 = noise_scale * noise_scale
+
+    errors = 0
+    energy_sum = 0.0
+    w_count, w_mean, w_m2 = 0, 0.0, 0.0   # importance-sampling weights
+    for k in _blocks(n, _SYMBOL_BLOCK):
+        ii = rng.integers(0, len(levels_i), size=k)
+        qq = rng.integers(0, len(levels_q), size=k)
+        sym_i, sym_q = levels_i[ii], levels_q[qq]
+        noise_i = nstd * rng.standard_normal(k)
+        noise_q = nstd * rng.standard_normal(k)
+        err = (_detect_levels(amp * sym_i + noise_i, len(levels_i), spacing) != ii) \
+            | (_detect_levels(amp * sym_q + noise_q, len(levels_q), spacing) != qq)
+        energy_sum += float(np.sum(sym_i ** 2 + sym_q ** 2))
+        if noise_scale == 1.0:
+            errors += int(np.count_nonzero(err))
+        else:
+            # likelihood ratio of the true vs inflated complex Gaussian noise
+            mag2 = (noise_i * noise_i + noise_q * noise_q) / (sigma2_eff / 2.0)
+            log_w = math.log(k2) - 0.5 * mag2 * (1.0 - 1.0 / k2)
+            weighted = np.where(err, np.exp(log_w), 0.0)
+            w_count, w_mean, w_m2 = _merge_moments(w_count, w_mean, w_m2, weighted)
 
     if noise_scale == 1.0:
-        ser = float(np.mean(err))
+        ser = errors / n
         ci = _binomial_ci(ser, n)
     else:
-        # likelihood ratio of the true vs inflated complex Gaussian noise
-        k2 = noise_scale * noise_scale
-        mag2 = (noise_i * noise_i + noise_q * noise_q) / (sigma2_eff / 2.0)
-        log_w = math.log(k2) - 0.5 * mag2 * (1.0 - 1.0 / k2)
-        weighted = np.where(err, np.exp(log_w), 0.0)
-        ser = float(np.mean(weighted))
-        ci = _CI_FACTOR * float(np.std(weighted, ddof=1)) / math.sqrt(n)
+        ser = w_mean
+        ci = _CI_FACTOR * math.sqrt(w_m2 / (n - 1)) / math.sqrt(n)
 
-    energy = lp.zeta * rho * lp.received_power * float(np.mean(sym_i ** 2 + sym_q ** 2))
+    energy = lp.zeta * rho * lp.received_power * (energy_sum / n)
     return SerResult(ser_hat=ser, ci_halfwidth=ci, n_symbols=n, seed=cfg.seed,
                      energy_hat=energy)
 
 
 def simulate_pem_integrated(lp: LinkParams, m: int, cfg: SimConfig) -> SerResult:
     """Symbol simulation of the rectified channel with equispaced power levels
-    and midpoint-threshold detection on y/(hP); both noises active."""
+    and midpoint-threshold detection on y/(hP); both noises active.
+
+    Symbols are drawn, detected and counted _SYMBOL_BLOCK at a time (levels,
+    antenna-noise pair, rectifier noise, per block), so the working set does
+    not grow with n_symbols."""
     m = _check_constellation(m)
     if lp.sigma2_rec <= 0 and lp.sigma2_a <= 0:
         raise InvalidParams("at least one noise source must be > 0")
     n = cfg.n_symbols
     rng = np.random.default_rng(cfg.seed)
-    idx = rng.integers(0, m, size=n)
     power_levels = 2.0 * np.arange(m) / (m - 1)
-    amp = np.sqrt(lp.received_power * power_levels[idx])
+    astd = math.sqrt(lp.sigma2_a / 2.0)
 
-    if lp.sigma2_a > 0:
-        astd = math.sqrt(lp.sigma2_a / 2.0)
-        w = (amp + astd * rng.standard_normal(n)) ** 2 \
-            + (astd * rng.standard_normal(n)) ** 2
-    else:
-        w = amp * amp
-    y = w
-    if lp.sigma2_rec > 0:
-        y = w + lp.sigma_rec * rng.standard_normal(n)
+    errors = 0
+    for k in _blocks(n, _SYMBOL_BLOCK):
+        idx = rng.integers(0, m, size=k)
+        amp = np.sqrt(lp.received_power * power_levels[idx])
+        if lp.sigma2_a > 0:
+            y = (amp + astd * rng.standard_normal(k)) ** 2 \
+                + (astd * rng.standard_normal(k)) ** 2
+        else:
+            y = amp * amp
+        if lp.sigma2_rec > 0:
+            y = y + lp.sigma_rec * rng.standard_normal(k)
+        normalized = y / lp.received_power
+        det = np.clip(np.rint(normalized * (m - 1) / 2.0), 0, m - 1).astype(np.int64)
+        errors += int(np.count_nonzero(det != idx))
 
-    normalized = y / lp.received_power
-    det = np.clip(np.rint(normalized * (m - 1) / 2.0), 0, m - 1).astype(np.int64)
-    ser = float(np.mean(det != idx))
+    ser = errors / n
     return SerResult(ser_hat=ser, ci_halfwidth=_binomial_ci(ser, n), n_symbols=n,
                      seed=cfg.seed)
 
@@ -260,16 +309,23 @@ def simulate_rectifier_waveform(lp: LinkParams, diode: DiodeModel, cfg: SimConfi
                                 constant_envelope: bool = False) -> RectifierResult:
     """Passband synthesis of the energy receiver front end.
 
-    Builds y(t) for per-symbol baseband samples (unit-mean-power circularly
-    symmetric Gaussian, or a constant unit envelope) _CHUNK_SYMBOLS symbols at
-    a time, applies the truncated diode polynomial, and projects each symbol's
-    current onto cos/sin of carrier harmonics 0..K.  Every symbol holds whole
-    carrier cycles and oversampling >= 2K+2, so the projection is exact: its
-    DC column is the low-pass output, and dc_mean is its time average divided
-    by the square-law coefficient a2.  The measured harmonic powers are
-    compared with their closed form in harmonic_error.  Only a few blocks of
-    samples are held at once, whatever n_symbols is; a waveform that
-    overflows raises FloatingPointError.
+    Draws the per-symbol baseband samples (unit-mean-power circularly
+    symmetric Gaussian, or a constant unit envelope) and the antenna noise
+    _CHUNK_SYMBOLS symbols at a time, builds y(t) for the block, applies the
+    truncated diode polynomial, and projects each symbol's current onto
+    cos/sin of carrier harmonics 0..K.  Every symbol holds whole carrier
+    cycles and oversampling >= 2K+2, so the projection is exact: its DC column
+    is the low-pass output, and dc_mean is its time average divided by the
+    square-law coefficient a2.  The measured harmonic powers are compared
+    with their closed form in harmonic_error.
+
+    Only running sums outlive a block, so memory does not grow with
+    n_symbols.  Samples per symbol, round(carrier/bandwidth) x oversampling,
+    are capped at _MAX_SAMPLES_PER_SYMBOL = 4096 (InvalidParams above it): a
+    block's sample arrays are then at most 2048 x 4096 float64 = 64 MiB each,
+    and three are alive at once (the two reused sample buffers and the diode
+    current), 192 MiB.  A waveform that overflows raises
+    FloatingPointError.
     """
     order = diode.truncation_order
     min_os = max(8, 2 * order + 2)
@@ -281,19 +337,13 @@ def simulate_rectifier_waveform(lp: LinkParams, diode: DiodeModel, cfg: SimConfi
     f = cfg.carrier_hz
     cycles_per_symbol = int(round(f / cfg.bandwidth_hz))
     spp = cycles_per_symbol * cfg.oversampling  # samples per symbol
+    if spp > _MAX_SAMPLES_PER_SYMBOL:
+        raise InvalidParams(
+            f"round(carrier/bandwidth) x oversampling = {spp} samples per symbol "
+            f"exceeds {_MAX_SAMPLES_PER_SYMBOL}")
     n = cfg.n_symbols
     rng = np.random.default_rng(cfg.seed)
-
-    if constant_envelope:
-        x = np.ones(n, dtype=complex)
-    else:
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    if lp.sigma2_a > 0:
-        nstd = math.sqrt(lp.sigma2_a / 2.0)
-        na = nstd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    else:
-        na = np.zeros(n, dtype=complex)
-    envelope = math.sqrt(lp.received_power) * x * np.exp(1j * lp.theta) + na
+    nstd = math.sqrt(lp.sigma2_a / 2.0)
 
     # the carrier repeats exactly every symbol (integer cycles), so one symbol
     # of carrier samples suffices; Re{b e^{jwt}} = Re(b) cos - Im(b) sin
@@ -307,16 +357,30 @@ def simulate_rectifier_waveform(lp: LinkParams, diode: DiodeModel, cfg: SimConfi
                        (2.0 / spp) * np.cos(nphase), (2.0 / spp) * np.sin(nphase)])
 
     coeffs = diode.coefficients()
-    dc = np.empty(n)
+    # the block's passband samples live in two buffers reused by every block:
+    # fresh block-sized arrays would go back to the OS and fault in again
+    y_buf = np.empty((min(n, _CHUNK_SYMBOLS), spp))
+    sin_buf = np.empty_like(y_buf)
+    dc_sum = 0.0
     sq_proj = np.zeros(2 * order + 1)   # sums of squared projections
     sq_amp = np.zeros(order + 1)        # sums of squared closed-form amplitudes
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, n, _CHUNK_SYMBOLS):
-                env = envelope[start:start + _CHUNK_SYMBOLS]
-                y = math.sqrt(2.0) * (np.outer(env.real, cos_c) - np.outer(env.imag, sin_c))
+            for k in _blocks(n, _CHUNK_SYMBOLS):
+                if constant_envelope:
+                    x = np.ones(k, dtype=complex)
+                else:
+                    x = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) \
+                        / math.sqrt(2.0)
+                env = math.sqrt(lp.received_power) * x * np.exp(1j * lp.theta)
+                if lp.sigma2_a > 0:
+                    env += nstd * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                y, y_sin = y_buf[:k], sin_buf[:k]
+                np.multiply.outer(env.real, cos_c, out=y)
+                y -= np.multiply.outer(env.imag, sin_c, out=y_sin)
+                y *= math.sqrt(2.0)
                 proj = _diode_current(y, coeffs) @ basis
-                dc[start:start + len(env)] = proj[:, 0]
+                dc_sum += float(proj[:, 0].sum())
                 sq_proj += np.square(proj).sum(axis=0)
                 amp = _harmonic_amplitudes(math.sqrt(2.0) * np.abs(env), coeffs)
                 sq_amp += np.square(amp).sum(axis=0)
@@ -325,7 +389,7 @@ def simulate_rectifier_waveform(lp: LinkParams, diode: DiodeModel, cfg: SimConfi
             f"waveform overflows float64 at hP={lp.received_power:g}, order {order} "
             f"({exc}); rescale the powers") from None
 
-    dc_mean = float(np.mean(dc)) / diode.coefficient(2)
+    dc_mean = dc_sum / n / diode.coefficient(2)
     # total power at harmonic n: a sinusoid of amplitude A carries A^2 / 2
     weight = np.append(1.0, np.full(order, 0.5))
     measured = weight * np.append(sq_proj[0], sq_proj[1:order + 1] + sq_proj[order + 1:])

@@ -334,7 +334,8 @@ class TestErrorHandling:
         (["--kind", "rectifier", "--diode-gamma=inf"], "gamma"),
         (["--kind", "rectifier", "--diode-gamma=1e200"], "overflow"),
         (["--kind", "qam", "--noise-scale=nan"], "noise_scale"),
-        (["--kind", "qam", "--noise-scale=inf"], "noise_scale")])
+        (["--kind", "qam", "--noise-scale=inf"], "noise_scale"),
+        (["--kind", "rectifier", "--carrier=1e12"], "samples per symbol")])
     def test_simulate_bad_input_exit_2(self, flags, named, tmp_path, monkeypatch, capsys):
         code, _, err = run(["simulate", *flags, "--h", "1", "--p", "100", "--sa2", "1",
                             "--srec2", "1", "--symbols", "100"], tmp_path, monkeypatch,
@@ -342,6 +343,16 @@ class TestErrorHandling:
         assert code == 2
         doc = json.loads(err)["error"]
         assert doc["type"] == "InvalidParams" and named in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    # importance sampling needs two weights for its confidence interval
+    def test_importance_sampling_one_symbol_exit_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["simulate", "--kind", "qam", "--m", "4", "--rho", "0", "--h", "1",
+                            "--p", "25", "--sa2", "0.5", "--scov2", "0.5", "--noise-scale",
+                            "2", "--symbols", "1"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "n_symbols >= 2" in doc["message"]
         assert not list(tmp_path.iterdir())
 
     def test_simulate_waveform_overflow_exit_4(self, tmp_path, monkeypatch, capsys):

@@ -240,6 +240,19 @@ class TestSolveP0:
             assert getattr(batch, field).tobytes() == want.tobytes()
             assert getattr(shuffled, field).tobytes() == want[perm].tobytes()
 
+    # within about 1e-9 relative of q_max the feasible s-interval is narrower
+    # than the 1e-12 endpoint nudge, and dR/ds is undefined just outside it
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_near_q_max(self):
+        p_s = 40.0
+        qs = FIG9_LP.q_max * (1.0 - np.logspace(-16, -6, 41))
+        batch = solve_p0(FIG9_LP, p_s, qs)
+        alone = np.array([solve_p0(FIG9_LP, p_s, float(q)).rate for q in qs])
+        assert batch.rate.tobytes() == alone.tobytes()
+        co = rs_coefficients(FIG9_LP, p_s, qs)
+        best_end = np.maximum(co.rate(co.s_lo), co.rate(co.s_hi))
+        assert np.all(batch.rate >= best_end - 1e-15)
+
     def test_energy_constraint_met_with_equality(self):
         for q in [0.0, 10.0, 30.0, 55.0]:
             sol = solve_p0(FIG9_LP, FIG9_PS, q)

@@ -4,15 +4,23 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from helpers import fft_rectifier_dc
+from helpers import (
+    CI_FACTOR,
+    fft_rectifier_dc,
+    pem_integrated_reference,
+    qam_record,
+    qam_separated_reference,
+)
 from swiptlab import simkit
 from swiptlab.core import LinkParams, split_snr
 from swiptlab.errors import AliasedCarrier, BadConstellation, InvalidParams
 from swiptlab.modulation import ser_pem, ser_qam
 from swiptlab.simkit import (
     _CHUNK_SYMBOLS,
+    _SYMBOL_BLOCK,
     DiodeModel,
     SimConfig,
     simulate_pem_integrated,
@@ -108,6 +116,89 @@ class TestQamSimulator:
         with pytest.raises(InvalidParams, match="noise_scale must be finite and >= 1"):
             simulate_qam_separated(lp, 0.0, 4, SimConfig(n_symbols=10), noise_scale=scale)
 
+    def test_importance_sampling_needs_two_symbols(self):
+        lp = LinkParams(h=1, p=25, sigma2_a=0.5, sigma2_cov=0.5)
+        with pytest.raises(InvalidParams, match="n_symbols >= 2"):
+            simulate_qam_separated(lp, 0.0, 4, SimConfig(n_symbols=1), noise_scale=2.0)
+        res = simulate_qam_separated(lp, 0.0, 4, SimConfig(n_symbols=2), noise_scale=2.0)
+        assert math.isfinite(res.ci_halfwidth)
+
+
+# plain QAM at a moderate SER, importance-sampled QPSK, 64-QAM with a split
+QAM_CASES = {
+    "qam16": (LinkParams(h=1, p=200, zeta=0.6, sigma2_a=1, sigma2_cov=1), 0.2, 16, 1.0),
+    "qpsk-is": (LinkParams(h=1, p=25, zeta=0.6, sigma2_a=0.5, sigma2_cov=0.5), 0.0, 4, 2.0),
+    "qam64": (LinkParams(h=1, p=400, zeta=0.6, sigma2_a=1, sigma2_cov=2), 0.3, 64, 1.0),
+}
+PEM_CASES = {
+    "both-noises": (LinkParams(h=1, p=60, sigma2_a=0.5, sigma2_rec=1.0), 8),
+    "rectifier-noise": (LinkParams(h=1, p=60, sigma2_a=0.0, sigma2_rec=100.0), 4),
+    "antenna-noise": (LinkParams(h=1, p=60, sigma2_a=2.0, sigma2_rec=0.0), 4),
+}
+
+
+class TestStreamedSymbols:
+    """The symbol oracles stream _SYMBOL_BLOCK symbols at a time: within one
+    block they are the whole-array simulators bit for bit, and across blocks
+    their running totals match the concatenated per-block draws."""
+
+    @pytest.mark.parametrize("n", [2, 300, _SYMBOL_BLOCK])
+    @pytest.mark.parametrize("case", QAM_CASES)
+    def test_qam_one_block_matches_whole_array(self, case, n):
+        lp, rho, m, scale = QAM_CASES[case]
+        cfg = SimConfig(n_symbols=n, seed=n)
+        res = simulate_qam_separated(lp, rho, m, cfg, noise_scale=scale)
+        assert res.to_json_dict() == qam_separated_reference(lp, rho, m, cfg, scale)
+
+    @pytest.mark.parametrize("n", [1, 300, _SYMBOL_BLOCK])
+    @pytest.mark.parametrize("case", PEM_CASES)
+    def test_pem_one_block_matches_whole_array(self, case, n):
+        lp, m = PEM_CASES[case]
+        cfg = SimConfig(n_symbols=n, seed=n)
+        res = simulate_pem_integrated(lp, m, cfg)
+        assert res.to_json_dict() == pem_integrated_reference(lp, m, cfg)
+
+    @pytest.mark.parametrize("n", [_SYMBOL_BLOCK + 1, 3 * _SYMBOL_BLOCK + 123])
+    @pytest.mark.parametrize("case", QAM_CASES)
+    def test_qam_running_totals_across_blocks(self, case, n):
+        lp, rho, m, scale = QAM_CASES[case]
+        cfg = SimConfig(n_symbols=n, seed=7)
+        res = simulate_qam_separated(lp, rho, m, cfg, noise_scale=scale)
+        err, energies, weighted = qam_record(lp, rho, m, cfg, scale, block=_SYMBOL_BLOCK)
+        assert res.energy_hat == pytest.approx(
+            lp.zeta * rho * lp.received_power * np.mean(energies), rel=1e-12)
+        if scale == 1.0:
+            assert res.ser_hat == np.count_nonzero(err) / n
+        else:
+            assert np.count_nonzero(weighted) > 10
+            assert res.ser_hat == pytest.approx(np.mean(weighted), rel=1e-12)
+            ci = CI_FACTOR * np.std(weighted, ddof=1) / math.sqrt(n)
+            assert res.ci_halfwidth == pytest.approx(ci, rel=1e-12)
+
+    @pytest.mark.parametrize("case", PEM_CASES)
+    def test_pem_error_count_across_blocks(self, case):
+        lp, m = PEM_CASES[case]
+        cfg = SimConfig(n_symbols=3 * _SYMBOL_BLOCK + 123, seed=8)
+        res = simulate_pem_integrated(lp, m, cfg)
+        ref = pem_integrated_reference(lp, m, cfg, block=_SYMBOL_BLOCK)
+        assert res.to_json_dict() == ref
+
+    # the whole-array simulators' four draws alone take 32 MB at 1M symbols
+    @pytest.mark.parametrize("case", ["qam16", "qpsk-is", "pem"])
+    def test_memory_bounded_by_block(self, case):
+        cfg = SimConfig(n_symbols=1_000_000, seed=9)
+        tracemalloc.start()
+        try:
+            if case == "pem":
+                simulate_pem_integrated(*PEM_CASES["both-noises"], cfg)
+            else:
+                lp, rho, m, scale = QAM_CASES[case]
+                simulate_qam_separated(lp, rho, m, cfg, noise_scale=scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestPemSimulator:
     def test_vanishing_snr_is_coin_flip(self):
@@ -196,6 +287,22 @@ class TestRectifierWaveform:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_samples_per_symbol_capped_before_allocation(self):
+        cfg = SimConfig(n_symbols=10, carrier_hz=1e12, bandwidth_hz=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match="samples per symbol"):
+                simulate_rectifier_waveform(self.LP, DiodeModel(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        at_cap = SimConfig(n_symbols=1, carrier_hz=512.0, bandwidth_hz=1.0)
+        simulate_rectifier_waveform(self.LP, DiodeModel(), at_cap)   # 4096 samples
+        above = dataclasses.replace(at_cap, oversampling=9)
+        with pytest.raises(InvalidParams, match="4608 samples per symbol"):
+            simulate_rectifier_waveform(self.LP, DiodeModel(), above)
 
     def test_overflowing_waveform_raises(self):
         lp = LinkParams(h=1, p=1e200)
