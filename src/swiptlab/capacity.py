@@ -51,8 +51,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_samples < 10_000:
             raise InvalidParams("mutual-information estimate needs n_samples >= 10000")
-        if not self.quad_tol > 0:
-            raise InvalidParams("quad_tol must be > 0")
+        if not 0 < self.quad_tol < math.inf:
+            raise InvalidParams(f"quad_tol must be finite and > 0, got {self.quad_tol}")
 
 
 @dataclass(frozen=True)
@@ -374,12 +374,6 @@ def _build_knots(t_lo, t_hi, features):
     return knots
 
 
-def _gaussian_window(y, sigma_rec):
-    lo = np.maximum(y - 10.0 * sigma_rec, 0.0)
-    hi = np.maximum(y + 10.0 * sigma_rec, 1e-3 * sigma_rec)
-    return np.sqrt(lo), np.sqrt(hi)
-
-
 def _log_phi(z, sigma2, out=None):
     """log N(z; 0, sigma2) for an array z, written into out when given (out may be z)."""
     out = np.multiply(z, z, out=out)
@@ -389,6 +383,36 @@ def _log_phi(z, sigma2, out=None):
     return out
 
 
+def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch):
+    """log of the rectifier-noise convolution int N(y - t^2; 0, sigma2_rec) p_T(t) dt
+    for each sample, where p_T is a law of T = sqrt(W).
+
+    The t window maps y -/+ 10 sigma_rec, and its panel knots are the density's
+    own features plus sqrt(y) -/+ 2 and 6 widths of the Gaussian factor.
+    density(t, active, scratch) returns p_T at the (P, 1, nodes) nodes t of the
+    samples active; it may use any scratch buffer except "t" and "gauss".  scratch
+    is the worker's _Scratch, or None for a fresh one.
+    """
+    sigma_rec = math.sqrt(sigma2_rec)
+    t_lo = np.sqrt(np.maximum(y - 10.0 * sigma_rec, 0.0))
+    t_hi = np.sqrt(np.maximum(y + 10.0 * sigma_rec, 1e-3 * sigma_rec))
+    ty = np.sqrt(np.maximum(y, 0.0))
+    phi_w = 0.5 * sigma_rec / np.maximum(ty, math.sqrt(sigma_rec))
+    knots = _build_knots(t_lo, t_hi, [*features, ty - 6 * phi_w, ty - 2 * phi_w,
+                                      ty + 2 * phi_w, ty + 6 * phi_w])
+    scratch = _Scratch() if scratch is None else scratch
+
+    def integrand(t, active):
+        gauss = np.multiply(t, t, out=scratch.take("gauss", t.shape))
+        np.subtract(y[active, None, None], gauss, out=gauss)
+        np.exp(_log_phi(gauss, sigma2_rec, out=gauss), out=gauss)
+        dens = density(t, active, scratch)
+        return np.multiply(dens, gauss, out=dens)
+
+    vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
+    return np.log(np.maximum(vals, 5e-324))
+
+
 def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
     """log p(y | x) for each sample; the quadrature's node arrays live in scratch
     (a fresh _Scratch when none is given)."""
@@ -396,80 +420,40 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
         return _log_density_w_cond(y, np.sqrt(hp * x), sigma2_a)
     if sigma2_a == 0.0:
         return _log_phi(y - hp * x, sigma2_rec)
-    sigma_rec = math.sqrt(sigma2_rec)
     nu = np.sqrt(hp * x)
     sig_t = math.sqrt(sigma2_a)
-    t_lo, t_hi = _gaussian_window(y, sigma_rec)
-    ty = np.sqrt(np.maximum(y, 0.0))
-    phi_w = 0.5 * sigma_rec / np.maximum(ty, math.sqrt(sigma_rec))
-    knots = _build_knots(
-        t_lo, t_hi,
-        [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t, nu + 6 * sig_t,
-         ty - 6 * phi_w, ty - 2 * phi_w, ty + 2 * phi_w, ty + 6 * phi_w],
-    )
 
-    scratch = _Scratch() if scratch is None else scratch
-
-    def integrand(t, active):
-        # exp(log_phi(y - t^2)) * density(t), in three of the scratch buffers
-        gauss = np.multiply(t, t, out=scratch.take("gauss", t.shape))
-        np.subtract(y[active, None, None], gauss, out=gauss)
-        np.exp(_log_phi(gauss, sigma2_rec, out=gauss), out=gauss)
-        dens = _density_t_cond(t, nu[active, None, None], sigma2_a,
+    def rice(t, active, scratch):
+        return _density_t_cond(t, nu[active, None, None], sigma2_a,
                                scratch.take("dens", t.shape), scratch.take("tmp", t.shape))
-        return np.multiply(dens, gauss, out=dens)
 
-    vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
-    return np.log(np.maximum(vals, 5e-324))
+    return _log_p_conv(y, sigma2_rec, rice, [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t,
+                                             nu + 6 * sig_t], quad_tol, scratch)
 
 
-def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol):
+def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
     """log p(y) under the chi-square power input, for each sample."""
     if sigma2_rec == 0.0:
         return _log_density_w_marg(y, hp, sigma2_a)
-    sigma_rec = math.sqrt(sigma2_rec)
-    t_lo, t_hi = _gaussian_window(y, sigma_rec)
-    ty = np.sqrt(np.maximum(y, 0.0))
     if sigma2_a == 0.0:
         if hp == 0.0:
             return _log_phi(y, sigma2_rec)
-        # p(y) = int 2*phi_halfnormal(t) * phi(y - hP t^2) dt with t = sqrt(x)
+        # W = hP X, so T = sqrt(hP) |G| is half-normal with scale sqrt(hP)
         sq = math.sqrt(hp)
-        t_lo, t_hi = t_lo / sq, t_hi / sq
-        tc = ty / sq
-        phi_w = 0.5 * sigma_rec / np.maximum(ty * sq, math.sqrt(hp * sigma_rec))
-        ones = np.ones_like(y)
-        knots = _build_knots(
-            t_lo, t_hi,
-            [tc - 6 * phi_w, tc - 2 * phi_w, tc + 2 * phi_w, tc + 6 * phi_w,
-             0.5 * ones, 1.0 * ones, 2.0 * ones, 4.0 * ones],
-        )
 
-        def integrand(t, active):
-            yy = y[active, None, None]
-            gauss = np.exp(_log_phi(yy - hp * t * t, sigma2_rec))
-            half_normal = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * t * t)
-            return half_normal * gauss
+        def half_normal(t, active, scratch):
+            dens = np.multiply(t, t, out=scratch.take("dens", t.shape))
+            dens /= -2.0 * hp
+            np.exp(dens, out=dens)
+            dens *= math.sqrt(2.0 / (math.pi * hp))
+            return dens
 
-        vals = _panelized_integrals(knots, integrand, quad_tol)
-        return np.log(np.maximum(vals, 5e-324))
+        return _log_p_conv(y, sigma2_rec, half_normal, [0.5 * sq, sq, 2 * sq, 4 * sq],
+                           quad_tol, scratch)
     v1, v2 = _marginal_w_variances(hp, sigma2_a)
     s1, s2 = math.sqrt(v1), math.sqrt(v2)
-    phi_w = 0.5 * sigma_rec / np.maximum(ty, math.sqrt(sigma_rec))
-    ones = np.ones_like(y)
-    knots = _build_knots(
-        t_lo, t_hi,
-        [s2 * ones, 3 * s2 * ones, 0.5 * s1 * ones, s1 * ones, 2 * s1 * ones, 3 * s1 * ones,
-         ty - 6 * phi_w, ty - 2 * phi_w, ty + 2 * phi_w, ty + 6 * phi_w],
-    )
-
-    def integrand(t, active):
-        yy = y[active, None, None]
-        gauss = np.exp(_log_phi(yy - t * t, sigma2_rec))
-        return _density_t_marg(t, hp, sigma2_a) * gauss
-
-    vals = _panelized_integrals(knots, integrand, quad_tol)
-    return np.log(np.maximum(vals, 5e-324))
+    return _log_p_conv(y, sigma2_rec, lambda t, active, _: _density_t_marg(t, hp, sigma2_a),
+                       [s2, 3 * s2, 0.5 * s1, s1, 2 * s1, 3 * s1], quad_tol, scratch)
 
 
 # chunks run on one thread per CPU the process may use (see taskset)
@@ -550,7 +534,8 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
         return _map_chunks(
-            lambda sl, _: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol), s.size)
+            lambda sl, scratch: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol,
+                                            scratch), s.size)
 
     s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
     start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)

@@ -200,13 +200,11 @@ def cmd_solve(ns) -> int:
 
 def cmd_link(ns) -> int:
     lb = LinkBudget(distance_m=ns.distance, tx_power_w=ns.tx_power,
-                    carrier_hz=ns.carrier, bandwidth_hz=ns.bandwidth,
                     antenna_noise_dbm=ns.antenna_noise_dbm,
                     conv_noise_dbm=ns.conv_noise_dbm,
                     rec_noise_dbm=ns.rec_noise_dbm)
     lp = link_budget_to_params(lb, zeta=ns.zeta)
-    inputs = {k: getattr(ns, k) for k in ("distance", "tx_power", "carrier",
-                                          "bandwidth", "antenna_noise_dbm",
+    inputs = {k: getattr(ns, k) for k in ("distance", "tx_power", "antenna_noise_dbm",
                                           "conv_noise_dbm", "rec_noise_dbm", "zeta")}
     write_json(ns.out, inputs=inputs, outputs=lp.to_json_dict())
     print(ns.out)
@@ -304,8 +302,6 @@ COMMANDS = {
     "link": (cmd_link, "convert a link budget to channel parameters", None, (
         ("distance", float, 1.0, "link distance [m]"),
         ("tx_power", float, 1.0, "transmit power [W]"),
-        ("carrier", float, 900e6, "carrier frequency [Hz]"),
-        ("bandwidth", float, 10e6, "bandwidth [Hz]"),
         ("antenna_noise_dbm", float, -104.0, "antenna noise [dBm]"),
         ("conv_noise_dbm", float, -70.0, "conversion noise [dBm]"),
         ("rec_noise_dbm", float, -50.0, "rectifier noise std [dBm]"),

@@ -30,8 +30,6 @@ PLAN_HEADER = ("distance_m", "receiver", "m", "alpha", "rho", "rate_bits")
 # practical-link setup shared by the distance sweeps
 SWEEP_BUDGET = dict(
     tx_power_w=1.0,
-    carrier_hz=900e6,
-    bandwidth_hz=10e6,
     antenna_noise_dbm=-104.0,
     conv_noise_dbm=-70.0,
     rec_noise_dbm=-50.0,

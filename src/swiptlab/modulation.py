@@ -35,7 +35,6 @@ class ModulationPlan:
 
     family: str
     m: int | None
-    ser_target: float
     alpha: float
     rho: float | None
     rate: float  # bits/channel use, (1 - alpha) * log2(m)
@@ -65,8 +64,6 @@ class LinkBudget:
 
     distance_m: float
     tx_power_w: float
-    carrier_hz: float
-    bandwidth_hz: float
     antenna_noise_dbm: float
     conv_noise_dbm: float
     rec_noise_dbm: float   # dBm level of the rectifier noise std (a power-like std)
@@ -74,8 +71,8 @@ class LinkBudget:
     def __post_init__(self):
         if self.distance_m < 1.0:
             raise InvalidParams(f"distance must be >= 1 m, got {self.distance_m}")
-        if self.tx_power_w <= 0 or self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
-            raise InvalidParams("tx power, carrier and bandwidth must be > 0")
+        if self.tx_power_w <= 0:
+            raise InvalidParams("tx power must be > 0")
 
 
 def _check_constellation(m) -> int:
@@ -206,8 +203,7 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
     _check_ser_target(ser_target)
     if q_req == lp.q_max:
         # decoder permanently off; no constellation is usable at the limit
-        return ModulationPlan(family=QAM, m=None, ser_target=ser_target,
-                              alpha=1.0, rho=1.0, rate=0.0)
+        return ModulationPlan(family=QAM, m=None, alpha=1.0, rho=1.0, rate=0.0)
     rho0 = min((q_req + p_s) / lp.q_max, _RHO_MAX)
     rhos = sorted({0.0, rho0, *_qam_thresholds(lp, ser_target)})
     best = None
@@ -220,8 +216,7 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
             best = (rate, m, alpha, rho)
 
     rate, m, alpha, rho = best
-    return ModulationPlan(family=QAM, m=m, ser_target=ser_target,
-                          alpha=alpha, rho=rho, rate=rate)
+    return ModulationPlan(family=QAM, m=m, alpha=alpha, rho=rho, rate=rate)
 
 
 def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> ModulationPlan:
@@ -236,8 +231,7 @@ def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> Mod
     snr = lp.received_power / lp.sigma_rec
     m = max_modulation(PEM, snr, ser_target)
     rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
-    return ModulationPlan(family=PEM, m=m, ser_target=ser_target,
-                          alpha=alpha, rho=None, rate=rate)
+    return ModulationPlan(family=PEM, m=m, alpha=alpha, rho=None, rate=rate)
 
 
 def check_alpha_ordering(lp: LinkParams, p_s: float, p_i: float, q_req: float,

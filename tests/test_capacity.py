@@ -550,16 +550,28 @@ class TestDensityOracle:
         hp, s2r = 100.0, 1.0
         x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a)), 6, hp, s2a, s2r)
         cond = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10))
-        marg = np.exp(cap._log_p_marg(y, hp, s2a, s2r, 1e-10))
+        log_marg = cap._log_p_marg(y, hp, s2a, s2r, 1e-10)
+        marg = np.exp(log_marg)
         assert cond == pytest.approx(
             [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
         assert marg == pytest.approx([_p_marg_oracle(yi, hp, s2a, s2r) for yi in y], rel=1e-8)
+        # a worker's scratch, left dirty by a conditional call, changes no bit
+        scratch = cap._Scratch()
+        cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10, scratch)
+        assert np.array_equal(cap._log_p_marg(y, hp, s2a, s2r, 1e-10, scratch), log_marg)
+        assert np.array_equal(cap._log_p_marg(y, hp, s2a, 0.0, 1e-10, scratch),
+                              cap._log_p_marg(y, hp, s2a, 0.0, 1e-10))
 
-    def test_marginal_without_antenna_noise(self):
-        hp, s2r = 10.0, 1.0
+    @pytest.mark.parametrize("hp", [1e-2, 10.0, 1e3])
+    def test_marginal_without_antenna_noise(self, hp):
+        s2r = 1.0
         x, y = _channel_draws(np.random.default_rng(5), 4, hp, 0.0, s2r)
-        marg = np.exp(cap._log_p_marg(y, hp, 0.0, s2r, 1e-10))
-        assert marg == pytest.approx([_p_marg_oracle(yi, hp, 0.0, s2r) for yi in y], rel=1e-8)
+        log_marg = cap._log_p_marg(y, hp, 0.0, s2r, 1e-10)
+        assert np.exp(log_marg) == pytest.approx(
+            [_p_marg_oracle(yi, hp, 0.0, s2r) for yi in y], rel=1e-8)
+        scratch = cap._Scratch()
+        cap._log_p_cond(y, x, hp, 1.0, s2r, 1e-10, scratch)
+        assert np.array_equal(cap._log_p_marg(y, hp, 0.0, s2r, 1e-10, scratch), log_marg)
 
 
 def _count_marginal_nodes(monkeypatch):

@@ -246,7 +246,9 @@ class TestErrorHandling:
                                        ["--hp", "100", "--sa2", "nan", "--upper"],
                                        ["--hp", "100", "--sa2", "inf", "--upper"],
                                        ["--hp", "inf", "--sa2", "1", "--upper"],
-                                       ["--hp", "100", "--srec2", "inf", "--upper"]])
+                                       ["--hp", "100", "--srec2", "inf", "--upper"],
+                                       ["--hp", "100", "--sa2", "1", "--lower",
+                                        "--quad-tol", "inf"]])
     def test_non_finite_capacity_input_exit_2(self, flags, tmp_path, monkeypatch, capsys):
         code, _, err = run(["capacity", "--srec2", "1", *flags, "--samples", "10000"],
                            tmp_path, monkeypatch, capsys)
@@ -474,16 +476,13 @@ PARSER_PIN = {
     "link": ({
         "--distance": ("distance", float, None, False),
         "--tx-power": ("tx_power", float, None, False),
-        "--carrier": ("carrier", float, None, False),
-        "--bandwidth": ("bandwidth", float, None, False),
         "--antenna-noise-dbm": ("antenna_noise_dbm", float, None, False),
         "--conv-noise-dbm": ("conv_noise_dbm", float, None, False),
         "--rec-noise-dbm": ("rec_noise_dbm", float, None, False),
         "--zeta": ("zeta", float, None, False),
         "--out": ("out", str, None, False), "--config": ("config", str, None, False),
-    }, [], dict(distance=1.0, tx_power=1.0, carrier=900e6, bandwidth=10e6,
-                antenna_noise_dbm=-104.0, conv_noise_dbm=-70.0, rec_noise_dbm=-50.0,
-                zeta=1.0, out="link.json")),
+    }, [], dict(distance=1.0, tx_power=1.0, antenna_noise_dbm=-104.0, conv_noise_dbm=-70.0,
+                rec_noise_dbm=-50.0, zeta=1.0, out="link.json")),
     "simulate": ({
         "--kind": ("kind", str, ("qam", "pem", "rectifier"), True),
         **{f: (d, t, None, False) for f, (d, t) in _LINK.items()},

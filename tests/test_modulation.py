@@ -32,8 +32,6 @@ def fig11_budget(distance_m: float) -> LinkBudget:
     return LinkBudget(
         distance_m=distance_m,
         tx_power_w=1.0,
-        carrier_hz=900e6,
-        bandwidth_hz=10e6,
         antenna_noise_dbm=-104.0,
         conv_noise_dbm=-70.0,
         rec_noise_dbm=-50.0,

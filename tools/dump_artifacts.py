@@ -9,10 +9,12 @@ byte-reproducible. To see which bytes a change moves, run the script once per
 tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
 The set: every CLI example in README.md; every region scheme as CSV and as
-JSON; ``solve`` p0, p1 and p2; every ``simulate`` kind (qam plain and
-importance-sampled, pem, and the rectifier with a Gaussian and a constant
-envelope and at truncation order 3); and every figure, fig7, fig8 and fig10 at
-10000 Monte Carlo samples and the others at their defaults.
+JSON; ``capacity --lower`` without antenna noise and without rectifier noise,
+the two branches of the output densities that the examples miss; ``solve``
+p0, p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
+and the rectifier with a Gaussian and a constant envelope and at truncation
+order 3); and every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples
+and the others at their defaults.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ SCHEME_FLAGS = {
                 "--sadc2", "1", "--points", "9", "--samples", "10000", "--seed", "4"],
     "int-circuit": [*FIG10_INT, "--pi", "10", "--samples", "10000", "--seed", "5"],
 }
+CAPACITY_RUNS = {
+    "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
+    "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
+}
 SOLVE_RUNS = {
     "p0": ["--q", "30", "--ps", "25", *FIG9],
     "p1": ["--qreq", "0", "--ps", "5e-4", "--h", "1e-3", "--p", "1", "--zeta", "0.6",
@@ -56,7 +62,8 @@ SOLVE_RUNS = {
 }
 WAVE = ["--h", "1", "--p", "100", "--zeta", "0.6", "--carrier", "8", "--bandwidth", "1"]
 SIMULATE_RUNS = {
-    "qam": ["--kind", "qam", "--m", "16", "--rho", "0.2", "--h", "1", "--p", "200",
+    # 16-QAM at SER 1.15e-2: about 230 errors in 20000 symbols, so detection shows
+    "qam": ["--kind", "qam", "--m", "16", "--rho", "0.2", "--h", "1", "--p", "80",
             "--sa2", "1", "--scov2", "1", "--symbols", "20000", "--seed", "3"],
     "qam-is": ["--kind", "qam", "--m", "4", "--rho", "0", "--h", "1", "--p", "25",
                "--sa2", "0.5", "--scov2", "0.5", "--noise-scale", "2.2",
@@ -90,6 +97,8 @@ def runs() -> list[tuple[str, list[str]]]:
         for fmt in ("csv", "json"):
             out.append((f"region/{scheme}-{fmt}",
                         ["region", "--scheme", scheme, *flags, "--format", fmt]))
+    for name, flags in CAPACITY_RUNS.items():
+        out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
     for problem, flags in SOLVE_RUNS.items():
         out.append((f"solve/{problem}", ["solve", "--problem", problem, *flags]))
     for name, flags in SIMULATE_RUNS.items():
