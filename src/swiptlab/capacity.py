@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .core import LOG2E, q_function
-from .errors import InvalidParams, QuadratureFailure, SplitAtUnity, ZeroNoise
+from .errors import QuadratureFailure, SplitAtUnity, ZeroNoise, check_count, check_real
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -34,10 +34,8 @@ class C1BoundParams:
     delta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InvalidParams(f"beta must be > 0, got {self.beta}")
-        if self.delta < 0:
-            raise InvalidParams(f"delta must be >= 0, got {self.delta}")
+        check_real("beta", self.beta, lo_open=True)
+        check_real("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,8 @@ class MonteCarloConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_samples < 10_000:
-            raise InvalidParams("mutual-information estimate needs n_samples >= 10000")
-        if not 0 < self.quad_tol < math.inf:
-            raise InvalidParams(f"quad_tol must be finite and > 0, got {self.quad_tol}")
+        check_count("n_samples", self.n_samples, 10_000)
+        check_real("quad_tol", self.quad_tol, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -77,12 +73,9 @@ class MiEstimate:
 
 def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> float:
     """sigma2_rec + sigma2_adc / (1 - rho)^2 for a baseband split ratio rho."""
-    if not (math.isfinite(sigma2_rec) and math.isfinite(sigma2_adc)):
-        raise InvalidParams("noise powers must be finite")
-    if sigma2_rec < 0 or sigma2_adc < 0:
-        raise InvalidParams("noise powers must be >= 0")
-    if not 0 <= rho <= 1:
-        raise InvalidParams(f"rho must lie in [0, 1], got {rho}")
+    check_real("sigma2_rec", sigma2_rec)
+    check_real("sigma2_adc", sigma2_adc)
+    check_real("rho", rho, hi=1.0, hi_open=False)
     if rho == 1.0:
         if sigma2_adc > 0:
             raise SplitAtUnity("rho = 1 makes the effective processing noise unbounded")
@@ -92,8 +85,8 @@ def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> fl
 
 def c1_asymptotic(hp: float, sigma_rec: float) -> float:
     """High-power capacity of the intensity channel: log2(hP/sigma_rec) + 0.5*log2(e/2pi)."""
-    if not (hp > 0 and sigma_rec > 0):
-        raise InvalidParams("c1_asymptotic needs hp > 0 and sigma_rec > 0")
+    check_real("hp", hp, lo_open=True)
+    check_real("sigma_rec", sigma_rec, lo_open=True)
     return math.log2(hp / sigma_rec) + 0.5 * math.log2(math.e / (2.0 * math.pi))
 
 
@@ -103,8 +96,8 @@ def c1_upper(hp: float, sigma_rec: float, params: C1BoundParams) -> float:
     A duality-style bound: an output-measure log term, two moment terms in
     nats, minus the processing-noise differential entropy.
     """
-    if not (hp > 0 and sigma_rec > 0):
-        raise InvalidParams("c1_upper needs hp > 0 and sigma_rec > 0")
+    check_real("hp", hp, lo_open=True)
+    check_real("sigma_rec", sigma_rec, lo_open=True)
     return float(_c1_upper_bits(hp, sigma_rec, params.beta, params.delta))
 
 
@@ -150,8 +143,8 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
     the neighbours of its argmin for a fixed number of rounds.  Any residual
     search error only loosens the (still valid) bound.
     """
-    if not (0 < hp < math.inf and 0 < sigma_rec < math.inf):
-        raise InvalidParams("c1_upper_optimized needs finite hp > 0 and sigma_rec > 0")
+    check_real("hp", hp, lo_open=True)
+    check_real("sigma_rec", sigma_rec, lo_open=True)
     lo, hi = 0.0, 10.0 * sigma_rec
     best_val, best_delta = math.inf, 0.0
     for _ in range(_C1_ROUNDS):
@@ -167,8 +160,8 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
 
 def c2_upper(hp: float, sigma2_a: float) -> float:
     """Noncoherent-channel capacity upper bound with Euler-constant correction."""
-    if not (0 <= hp < math.inf and 0 < sigma2_a < math.inf):
-        raise InvalidParams("c2_upper needs finite hp >= 0 and sigma2_a > 0")
+    check_real("hp", hp)
+    check_real("sigma2_a", sigma2_a, lo_open=True)
     return 0.5 * math.log2(1.0 + hp / sigma2_a) + 0.5 * (
         math.log2(2.0 * math.pi / math.e) - EULER_GAMMA * LOG2E
     )
@@ -177,8 +170,8 @@ def c2_upper(hp: float, sigma2_a: float) -> float:
 def c2_asymptotic(hp: float, sigma2_a: float) -> float:
     """High-power noncoherent rate 0.5*log2(1 + hP/(2 sigma2_a)), achieved by a
     central chi-square (1 dof) power input."""
-    if hp < 0 or sigma2_a <= 0:
-        raise InvalidParams("c2_asymptotic needs hp >= 0 and sigma2_a > 0")
+    check_real("hp", hp)
+    check_real("sigma2_a", sigma2_a, lo_open=True)
     return 0.5 * math.log2(1.0 + hp / (2.0 * sigma2_a))
 
 
@@ -609,12 +602,9 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     bit-reproducible for a fixed seed and independent of internal chunking and
     of the thread count.
     """
-    if not all(math.isfinite(v) for v in (hp, sigma2_a, sigma2_rec)):
-        raise InvalidParams("hp and noise powers must be finite")
-    if hp < 0:
-        raise InvalidParams("hp must be >= 0")
-    if sigma2_a < 0 or sigma2_rec < 0:
-        raise InvalidParams("noise powers must be >= 0")
+    check_real("hp", hp)
+    check_real("sigma2_a", sigma2_a)
+    check_real("sigma2_rec", sigma2_rec)
     if sigma2_a == 0 and sigma2_rec == 0:
         raise ZeroNoise("noiseless rectified channel has unbounded rate")
 

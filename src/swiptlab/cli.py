@@ -1,8 +1,9 @@
 """Command-line front end: computes regions, bounds, solver outputs and
 Monte Carlo runs, emitting CSV/JSON artifacts for downstream tools.
 
-Exit codes: 0 success, 2 invalid parameters, 3 infeasible problem,
-4 numerical failure.
+Exit codes: 0 success, 2 invalid parameters (out of memory included), 3
+infeasible problem, 4 numerical failure; errors.py gives each error class its
+code.
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ from .capacity import (
     cnl_lower_chi2,
 )
 from .core import LinkParams, REBoundary, upper_bound_region
-from .errors import (
-    AliasedCarrier,
-    DegenerateCircuitPower,
-    InfeasibleTarget,
-    InvalidParams,
-    NonPositivePower,
-    QuadratureFailure,
-    SplitAtUnity,
-    SwiptError,
-    ZeroNoise,
-)
+from .errors import InvalidParams, SwiptError
 from .figures import build_figure
 from .modulation import LinkBudget, link_budget_to_params, solve_p1, solve_p2
 from .regions import (
@@ -52,10 +43,6 @@ from .simkit import DiodeModel, SimConfig, simulate_pem_integrated, \
     simulate_qam_separated, simulate_rectifier_waveform
 
 CSV_HEADER = ("scheme", "receiver", "rate_bits", "energy_units")
-
-_INVALID = (InvalidParams, ZeroNoise, NonPositivePower, SplitAtUnity, ValueError)
-_INFEASIBLE = (InfeasibleTarget, DegenerateCircuitPower)
-_NUMERICAL = (QuadratureFailure, AliasedCarrier, FloatingPointError)
 
 
 def _fmt(x) -> str:
@@ -409,21 +396,13 @@ def main(argv=None) -> int:
     try:
         ns = _merge_options(ns)
         return COMMANDS[ns.command][0](ns)
-    except _INFEASIBLE as exc:
-        _emit_error(exc, 3)
-        return 3
-    except _NUMERICAL as exc:
-        _emit_error(exc, 4)
-        return 4
-    except (_INVALID + (SwiptError, OSError, json.JSONDecodeError)) as exc:
-        _emit_error(exc, 2)
-        return 2
-
-
-def _emit_error(exc: Exception, code: int):
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc),
-                     "exit_code": code}}
-    print(json.dumps(doc), file=sys.stderr)
+    except (SwiptError, FloatingPointError, ValueError, OSError, MemoryError) as exc:
+        # each SwiptError class carries its code; a bad JSON config is a ValueError
+        code = getattr(exc, "exit_code", 4 if isinstance(exc, FloatingPointError) else 2)
+        doc = {"error": {"type": type(exc).__name__, "message": str(exc),
+                         "exit_code": code}}
+        print(json.dumps(doc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

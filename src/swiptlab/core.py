@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erfc
 
-from .errors import InvalidParams, NonPositivePower, ZeroNoise
+from .errors import InvalidParams, NonPositivePower, ZeroNoise, check_count, check_real
 
 LOG2E = math.log2(math.e)
 
@@ -43,17 +43,12 @@ class LinkParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.h < math.inf:
-            raise InvalidParams(f"channel gain must be finite and > 0, got h={self.h}")
-        if not 0 <= self.p < math.inf:
-            raise InvalidParams(f"transmit power must be finite and >= 0, got p={self.p}")
-        if not 0 < self.zeta <= 1:
-            raise InvalidParams(f"conversion efficiency must lie in (0, 1], got zeta={self.zeta}")
+        check_real("h", self.h, lo_open=True)
+        check_real("p", self.p)
+        check_real("zeta", self.zeta, hi=1.0, lo_open=True, hi_open=False)
         for name in ("sigma2_a", "sigma2_cov", "sigma2_rec", "sigma2_adc"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidParams(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0 <= self.theta < 2 * math.pi:
-            raise InvalidParams(f"theta must lie in [0, 2*pi), got {self.theta}")
+            check_real(name, getattr(self, name))
+        check_real("theta", self.theta, hi=2 * math.pi)
 
     @property
     def received_power(self) -> float:
@@ -84,10 +79,8 @@ class OpsPair:
     rho: float
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise InvalidParams(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0 <= self.rho <= 1:
-            raise InvalidParams(f"rho must lie in [0, 1], got {self.rho}")
+        check_real("alpha", self.alpha, hi=1.0, hi_open=False)
+        check_real("rho", self.rho, hi=1.0, hi_open=False)
 
     @property
     def mean_split(self) -> float:
@@ -104,8 +97,8 @@ class SplitVector:
         rho = tuple(float(r) for r in self.rho)
         if len(rho) == 0:
             raise InvalidParams("split vector must not be empty")
-        if any(not 0 <= r <= 1 for r in rho):
-            raise InvalidParams("every split ratio must lie in [0, 1]")
+        for r in rho:
+            check_real("split ratio", r, hi=1.0, hi_open=False)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -177,15 +170,12 @@ class REBoundary:
     def to_csv_rows(self) -> list[tuple[str, str, float, float]]:
         return [(self.scheme, self.receiver, r, e) for r, e in self.points.tolist()]
 
-    def to_json_dict(self, provenance: dict | None = None) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "scheme": self.scheme,
             "receiver": self.receiver,
             "points": [{"rate_bits": r, "energy_units": e} for r, e in self.points.tolist()],
         }
-        if provenance:
-            d["provenance"] = dict(provenance)
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "REBoundary":
@@ -237,28 +227,35 @@ def harvested_energy(schedule: PowerSchedule, lp: LinkParams) -> float:
     raise InvalidParams(f"unsupported schedule type: {type(schedule).__name__}")
 
 
+def box_boundary(rate: float, energy: float, n_points: int, scheme: str,
+                 receiver: str) -> REBoundary:
+    """The box with corner (rate, energy): n_points - 1 points at that rate
+    from energy 0 to the corner, then (0, energy)."""
+    check_count("n_points", n_points, 2)
+    rates = np.append(np.full(n_points - 1, rate), 0.0)
+    energies = np.append(np.linspace(0.0, energy, n_points - 1), energy)
+    return REBoundary(points=np.column_stack((rates, energies)), scheme=scheme,
+                      receiver=receiver)
+
+
 def upper_bound_region(lp: LinkParams, n_points: int = 512) -> REBoundary:
     """Receiver-architecture-independent outer bound: the box with corner
     (log2(1 + hP/sigma2_a), hP)."""
-    if lp.sigma2_a <= 0:
-        raise InvalidParams("upper bound requires sigma2_a > 0")
-    if n_points < 2:
-        raise InvalidParams("need at least 2 boundary points")
-    r_max = math.log2(1.0 + lp.received_power / lp.sigma2_a)
-    q_max = lp.received_power
-    rates = np.append(np.full(n_points - 1, r_max), 0.0)
-    energies = np.append(np.linspace(0.0, q_max, n_points - 1), q_max)
-    return REBoundary(points=np.column_stack((rates, energies)), scheme="ub",
-                      receiver="any")
+    check_real("sigma2_a of the upper bound", lp.sigma2_a, lo_open=True)
+    return box_boundary(math.log2(1.0 + lp.received_power / lp.sigma2_a),
+                        lp.received_power, n_points, "ub", "any")
 
 
 def dbm_to_watts(dbm: float) -> float:
     """10^((dBm - 30)/10)."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise InvalidParams(f"a level of {dbm:g} dBm overflows a float in watts") from None
 
 
 def watts_to_dbm(watts: float) -> float:
     """Inverse of dbm_to_watts; requires a strictly positive power."""
-    if watts <= 0:
+    if not watts > 0:
         raise NonPositivePower(f"cannot express {watts} W in dBm")
     return 10.0 * math.log10(watts) + 30.0

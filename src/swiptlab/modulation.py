@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erfcinv
 
 from .core import LinkParams, dbm_to_watts, q_function, split_snr
-from .errors import BadConstellation, InfeasibleTarget, InvalidParams
+from .errors import BadConstellation, InfeasibleTarget, InvalidParams, check_real
 
 MAX_BITS = 10  # largest supported constellation is 2**10
 
@@ -69,10 +69,8 @@ class LinkBudget:
     rec_noise_dbm: float   # dBm level of the rectifier noise std (a power-like std)
 
     def __post_init__(self):
-        if self.distance_m < 1.0:
-            raise InvalidParams(f"distance must be >= 1 m, got {self.distance_m}")
-        if self.tx_power_w <= 0:
-            raise InvalidParams("tx power must be > 0")
+        check_real("distance_m", self.distance_m, lo=1.0)
+        check_real("tx_power_w", self.tx_power_w, lo_open=True)
 
 
 def _check_constellation(m) -> int:
@@ -92,8 +90,7 @@ def ser_qam(m: int, snr_per_symbol: float) -> float:
     exceed 1 at very low SNR, which is the documented contract.
     """
     m = _check_constellation(m)
-    if snr_per_symbol < 0:
-        raise InvalidParams("SNR must be >= 0")
+    check_real("snr_per_symbol", snr_per_symbol)
     sm = math.sqrt(m)
     return 4.0 * (sm - 1.0) / sm * q_function(math.sqrt(3.0 * snr_per_symbol / (m - 1)))
 
@@ -102,24 +99,18 @@ def ser_pem(m: int, snr_per_symbol: float) -> float:
     """Pulse-energy-modulation SER 2(M-1)/M * Q(snr'/(M-1)) with midpoint
     decisions; snr' = hP/sigma_rec."""
     m = _check_constellation(m)
-    if snr_per_symbol < 0:
-        raise InvalidParams("SNR must be >= 0")
+    check_real("snr_per_symbol", snr_per_symbol)
     return 2.0 * (m - 1.0) / m * q_function(snr_per_symbol / (m - 1))
 
 
 _SER_BY_FAMILY = {QAM: ser_qam, PEM: ser_pem}
 
 
-def _check_ser_target(ser_target: float):
-    if not 0 < ser_target < 1:
-        raise InvalidParams(f"ser_target must lie in (0, 1), got {ser_target}")
-
-
 def max_modulation(family: str, snr: float, ser_target: float) -> int | None:
     """Largest supported constellation meeting the SER target, or None."""
     if family not in _SER_BY_FAMILY:
         raise InvalidParams(f"unknown modulation family {family!r}")
-    _check_ser_target(ser_target)
+    check_real("ser_target", ser_target, hi=1.0, lo_open=True)
     ser = _SER_BY_FAMILY[family]
     for l in range(MAX_BITS, 0, -1):
         m = 1 << l
@@ -145,8 +136,7 @@ def p2_alpha(lp: LinkParams, p_i: float, q_req: float) -> float:
 
 
 def _check_q_req(lp: LinkParams, q_req: float):
-    if not math.isfinite(q_req):
-        raise InvalidParams(f"required energy must be finite, got {q_req}")
+    check_real("q_req", q_req, lo=-math.inf)
     if not 0 <= q_req <= lp.q_max:
         raise InfeasibleTarget(f"required energy {q_req} outside [0, {lp.q_max}]")
 
@@ -197,10 +187,9 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
     of rho = 0, rho0 and the thresholds, each clipped to [0, 1 - 1e-12].
     Ties break toward the smaller constellation, then the smaller split.
     """
-    if not 0 <= p_s < math.inf:
-        raise InvalidParams(f"p_s must be finite and >= 0, got {p_s}")
+    check_real("p_s", p_s)
     _check_q_req(lp, q_req)
-    _check_ser_target(ser_target)
+    check_real("ser_target", ser_target, hi=1.0, lo_open=True)
     if q_req == lp.q_max:
         # decoder permanently off; no constellation is usable at the limit
         return ModulationPlan(family=QAM, m=None, alpha=1.0, rho=1.0, rate=0.0)
@@ -222,11 +211,9 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
 def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> ModulationPlan:
     """Maximize the integrated receiver's PEM rate under SER and net-energy
     constraints; the off fraction is closed-form and the split plays no role."""
-    if not 0 <= p_i < math.inf:
-        raise InvalidParams(f"p_i must be finite and >= 0, got {p_i}")
+    check_real("p_i", p_i)
     _check_q_req(lp, q_req)
-    if lp.sigma2_rec <= 0:
-        raise InvalidParams("integrated receiver needs sigma2_rec > 0")
+    check_real("sigma2_rec of the integrated receiver", lp.sigma2_rec, lo_open=True)
     alpha = min(p2_alpha(lp, p_i, q_req), 1.0)
     snr = lp.received_power / lp.sigma_rec
     m = max_modulation(PEM, snr, ser_target)

@@ -22,8 +22,14 @@ from .capacity import (
     cnl_lower_chi2,
     effective_proc_noise,
 )
-from .core import LinkParams, REBoundary, awgn_rate, split_snr
-from .errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
+from .core import LinkParams, REBoundary, awgn_rate, box_boundary, split_snr
+from .errors import (
+    DegenerateCircuitPower,
+    InfeasibleTarget,
+    InvalidParams,
+    check_count,
+    check_real,
+)
 
 LN2 = math.log(2.0)
 
@@ -104,11 +110,6 @@ class DominanceReport:
         return self.rate_sps - self.rate_dps
 
 
-def _check_points(n_points: int, minimum: int = 2):
-    if n_points < minimum:
-        raise InvalidParams(f"need at least {minimum} boundary points, got {n_points}")
-
-
 def _boundary(rates, energies, scheme: str, receiver: str) -> REBoundary:
     return REBoundary(points=np.column_stack((rates, energies)), scheme=scheme,
                       receiver=receiver)
@@ -116,15 +117,13 @@ def _boundary(rates, energies, scheme: str, receiver: str) -> REBoundary:
 
 def region_ts(lp: LinkParams, n_points: int = 512) -> REBoundary:
     """Time-switching boundary: the chord from (R_max, 0) to (0, zeta h P)."""
-    _check_points(n_points)
-    alphas = np.linspace(0.0, 1.0, n_points)
+    alphas = np.linspace(0.0, 1.0, check_count("n_points", n_points, 2))
     return _boundary((1.0 - alphas) * awgn_rate(lp), alphas * lp.q_max, "ts", "separated")
 
 
 def region_sps(lp: LinkParams, n_points: int = 512) -> REBoundary:
     """Static power splitting boundary swept over the split ratio."""
-    _check_points(n_points)
-    rhos = np.linspace(0.0, 1.0, n_points)
+    rhos = np.linspace(0.0, 1.0, check_count("n_points", n_points, 2))
     return _boundary(np.log2(1.0 + split_snr(rhos, lp)), rhos * lp.q_max, "sps", "separated")
 
 
@@ -146,20 +145,13 @@ def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
 
 
 def _cap_bits(cap) -> float:
-    value = cap.value if isinstance(cap, MiEstimate) else float(cap)
-    if not 0 <= value < math.inf:
-        raise InvalidParams(f"capacity must be finite and >= 0, got {value}")
-    return value
+    return check_real("capacity", cap.value if isinstance(cap, MiEstimate) else float(cap))
 
 
 def region_int_ideal(lp: LinkParams, cap, n_points: int = 512) -> REBoundary:
     """Integrated receiver without circuit power: the box with corner
     (capacity, zeta h P)."""
-    _check_points(n_points)
-    c = _cap_bits(cap)
-    return _boundary(np.append(np.full(n_points - 1, c), 0.0),
-                     np.append(np.linspace(0.0, lp.q_max, n_points - 1), lp.q_max),
-                     "int-ideal", "integrated")
+    return box_boundary(_cap_bits(cap), lp.q_max, n_points, "int-ideal", "integrated")
 
 
 def region_int_adc(lp: LinkParams, n_points: int,
@@ -169,8 +161,7 @@ def region_int_adc(lp: LinkParams, n_points: int,
     noise grows with rho).  With zero quantization noise the rate is flat in
     rho and the frontier collapses to the ideal box corner, up to the sweep
     resolution."""
-    _check_points(n_points)
-    rhos = np.linspace(0.0, 1.0 - 1e-3, n_points)
+    rhos = np.linspace(0.0, 1.0 - 1e-3, check_count("n_points", n_points, 2))
     rates = np.array([cap_fn(float(r)) for r in rhos], dtype=float)
     # Pareto frontier: keep a point whose rate strictly beats every rate at
     # higher energy
@@ -186,11 +177,6 @@ def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], fl
         eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)
         return cnl_lower_chi2(lp.received_power, lp.sigma2_a, eff, mc).value
     return cap_fn
-
-
-def _check_power(name: str, value: float):
-    if not 0 <= value < math.inf:
-        raise InvalidParams(f"{name} must be finite and >= 0, got {value}")
 
 
 def _energy_targets(q_target, q_max: float, closed: bool) -> np.ndarray:
@@ -209,13 +195,14 @@ def _energy_targets(q_target, q_max: float, closed: bool) -> np.ndarray:
 
 def rs_coefficients(lp: LinkParams, p_s: float, q_target) -> RsCoefficients:
     """Reduced-objective coefficients for one energy target or an array."""
-    _check_power("p_s", p_s)
-    if p_s == 0:
-        raise DegenerateCircuitPower("rs_coefficients needs p_s > 0")
+    if check_real("p_s", p_s) == 0:
+        raise DegenerateCircuitPower(
+            "p_s = 0 has no on-off tradeoff; use region_sps for the ideal boundary")
     q_max = lp.q_max
     hp = lp.received_power
     rel = 1.0 - _energy_targets(q_target, q_max, closed=False) / q_max
-    a = lp.sigma2_cov - lp.sigma2_a * p_s / q_max
+    # with q_max = 0 no target is feasible, so only an empty batch gets here
+    a = lp.sigma2_cov - (lp.sigma2_a * p_s / q_max if q_max > 0 else 0.0)
     b = lp.sigma2_a * rel
     c = -p_s / lp.zeta
     d = hp * rel
@@ -246,19 +233,16 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     not change sign.  q_target is one target or an array; every target is
     bisected at once, each through the same midpoints as on its own.
     """
-    _check_power("p_s", p_s)
-    if p_s == 0:
-        raise DegenerateCircuitPower(
-            "p_s = 0 has no on-off tradeoff; use region_sps for the ideal boundary")
     q_max = lp.q_max
     q = _energy_targets(q_target, q_max, closed=True)
     qs = np.atleast_1d(q)
-    # q = q_max is the full-harvest point: alpha = rho = 1, rate 0
+    # q = q_max is the full-harvest point: alpha = rho = 1, rate 0; at q_max = 0
+    # it is the only feasible target
     alpha, rho, rate = np.ones_like(qs), np.ones_like(qs), np.zeros_like(qs)
     inner = qs < q_max
     q_in = qs[inner]
 
-    co = rs_coefficients(lp, p_s, q_in)
+    co = rs_coefficients(lp, p_s, q_in)   # checks p_s, for an empty batch too
     lo, hi = co.s_lo, co.s_hi
     nudge = 1e-12 * np.maximum(hi - lo, 1.0)
     # an interval no wider than the endpoint nudge is far below the bisection
@@ -277,25 +261,25 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
         live &= b - a > _BISECT_TOL
     s_star = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
-    alpha[inner] = 1.0 - s_star
-    rho[inner] = _rho_from_split(lp, p_s, q_in, s_star)
-    rate[inner] = (1.0 - alpha[inner]) * np.log2(1.0 + split_snr(rho[inner], lp))
+    if q_in.size:   # never at q_max = 0, where _rho_from_split cannot divide
+        alpha[inner] = 1.0 - s_star
+        rho[inner] = _rho_from_split(lp, p_s, q_in, s_star)
+        rate[inner] = (1.0 - alpha[inner]) * np.log2(1.0 + split_snr(rho[inner], lp))
     return P0Solution(*(x if q.ndim else float(x[0]) for x in (alpha, rho, rate, qs)))
 
 
 def region_sep_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Separated receiver with decoding circuit power: optimal on-off boundary
     swept over the net-energy target."""
-    _check_points(n_points)
-    qs = np.linspace(0.0, lp.q_max, n_points)
+    qs = np.linspace(0.0, lp.q_max, check_count("n_points", n_points, 2))
     return _boundary(solve_p0(lp, p_s, qs).rate, qs, "ops-circuit", "separated")
 
 
 def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Time switching with circuit power: the chord truncated where the net
     energy crosses zero."""
-    _check_points(n_points)
-    _check_power("p_s", p_s)
+    check_count("n_points", n_points, 2)
+    check_real("p_s", p_s)
     r_max = awgn_rate(lp)
     # net energy alpha*q_max - (1-alpha)*p_s >= 0 from this alpha on
     alpha0 = p_s / (lp.q_max + p_s) if lp.q_max + p_s > 0 else 1.0
@@ -307,9 +291,8 @@ def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoun
 
 def region_sps_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
     """Always-on static split with circuit power, truncated at zero net energy."""
-    _check_points(n_points)
-    _check_power("p_s", p_s)
-    if p_s >= lp.q_max:
+    check_count("n_points", n_points, 2)
+    if check_real("p_s", p_s) >= lp.q_max:
         # decoder can never be energy-neutral: only the zero-energy point at rho = 1
         return _boundary([0.0], [0.0], "sps-circuit", "separated")
     rhos = np.linspace(p_s / lp.q_max, 1.0, n_points)
@@ -325,8 +308,8 @@ def region_int_circuit(lp: LinkParams, p_i: float, cap,
     the chord to (0, q_max); when the circuit draw exceeds q_max only a scaled
     chord survives.
     """
-    _check_points(n_points, minimum=3)
-    _check_power("p_i", p_i)
+    check_count("n_points", n_points, 3)
+    check_real("p_i", p_i)
     c = _cap_bits(cap)
     q_max = lp.q_max
     if p_i < q_max:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LinkParams
-from .errors import AliasedCarrier, InvalidParams
+from .errors import AliasedCarrier, InvalidParams, check_count, check_real
 from .modulation import _check_constellation
 
 # 95% normal-approximation half-width factor for binomial confidence intervals
@@ -53,18 +53,17 @@ class DiodeModel:
     truncation_order: int = 2
 
     def __post_init__(self):
-        if not (0 < self.i_s < math.inf and 0 < self.gamma < math.inf):
-            raise InvalidParams(
-                f"diode constants must be finite and > 0, got i_s={self.i_s}, "
-                f"gamma={self.gamma}")
-        if self.truncation_order < 2:
-            raise InvalidParams("truncation order must be >= 2")
+        check_real("i_s", self.i_s, lo_open=True)
+        check_real("gamma", self.gamma, lo_open=True)
+        check_count("truncation_order", self.truncation_order, 2)
         try:
-            self.coefficients()
+            a2 = self.coefficients()[1]
         except OverflowError:
             raise InvalidParams(
                 f"diode coefficients overflow at gamma={self.gamma}, order "
                 f"{self.truncation_order}") from None
+        # the waveform oracle divides its DC output by a2
+        check_real("square-law coefficient a2", a2, lo_open=True)
 
     def coefficient(self, n: int) -> float:
         return self.i_s * self.gamma ** n / math.factorial(n)
@@ -92,14 +91,10 @@ class SimConfig:
     bandwidth_hz: float = 1.0
 
     def __post_init__(self):
-        if self.n_symbols < 1:
-            raise InvalidParams("n_symbols must be >= 1")
-        if self.oversampling < 8:
-            raise InvalidParams("oversampling must be >= 8")
-        if not (0 < self.carrier_hz < math.inf and 0 < self.bandwidth_hz < math.inf):
-            raise InvalidParams(
-                f"carrier and bandwidth must be finite and > 0, got carrier_hz="
-                f"{self.carrier_hz}, bandwidth_hz={self.bandwidth_hz}")
+        check_count("n_symbols", self.n_symbols, 1)
+        check_count("oversampling", self.oversampling, 8)
+        check_real("carrier_hz", self.carrier_hz, lo_open=True)
+        check_real("bandwidth_hz", self.bandwidth_hz, lo_open=True)
         ratio = self.carrier_hz / self.bandwidth_hz
         if not 8 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
             raise InvalidParams("carrier/bandwidth must be a finite integer ratio >= 8")
@@ -193,10 +188,8 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
     confidence interval needs n_symbols >= 2.
     """
     m = _check_constellation(m)
-    if not 0 <= rho < 1:
-        raise InvalidParams(f"rho must lie in [0, 1), got {rho}")
-    if not 1.0 <= noise_scale < math.inf:
-        raise InvalidParams(f"noise_scale must be finite and >= 1, got {noise_scale}")
+    check_real("rho", rho, hi=1.0)
+    check_real("noise_scale", noise_scale, lo=1.0)
     if noise_scale > 1.0 and cfg.n_symbols < 2:
         raise InvalidParams(
             f"importance sampling (noise_scale={noise_scale}) needs n_symbols >= 2 "

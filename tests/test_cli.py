@@ -1,18 +1,24 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swiptlab.cli import (
+    COMMANDS,
     CSV_HEADER,
     REGION_SCHEMES,
     _merge_options,
@@ -150,6 +156,20 @@ class TestSolveCommand:
         out = json.loads((tmp_path / "p2.json").read_text())["outputs"]
         assert out["alpha"] == 1.0 and out["rate_bits"] == 0.0
 
+    # zeta*h*P = 0 exactly, and by underflow: the full-harvest point is the only one
+    @pytest.mark.parametrize("link", [["--p", "0"], ["--h", "1e-300", "--p", "1e-300"]])
+    def test_p0_at_zero_q_max(self, link, tmp_path, monkeypatch, capsys):
+        flags = [*link, "--ps", "1", "--sa2", "1", "--scov2", "1"]
+        code, _, _ = run(["solve", "--problem", "p0", *flags], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        out = json.loads((tmp_path / "solve.json").read_text())["outputs"]
+        assert out == {"alpha_star": 1.0, "rho_star": 1.0, "rate_bits": 0.0, "q_target": 0.0}
+        for scheme in ("ops-circuit", "ts-circuit", "sps-circuit"):
+            code, _, _ = run(["region", "--scheme", scheme, *flags, "--points", "4"],
+                             tmp_path, monkeypatch, capsys)
+            assert code == 0
+            assert not read_boundary_csv(str(tmp_path / f"region_{scheme}.csv")).points.any()
+
 
 class TestLinkCommand:
     def test_distance_conversion(self, tmp_path, monkeypatch, capsys):
@@ -264,7 +284,7 @@ class TestErrorHandling:
         assert code == 2
         doc = json.loads(err)["error"]
         assert doc["type"] == "InvalidParams" and "finite" in doc["message"]
-        assert "p=nan" in doc["message"]
+        assert "p must be finite and >= 0, got nan" in doc["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -347,6 +367,26 @@ class TestErrorHandling:
         assert doc["type"] == "InvalidParams" and named in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["antenna-noise-dbm", "conv-noise-dbm", "rec-noise-dbm"])
+    def test_link_level_overflow_exit_2(self, flag, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["link", f"--{flag}", "1e12"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "1e+12 dBm" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(ns, lp):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setitem(REGION_SCHEMES, "ts", exhausted)
+        code, _, err = run(["region", "--scheme", "ts", "--sa2", "1"], tmp_path, monkeypatch,
+                           capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "MemoryError", "message": "Unable to allocate 745. GiB for an array",
+            "exit_code": 2}
+        assert not list(tmp_path.iterdir())
+
     # importance sampling needs two weights for its confidence interval
     def test_importance_sampling_one_symbol_exit_2(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(["simulate", "--kind", "qam", "--m", "4", "--rho", "0", "--h", "1",
@@ -393,6 +433,58 @@ class TestErrorHandling:
                              tmp_path, monkeypatch, capsys)
             assert code == 0
         assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+# every float flag of the fuzzed commands keeps its base value or takes one of these
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e-12", "0.5", "1", "3", "100",
+               "1e12", "1e300")
+# each command with its selector and a feasible base: every count is small and
+# fixed, the integrated schemes take --cap so that none estimates the MI, and
+# capacity runs --upper only
+_FUZZ_LINK = ["--h=1", "--p=100", "--zeta=0.6", "--sa2=1", "--scov2=10", "--srec2=1"]
+FUZZ_CASES = (
+    *(["region", "--scheme", scheme, *_FUZZ_LINK, "--ps=25", "--pi=10", "--cap=3",
+       "--points=8"]
+      for scheme in ("ub", "ts", "sps", "ops-circuit", "ts-circuit", "sps-circuit",
+                     "int-ideal", "int-circuit")),
+    *(["solve", "--problem", problem, *_FUZZ_LINK, "--ps=25", "--pi=10", "--q=30",
+       "--qreq=10"] for problem in ("p0", "p1", "p2")),
+    ["link"],
+    ["capacity", "--upper", "--sa2=1", "--srec2=1"],
+    *(["simulate", "--kind", kind, *_FUZZ_LINK, "--rho=0.2", "--m=4", "--symbols=64",
+       "--oversampling=8", "--truncation-order=2"] for kind in ("qam", "pem", "rectifier")),
+)
+
+
+def _fuzzed_argv(case):
+    """case followed by a value from FUZZ_VALUES for a few of its float flags."""
+    floats = [dest.replace("_", "-") for dest, kind, _, _ in COMMANDS[case[0]][3]
+              if kind is float]
+    flags = st.tuples(st.sampled_from(floats), st.sampled_from(FUZZ_VALUES))
+    return st.lists(flags, max_size=5).map(
+        lambda pairs: [*case, *(f"--{flag}={value}" for flag, value in pairs)])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(*map(_fuzzed_argv, FUZZ_CASES)))
+    # crashes that exited 1: a dBm level whose watts overflow, solve_p0 at
+    # zeta*h*P = 0 (exactly or by underflow), and a diode whose a2 underflows
+    @example(["link", "--rec-noise-dbm=1e12"])
+    @example(["solve", "--problem", "p0", "--p=0", "--ps=1", "--sa2=1", "--scov2=1"])
+    @example(["region", "--scheme", "ops-circuit", "--points", "8", "--h=1e-300",
+              "--p=1e-300", "--ps=1", "--sa2=1", "--scov2=1"])
+    @example(["simulate", "--kind", "rectifier", "--symbols=64", "--diode-gamma=1e-300"])
+    def test_float_flags(self, argv):
+        with tempfile.TemporaryDirectory() as out_dir:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", os.path.join(out_dir, "artifact")])
+            assert code in (0, 2, 3, 4)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and json.loads(lines[0])["error"]["exit_code"] == code
+                assert not os.listdir(out_dir)
 
 
 class TestStartup:

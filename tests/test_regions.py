@@ -203,6 +203,22 @@ class TestSolveP0:
         with pytest.raises(DegenerateCircuitPower):
             solve_p0(FIG9_LP, 0.0, 10.0)
 
+    # q_max = 0 exactly, and by underflow of zeta*h*P
+    @pytest.mark.parametrize("lp", [LinkParams(h=1, p=0, sigma2_a=1, sigma2_cov=1),
+                                    LinkParams(h=1e-300, p=1e-300, sigma2_a=1, sigma2_cov=1)])
+    def test_zero_q_max_is_the_full_harvest_point(self, lp):
+        assert lp.q_max == 0.0
+        sol = solve_p0(lp, 1.0, 0.0)
+        assert (sol.alpha_star, sol.rho_star, sol.rate, sol.q_target) == (1.0, 1.0, 0.0, 0.0)
+        for bnd in (region_sep_circuit(lp, 1.0, 4), region_ts_circuit(lp, 1.0, 4),
+                    region_sps_circuit(lp, 1.0, 4)):
+            assert not bnd.points.any()
+        for p_s in (math.nan, -1.0):
+            with pytest.raises(InvalidParams, match="p_s must be finite"):
+                solve_p0(lp, p_s, 0.0)
+        with pytest.raises(DegenerateCircuitPower):
+            solve_p0(lp, 0.0, 0.0)
+
     def test_infeasible(self):
         with pytest.raises(InfeasibleTarget):
             solve_p0(FIG9_LP, FIG9_PS, FIG9_LP.q_max + 1.0)

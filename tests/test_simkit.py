@@ -59,6 +59,12 @@ class TestDiodeModel:
         with pytest.raises(InvalidParams, match="overflow"):
             DiodeModel(gamma=1e200)
 
+    # the waveform oracle divides its DC output by a2 = i_s gamma^2 / 2
+    @pytest.mark.parametrize("kwargs", [{"gamma": 1e-300}, {"i_s": 1e-300, "gamma": 1e-12}])
+    def test_rejects_underflowing_square_law_coefficient(self, kwargs):
+        with pytest.raises(InvalidParams, match="square-law coefficient a2"):
+            DiodeModel(**kwargs)
+
 
 class TestQamSimulator:
     def test_noiseless_detection(self):

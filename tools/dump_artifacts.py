@@ -13,8 +13,11 @@ JSON; ``capacity --lower`` without antenna noise and without rectifier noise,
 the two branches of the output densities that the examples miss; ``solve``
 p0, p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
 and the rectifier with a Gaussian and a constant envelope and at truncation
-order 3); and every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples
-and the others at their defaults.
+order 3); every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples
+and the others at their defaults; and a fixed set of rejected commands, each
+of which leaves its exit code and stderr record under ``errors/<name>/`` so
+that ``diff -r`` shows a changed message.  A run counts as failed when its
+exit code differs from the expected one: 0, or the rejected command's own.
 """
 
 from __future__ import annotations
@@ -79,6 +82,17 @@ SIMULATE_RUNS = {
 }
 # the figures that estimate the MI run at 10000 samples, the others at their defaults
 MI_FIGURES = ("fig7", "fig8", "fig10")
+# name -> (argv, expected exit code) of the rejected commands
+ERROR_RUNS = {
+    "link-p-nan": (["region", "--scheme", "ts", "--p", "nan", "--sa2", "1"], 2),
+    "quad-tol-inf": (["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--lower",
+                      "--samples", "10000", "--quad-tol", "inf"], 2),
+    "dbm-overflow": (["link", "--rec-noise-dbm", "1e12"], 2),
+    "p0-infeasible": (["solve", "--problem", "p0", "--q", "100", "--ps", "25", *FIG9], 3),
+    # the unit point scaled by 1e-6, where the output-density quadrature gives up
+    "capacity-rescaled": (["capacity", "--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12",
+                           "--lower", "--samples", "10000"], 4),
+}
 
 
 def readme_examples() -> list[list[str]]:
@@ -106,27 +120,36 @@ def runs() -> list[tuple[str, list[str]]]:
     for fig in FIGURES:
         flags = ["--samples", "10000"] if fig in MI_FIGURES else []
         out.append((f"figure/{fig}", ["figure", fig, *flags]))
+    for name, (argv, _) in ERROR_RUNS.items():
+        out.append((f"errors/{name}", argv))
     return out
 
 
 def dump(out_dir: Path) -> int:
-    """Run every argv from its subdirectory of out_dir; the number that failed."""
+    """Run every argv from its subdirectory of out_dir; the number of runs whose
+    exit code was not the expected one.  A nonzero exit writes its code and
+    stderr to exit_code.txt and stderr.txt there."""
     os.environ["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
     if set(SCHEME_FLAGS) != set(REGION_SCHEMES):
         raise SystemExit(f"SCHEME_FLAGS must cover {sorted(REGION_SCHEMES)}")
+    expected = {f"errors/{name}": code for name, (_, code) in ERROR_RUNS.items()}
     failed = 0
     cwd = os.getcwd()
     for sub, argv in runs():
         target = out_dir / sub
         target.mkdir(parents=True, exist_ok=True)
         os.chdir(target)
+        err = io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
         finally:
             os.chdir(cwd)
+        if code:
+            (target / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
+            (target / "stderr.txt").write_text(err.getvalue(), encoding="utf-8")
         print(f"{code}  {sub}: swiptlab {shlex.join(argv)}")
-        failed += code != 0
+        failed += code != expected.get(sub, 0)
     return failed
 
 
