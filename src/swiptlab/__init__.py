@@ -1,7 +1,7 @@
 """swiptlab: rate-energy tradeoff analysis for SWIPT receiver architectures.
 
 Library layout:
-    core        shared types, rates, SNRs, harvested energy, dB conversion
+    core        shared types, rates, SNRs, dB conversion
     capacity    nonlinear-channel capacity bounds and the chi-square-input rate
     regions     rate-energy region boundaries and the circuit-power solver
     modulation  QAM/PEM symbol error rates and constrained rate maximizers
@@ -13,12 +13,9 @@ __version__ = "0.1.0"
 
 from .core import (
     LinkParams,
-    OpsPair,
     REBoundary,
-    SplitVector,
     awgn_rate,
     dbm_to_watts,
-    harvested_energy,
     q_function,
     split_snr,
     upper_bound_region,
@@ -39,8 +36,8 @@ from .errors import (
 
 __all__ = [
     "__version__",
-    "LinkParams", "OpsPair", "SplitVector", "REBoundary",
-    "q_function", "awgn_rate", "split_snr", "harvested_energy", "upper_bound_region",
+    "LinkParams", "REBoundary",
+    "q_function", "awgn_rate", "split_snr", "upper_bound_region",
     "dbm_to_watts", "watts_to_dbm",
     "SwiptError", "InvalidParams", "ZeroNoise", "NonPositivePower", "SplitAtUnity",
     "QuadratureFailure", "InfeasibleTarget", "DegenerateCircuitPower",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -320,9 +321,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # every option defaults to SUPPRESS so a config file can fill the gaps;
-    # explicitly passed flags always win
+    # explicitly passed flags always win.  Built once per process: parsing
+    # leaves the parser as it was, and building it costs more than most calls.
     parser = argparse.ArgumentParser(
         prog="swiptlab",
         description="Rate-energy tradeoff computations for SWIPT receivers.",
@@ -391,8 +394,7 @@ def _merge_options(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         ns = _merge_options(ns)
         return COMMANDS[ns.command][0](ns)

@@ -22,7 +22,7 @@ class LinkParams:
     """Point-to-point link: channel, transmit power, noise and conversion figures.
 
     h          channel power gain (dimensionless, > 0)
-    p          average transmit power [W]
+    p          average transmit power [W]; the received power h*p must be finite
     zeta       RF-to-DC conversion efficiency, in (0, 1]
     sigma2_a   antenna noise power [W]
     sigma2_cov RF-to-baseband conversion noise power [W] (separated receiver)
@@ -45,6 +45,7 @@ class LinkParams:
     def __post_init__(self):
         check_real("h", self.h, lo_open=True)
         check_real("p", self.p)
+        check_real("h*p", self.h * self.p)
         check_real("zeta", self.zeta, hi=1.0, lo_open=True, hi_open=False)
         for name in ("sigma2_a", "sigma2_cov", "sigma2_rec", "sigma2_adc"):
             check_real(name, getattr(self, name))
@@ -67,47 +68,6 @@ class LinkParams:
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class OpsPair:
-    """On-off power splitting schedule: harvest-only for a time fraction
-    ``alpha``, constant split ``rho`` otherwise.  ``rho = 0`` is time
-    switching; ``alpha = 0`` is static power splitting."""
-
-    alpha: float
-    rho: float
-
-    def __post_init__(self):
-        check_real("alpha", self.alpha, hi=1.0, hi_open=False)
-        check_real("rho", self.rho, hi=1.0, hi_open=False)
-
-    @property
-    def mean_split(self) -> float:
-        return self.alpha + (1.0 - self.alpha) * self.rho
-
-
-@dataclass(frozen=True)
-class SplitVector:
-    """Per-symbol power split ratios, each in [0, 1]."""
-
-    rho: tuple[float, ...]
-
-    def __post_init__(self):
-        rho = tuple(float(r) for r in self.rho)
-        if len(rho) == 0:
-            raise InvalidParams("split vector must not be empty")
-        for r in rho:
-            check_real("split ratio", r, hi=1.0, hi_open=False)
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def mean_split(self) -> float:
-        # fsum keeps the equal-entry case exactly consistent with OpsPair
-        return math.fsum(self.rho) / len(self.rho)
-
-
-PowerSchedule = OpsPair | SplitVector
 
 
 # slack for float noise in the monotonicity check of swept boundaries
@@ -148,10 +108,6 @@ class REBoundary:
 
     def rates(self) -> np.ndarray:
         return self.points[:, 0]
-
-    @property
-    def max_energy(self) -> float:
-        return float(self.points[-1, 1])
 
     def rate_at(self, energy) -> np.ndarray:
         """Boundary rate at the given energies by linear interpolation.
@@ -218,13 +174,6 @@ def split_snr(rho, lp: LinkParams):
         raise ZeroNoise("split-path noise is zero; SNR is unbounded")
     out = keep * lp.received_power / np.where(noise > 0, noise, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def harvested_energy(schedule: PowerSchedule, lp: LinkParams) -> float:
-    """Harvested energy per symbol, zeta*h*P times the mean split ratio."""
-    if isinstance(schedule, (OpsPair, SplitVector)):
-        return lp.q_max * schedule.mean_split
-    raise InvalidParams(f"unsupported schedule type: {type(schedule).__name__}")
 
 
 def box_boundary(rate: float, energy: float, n_points: int, scheme: str,

@@ -67,7 +67,7 @@ def fig7(n_points: int, samples: int) -> list[tuple[str, object]]:
         itg = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_rec=proc_noise ** 2)
         cap = cnl_lower_chi2(itg.received_power, itg.sigma2_a, itg.sigma2_rec,
-                             _mc(seed, samples))
+                             _mc(seed, samples)).value
         out.append((f"fig7_intrx_proc{proc_noise:g}.csv",
                     region_int_ideal(itg, cap, n_points)))
     return out
@@ -120,7 +120,7 @@ def fig10_cap(samples: int, seed: int = 100):
 
 def fig10(n_points: int, samples: int) -> list[tuple[str, object]]:
     """Both architectures with circuit power, low and high draw."""
-    cap = fig10_cap(samples)
+    cap = fig10_cap(samples).value
     out = []
     for label, (p_s, p_i) in FIG10_POWERS.items():
         out.append((f"fig10_seprx_{label}.csv",

@@ -45,20 +45,6 @@ class ModulationPlan:
 
 
 @dataclass(frozen=True)
-class AlphaOrderingReport:
-    """Side-by-side solver outputs plus the two comparison predicates."""
-
-    alpha1: float
-    alpha2: float
-    m1: int | None
-    m2: int | None
-    rate1: float
-    rate2: float
-    alpha_ordered: bool          # alpha1 >= alpha2
-    rate_implication: bool       # m1 <= m2 implies rate1 <= rate2
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Distance/power/noise description of the practical link setup."""
 
@@ -219,28 +205,6 @@ def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> Mod
     m = max_modulation(PEM, snr, ser_target)
     rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
     return ModulationPlan(family=PEM, m=m, alpha=alpha, rho=None, rate=rate)
-
-
-def check_alpha_ordering(lp: LinkParams, p_s: float, p_i: float, q_req: float,
-                         ser_target: float) -> AlphaOrderingReport:
-    """Run both maximizers and report the off-fraction ordering (alpha1 >=
-    alpha2 whenever p_s >= p_i) and the rate implication for m1 <= m2."""
-    if not p_s >= p_i > 0:
-        raise InvalidParams("ordering check assumes p_s >= p_i > 0")
-    plan1 = solve_p1(lp, p_s, q_req, ser_target)
-    plan2 = solve_p2(lp, p_i, q_req, ser_target)
-    m1 = 0 if plan1.m is None else plan1.m
-    m2 = 0 if plan2.m is None else plan2.m
-    return AlphaOrderingReport(
-        alpha1=plan1.alpha,
-        alpha2=plan2.alpha,
-        m1=plan1.m,
-        m2=plan2.m,
-        rate1=plan1.rate,
-        rate2=plan2.rate,
-        alpha_ordered=plan1.alpha >= plan2.alpha - 1e-12,
-        rate_implication=(m1 > m2) or (plan1.rate <= plan2.rate + 1e-12),
-    )
 
 
 def link_budget_to_params(lb: LinkBudget, zeta: float = 1.0) -> LinkParams:

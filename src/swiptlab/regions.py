@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .capacity import (
-    MiEstimate,
     MonteCarloConfig,
     cnl_lower_chi2,
     effective_proc_noise,
@@ -95,21 +94,6 @@ class RsCoefficients:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Comparison of a per-symbol split vector against the constant split with
-    the same mean (equal harvested energy by construction)."""
-
-    rate_dps: float
-    rate_sps: float
-    energy: float     # harvested energy of both schedules
-    sps_dominates: bool
-
-    @property
-    def rate_gap(self) -> float:
-        return self.rate_sps - self.rate_dps
-
-
 def _boundary(rates, energies, scheme: str, receiver: str) -> REBoundary:
     return REBoundary(points=np.column_stack((rates, energies)), scheme=scheme,
                       receiver=receiver)
@@ -127,31 +111,10 @@ def region_sps(lp: LinkParams, n_points: int = 512) -> REBoundary:
     return _boundary(np.log2(1.0 + split_snr(rhos, lp)), rhos * lp.q_max, "sps", "separated")
 
 
-def check_dps_dominated_by_sps(lp: LinkParams, rho_vector) -> DominanceReport:
-    """Jensen comparison: averaging rates over a split vector never beats the
-    constant split at the vector mean."""
-    rho = np.asarray(rho_vector, dtype=float)
-    if rho.size == 0 or np.any((rho < 0) | (rho > 1)):
-        raise InvalidParams("split vector entries must lie in [0, 1]")
-    mean_rho = float(np.mean(rho))
-    rate_dps = float(np.mean(np.log2(1.0 + split_snr(rho, lp))))
-    rate_sps = math.log2(1.0 + split_snr(mean_rho, lp))
-    return DominanceReport(
-        rate_dps=rate_dps,
-        rate_sps=rate_sps,
-        energy=lp.q_max * mean_rho,
-        sps_dominates=rate_sps >= rate_dps - 1e-12,
-    )
-
-
-def _cap_bits(cap) -> float:
-    return check_real("capacity", cap.value if isinstance(cap, MiEstimate) else float(cap))
-
-
-def region_int_ideal(lp: LinkParams, cap, n_points: int = 512) -> REBoundary:
+def region_int_ideal(lp: LinkParams, cap: float, n_points: int = 512) -> REBoundary:
     """Integrated receiver without circuit power: the box with corner
-    (capacity, zeta h P)."""
-    return box_boundary(_cap_bits(cap), lp.q_max, n_points, "int-ideal", "integrated")
+    (capacity, zeta h P); cap is the rate in bits."""
+    return box_boundary(check_real("capacity", cap), lp.q_max, n_points, "int-ideal", "integrated")
 
 
 def region_int_adc(lp: LinkParams, n_points: int,
@@ -300,7 +263,7 @@ def region_sps_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBou
                      np.maximum(rhos * lp.q_max - p_s, 0.0), "sps-circuit", "separated")
 
 
-def region_int_circuit(lp: LinkParams, p_i: float, cap,
+def region_int_circuit(lp: LinkParams, p_i: float, cap: float,
                        n_points: int = 512) -> REBoundary:
     """Integrated receiver with circuit power.
 
@@ -310,7 +273,7 @@ def region_int_circuit(lp: LinkParams, p_i: float, cap,
     """
     check_count("n_points", n_points, 3)
     check_real("p_i", p_i)
-    c = _cap_bits(cap)
+    c = check_real("capacity", cap)
     q_max = lp.q_max
     if p_i < q_max:
         vertex_energy = q_max - p_i

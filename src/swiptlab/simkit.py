@@ -197,6 +197,9 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
     sigma2_eff = (1.0 - rho) * lp.sigma2_a + lp.sigma2_cov
     if sigma2_eff <= 0:
         raise InvalidParams("split-path noise must be > 0 for detection")
+    # detection divides by the signal amplitude
+    check_real("decoder signal power (1 - rho) h*p", (1.0 - rho) * lp.received_power,
+               lo_open=True)
 
     levels_i, levels_q, delta = _qam_levels(m)
     n = cfg.n_symbols
@@ -249,6 +252,7 @@ def simulate_pem_integrated(lp: LinkParams, m: int, cfg: SimConfig) -> SerResult
     m = _check_constellation(m)
     if lp.sigma2_rec <= 0 and lp.sigma2_a <= 0:
         raise InvalidParams("at least one noise source must be > 0")
+    check_real("h*p", lp.received_power, lo_open=True)   # detection divides by hP
     n = cfg.n_symbols
     rng = np.random.default_rng(cfg.seed)
     power_levels = 2.0 * np.arange(m) / (m - 1)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from swiptlab.core import LinkParams, OpsPair, SplitVector, harvested_energy
+from swiptlab.core import LinkParams, split_snr
 from swiptlab.simkit import _CHUNK_SYMBOLS, DiodeModel, SimConfig, _detect_levels, _qam_levels
 
 
@@ -81,14 +81,12 @@ def random_circuit_instance(rng):
     return lp, p_s, q_target
 
 
-def dominance_energy_matches(rep, lp: LinkParams, rho_vector) -> bool:
-    """A dominance report's energy is what both compared schedules harvest:
-    the per-symbol split vector and the constant split at its mean, each from
-    harvested_energy, to 1e-12 relative."""
-    vec = tuple(float(r) for r in rho_vector)
-    expected = (harvested_energy(SplitVector(vec), lp),
-                harvested_energy(OpsPair(0.0, math.fsum(vec) / len(vec)), lp))
-    return all(math.isclose(rep.energy, e, rel_tol=1e-12) for e in expected)
+def jensen_rates(lp: LinkParams, rho_vector) -> tuple[float, float]:
+    """(rate of the constant split at the vector's mean, mean rate of the
+    per-symbol splits); both schedules harvest q_max * mean(rho_vector)."""
+    vec = np.asarray(rho_vector, dtype=float)
+    return (math.log2(1.0 + split_snr(float(np.mean(vec)), lp)),
+            float(np.mean(np.log2(1.0 + split_snr(vec, lp)))))
 
 
 def _draw(rng, n, block, draws):

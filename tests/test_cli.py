@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,27 @@ class TestErrorHandling:
         assert "p must be finite and >= 0, got nan" in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    # an h*P that overflows, and a zero h*P where the symbol oracles divide by it
+    @pytest.mark.parametrize("argv,named", [
+        (["region", "--scheme", "sps", "--h", "1e300", "--p", "1e300", "--sa2", "1",
+          "--scov2", "1"], "h*p must be finite and >= 0, got inf"),
+        (["solve", "--problem", "p0", "--h", "1e300", "--p", "1e300", "--sa2", "1",
+          "--scov2", "1"], "h*p must be finite and >= 0, got inf"),
+        (["simulate", "--kind", "pem", "--p", "0", "--srec2", "1", "--symbols", "100"],
+         "h*p must be finite and > 0, got 0.0"),
+        (["simulate", "--kind", "qam", "--p", "0", "--sa2", "1", "--scov2", "1",
+          "--symbols", "100"], "h*p must be finite and > 0, got 0.0")])
+    def test_degenerate_received_power_exit_2(self, argv, named, tmp_path, monkeypatch,
+                                              capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2 and not caught
+        line, = err.splitlines()
+        doc = json.loads(line)["error"]
+        assert doc["type"] == "InvalidParams" and named in doc["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [["solve", "--problem", "p0", "--q", "30"],
                                       ["region", "--scheme", "ops-circuit"],
@@ -488,6 +510,9 @@ class TestExitCodeContract:
 
 
 class TestStartup:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_cli_import_leaves_out_scipy_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,6 +1,7 @@
 """Tests for shared types and elementary link quantities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,19 +11,18 @@ from hypothesis import strategies as st
 from helpers import gaussian_tail_oracle
 from swiptlab.core import (
     LinkParams,
-    OpsPair,
     REBoundary,
-    SplitVector,
     awgn_rate,
     dbm_to_watts,
-    harvested_energy,
     q_function,
     split_snr,
     upper_bound_region,
     watts_to_dbm,
 )
 from swiptlab.errors import InvalidParams, NonPositivePower, ZeroNoise
-from swiptlab.regions import region_sps, region_ts
+from swiptlab.modulation import solve_p1
+from swiptlab.regions import region_sps, region_ts, solve_p0
+from swiptlab.simkit import SimConfig, simulate_qam_separated
 
 
 class TestQFunction:
@@ -69,6 +69,11 @@ class TestLinkParams:
             LinkParams(h=1.0, p=1.0, zeta=1.2)
         with pytest.raises(InvalidParams):
             LinkParams(h=1.0, p=1.0, sigma2_a=-1e-12)
+
+    @pytest.mark.parametrize("h,p", [(1e300, 1e300), (1e200, 1e200), (10.0, 1.7e308)])
+    def test_rejects_overflowing_received_power(self, h, p):
+        with pytest.raises(InvalidParams, match=r"h\*p must be finite"):
+            LinkParams(h=h, p=p)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["h", "p", "zeta", "sigma2_a", "sigma2_cov",
@@ -132,43 +137,69 @@ class TestSplitSnr:
 
 
 class TestHarvestedEnergy:
+    """What the program reports as harvested energy: a schedule that is off
+    for a fraction alpha and splits rho while on harvests q_max times its mean
+    split ratio alpha + (1 - alpha) rho, less (1 - alpha) p_s of decoder
+    power where there is one."""
+
+    LP = LinkParams(h=1, p=100, zeta=0.6, sigma2_a=1, sigma2_cov=10)
+
     def test_all_zero_vector(self):
-        lp = LinkParams(h=1, p=100, zeta=0.6)
-        assert harvested_energy(SplitVector((0.0,) * 16), lp) == 0.0
+        # never splitting harvests nothing
+        assert region_sps(self.LP, 16).energies()[0] == 0.0
+        assert region_ts(self.LP, 16).energies()[0] == 0.0
+        res = simulate_qam_separated(self.LP, 0.0, 4, SimConfig(n_symbols=64, seed=0))
+        assert res.energy_hat == 0.0
 
     def test_full_harvest_ops(self):
-        lp = LinkParams(h=1, p=100, zeta=0.6)
-        assert harvested_energy(OpsPair(alpha=1.0, rho=0.3), lp) == pytest.approx(60.0)
+        # off all the time (alpha = 1) harvests q_max = 60 and decodes nothing
+        rate, energy = region_ts(self.LP, 9).points[-1]
+        assert rate == 0.0 and energy == pytest.approx(60.0)
+        sol = solve_p0(self.LP, 25.0, self.LP.q_max)
+        assert (sol.alpha_star, sol.rate) == (1.0, 0.0)
+        assert solve_p1(self.LP, 25.0, self.LP.q_max, 1e-5).alpha == 1.0
 
     def test_split_vector_mean(self):
-        lp = LinkParams(h=1, p=100, zeta=1.0)
-        assert harvested_energy(SplitVector((1.0, 0.0)), lp) == pytest.approx(50.0)
+        # splitting half the power harvests half of q_max = 100; QPSK symbols
+        # all carry unit energy, so the oracle's estimate is exact
+        lp = LinkParams(h=1, p=100, zeta=1.0, sigma2_a=1, sigma2_cov=1)
+        assert region_sps(lp, 3).energies()[1] == pytest.approx(50.0)
+        res = simulate_qam_separated(lp, 0.5, 4, SimConfig(n_symbols=64, seed=0))
+        assert res.energy_hat == pytest.approx(50.0, rel=1e-14)
 
     def test_linear_in_zeta_and_power(self):
-        sched = OpsPair(alpha=0.25, rho=0.4)
-        base = harvested_energy(sched, LinkParams(h=1, p=10, zeta=0.5))
-        assert harvested_energy(sched, LinkParams(h=1, p=10, zeta=1.0)) == pytest.approx(2 * base)
-        assert harvested_energy(sched, LinkParams(h=1, p=30, zeta=0.5)) == pytest.approx(3 * base)
+        base = LinkParams(h=1, p=10, zeta=0.5, sigma2_a=1, sigma2_cov=1)
+        for builder in (region_ts, region_sps):
+            energies = builder(base, 9).energies()
+            assert builder(replace(base, zeta=1.0), 9).energies() == pytest.approx(
+                2 * energies)
+            assert builder(replace(base, p=30.0), 9).energies() == pytest.approx(
+                3 * energies)
 
     @pytest.mark.parametrize("n", [2, 10, 64, 100, 512, 1000])
     def test_ops_pair_matches_equivalent_split_vector(self, n):
-        # alpha*n ones followed by rho entries, no integer-symbol rounding
-        lp = LinkParams(h=1.3, p=7.0, zeta=0.8)
-        rng = np.random.default_rng(n)
-        k = int(rng.integers(0, n + 1))
-        rho = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-        pair = OpsPair(alpha=k / n, rho=rho)
-        vec = SplitVector((1.0,) * k + (rho,) * (n - k))
-        a, b = harvested_energy(pair, lp), harvested_energy(vec, lp)
-        assert a == pytest.approx(b, rel=5e-15, abs=0.0) or a == b
+        lp = LinkParams(h=1.3, p=7.0, zeta=0.8, sigma2_a=1.0, sigma2_cov=2.0)
+        # point k of the time-switching sweep is the pair (k/(n-1), 0): the
+        # split vector of k ones and n-1-k zeros, with mean k/(n-1)
+        expected = [lp.q_max * math.fsum([1.0] * k + [0.0] * (n - 1 - k)) / (n - 1)
+                    for k in range(n)]
+        np.testing.assert_allclose(region_ts(lp, n).energies(), expected,
+                                   rtol=5e-15, atol=0.0)
+        # solve_p0's pair (alpha*, rho*) at n targets harvests each target,
+        # net of the decoder power, with equality
+        p_s = 0.3 * lp.q_max
+        qs = np.linspace(0.0, lp.q_max, n)
+        sol = solve_p0(lp, p_s, qs)
+        on = 1.0 - sol.alpha_star
+        net = lp.q_max * (sol.alpha_star + on * sol.rho_star) - on * p_s
+        np.testing.assert_allclose(net, qs, rtol=0.0, atol=1e-12 * lp.q_max)
 
     def test_schedule_validation(self):
-        with pytest.raises(InvalidParams):
-            OpsPair(alpha=-0.1, rho=0.5)
-        with pytest.raises(InvalidParams):
-            SplitVector((0.5, 1.5))
-        with pytest.raises(InvalidParams):
-            SplitVector(())
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(InvalidParams):
+                split_snr(np.array([0.5, bad]), self.LP)
+            with pytest.raises(InvalidParams):
+                simulate_qam_separated(self.LP, bad, 4, SimConfig(n_symbols=64))
 
 
 class TestUpperBoundRegion:
@@ -181,7 +212,7 @@ class TestUpperBoundRegion:
 
     def test_degenerate_zero_power(self):
         ub = upper_bound_region(LinkParams(h=1, p=0, sigma2_a=1))
-        assert ub.max_energy == 0.0
+        assert ub.energies()[-1] == 0.0
         assert np.all(ub.rates() == 0.0)
 
     def test_dominates_ts_and_sps(self):
@@ -190,7 +221,7 @@ class TestUpperBoundRegion:
         for bnd in (region_ts(lp, 64), region_sps(lp, 64)):
             ub_rates = ub.rate_at(bnd.energies())
             assert np.all(bnd.rates() <= ub_rates + 1e-12)
-            assert bnd.max_energy <= ub.max_energy + 1e-12
+            assert bnd.energies()[-1] <= ub.energies()[-1] + 1e-12
 
 
 class TestDbConversion:
@@ -222,6 +253,14 @@ class TestREBoundary:
     def test_rejects_increasing_rate(self):
         with pytest.raises(InvalidParams):
             REBoundary(points=[(1.0, 1.0), (2.0, 2.0)], scheme="x", receiver="y")
+
+    # the Pareto slack absorbs float noise, not a violation of one part per million
+    @pytest.mark.parametrize("points,broken", [
+        ([(2.0, 1.0), (2.0 * (1 + 1e-6), 2.0)], "nonincreasing"),
+        ([(2.0, 5.0), (1.0, 5.0 * (1 - 1e-6))], "nondecreasing energy")])
+    def test_rejects_violation_of_one_part_per_million(self, points, broken):
+        with pytest.raises(InvalidParams, match=broken):
+            REBoundary(points=points, scheme="x", receiver="y")
 
     def test_rate_at_interpolates_and_clamps(self):
         bnd = REBoundary(points=[(4.0, 0.0), (2.0, 10.0), (0.0, 10.0)],

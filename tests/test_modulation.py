@@ -15,7 +15,6 @@ from swiptlab.modulation import (
     PEM,
     QAM,
     LinkBudget,
-    check_alpha_ordering,
     link_budget_to_params,
     max_modulation,
     p1_alpha,
@@ -276,6 +275,14 @@ class TestSolveP2:
 
 
 class TestAlphaOrdering:
+    """With p_s >= p_i the separated receiver's plan is off at least as long as
+    the integrated receiver's, and a QAM size no larger than the PEM size
+    gives no more rate."""
+
+    @staticmethod
+    def plans(lp, p_s, p_i, q_req):
+        return solve_p1(lp, p_s, q_req, SER_TARGET), solve_p2(lp, p_i, q_req, SER_TARGET)
+
     def test_randomized_ordering(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
@@ -290,28 +297,31 @@ class TestAlphaOrdering:
             p_i = rng.uniform(0.2, 1.0) * 1e-3
             p_s = p_i * rng.uniform(1.0, 4.0)
             q_req = rng.uniform(0.0, 1.0) * lp.q_max
-            rep = check_alpha_ordering(lp, p_s, p_i, q_req, SER_TARGET)
-            assert rep.alpha_ordered
+            plan1, plan2 = self.plans(lp, p_s, p_i, q_req)
+            assert plan1.alpha >= plan2.alpha
+            if (plan1.m or 0) <= (plan2.m or 0):
+                assert plan1.rate <= plan2.rate
 
     def test_fig11_small_distance_band(self):
         for log_d in np.linspace(0.0, 0.4, 5):
             lp = fig11_params(10.0 ** log_d)
-            rep = check_alpha_ordering(lp, FIG11_PS, FIG11_PI, 0.0, SER_TARGET)
-            assert rep.m1 == 1024 and rep.m2 == 1024
-            assert rep.rate1 <= rep.rate2 + 1e-12
-            assert rep.rate_implication
+            plan1, plan2 = self.plans(lp, FIG11_PS, FIG11_PI, 0.0)
+            assert plan1.m == 1024 and plan2.m == 1024
+            assert plan1.alpha >= plan2.alpha
+            assert plan1.rate <= plan2.rate
 
     def test_full_requirement_trivial_ordering(self):
         lp = fig11_params(2.0)
-        rep = check_alpha_ordering(lp, FIG11_PS, FIG11_PI, lp.q_max, SER_TARGET)
-        assert rep.alpha1 == rep.alpha2 == 1.0
-        assert rep.rate1 == rep.rate2 == 0.0
-        assert rep.alpha_ordered and rep.rate_implication
+        plan1, plan2 = self.plans(lp, FIG11_PS, FIG11_PI, lp.q_max)
+        assert plan1.alpha == plan2.alpha == 1.0
+        assert plan1.rate == plan2.rate == 0.0
 
     def test_requires_ordered_circuit_powers(self):
+        # the ordering can fail once p_s < p_i, so the checks above can fail
         lp = fig11_params(2.0)
-        with pytest.raises(InvalidParams):
-            check_alpha_ordering(lp, 1e-4, 2e-4, 0.0, SER_TARGET)
+        q_req = 0.9 * lp.q_max
+        plan1, plan2 = self.plans(lp, 0.1 * q_req, q_req, q_req)
+        assert plan1.alpha < plan2.alpha
 
 
 class TestLinkBudget:

@@ -236,6 +236,24 @@ class TestPemSimulator:
         assert simulate_pem_integrated(lp, 8, cfg) == simulate_pem_integrated(lp, 8, cfg)
 
 
+class TestSymbolOraclesNeedSignal:
+    """Detection divides by the received signal, so the QAM and PEM oracles
+    reject a zero hP, also one that underflows, before they draw a symbol."""
+
+    @pytest.mark.parametrize("simulate", [
+        lambda lp, cfg: simulate_qam_separated(lp, 0.2, 4, cfg),
+        lambda lp, cfg: simulate_pem_integrated(lp, 4, cfg)], ids=["qam", "pem"])
+    @pytest.mark.parametrize("h,p", [(1.0, 0.0), (1e-200, 1e-200)])
+    def test_zero_received_power_rejected_before_drawing(self, simulate, h, p,
+                                                         monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew symbols")
+        monkeypatch.setattr(simkit.np.random, "default_rng", no_draws)
+        lp = LinkParams(h=h, p=p, sigma2_a=1.0, sigma2_cov=1.0, sigma2_rec=1.0)
+        with pytest.raises(InvalidParams, match=r"h\*p must be finite and > 0, got 0.0"):
+            simulate(lp, SimConfig(n_symbols=100))
+
+
 WAVE_CFG = SimConfig(n_symbols=2_000, seed=1, oversampling=8, carrier_hz=8.0,
                      bandwidth_hz=1.0)
 

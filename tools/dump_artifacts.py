@@ -85,6 +85,10 @@ MI_FIGURES = ("fig7", "fig8", "fig10")
 # name -> (argv, expected exit code) of the rejected commands
 ERROR_RUNS = {
     "link-p-nan": (["region", "--scheme", "ts", "--p", "nan", "--sa2", "1"], 2),
+    "link-hp-overflow": (["region", "--scheme", "sps", "--h", "1e300", "--p", "1e300",
+                          "--sa2", "1", "--scov2", "1"], 2),
+    "pem-p-zero": (["simulate", "--kind", "pem", "--p", "0", "--srec2", "1",
+                    "--symbols", "100"], 2),
     "quad-tol-inf": (["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--lower",
                       "--samples", "10000", "--quad-tol", "inf"], 2),
     "dbm-overflow": (["link", "--rec-noise-dbm", "1e12"], 2),
