@@ -27,18 +27,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 
 @dataclass(frozen=True)
-class C1BoundParams:
-    """Free parameters of the intensity-channel upper bound."""
-
-    beta: float
-    delta: float
-
-    def __post_init__(self):
-        check_real("beta", self.beta, lo_open=True)
-        check_real("delta", self.delta)
-
-
-@dataclass(frozen=True)
 class MonteCarloConfig:
     """Sampling configuration for the mutual-information estimator."""
 
@@ -83,26 +71,30 @@ def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> fl
     return sigma2_rec + sigma2_adc / (1.0 - rho) ** 2
 
 
-def c1_asymptotic(hp: float, sigma_rec: float) -> float:
+def c1_asymptotic(hp: float, sigma2_rec: float) -> float:
     """High-power capacity of the intensity channel: log2(hP/sigma_rec) + 0.5*log2(e/2pi)."""
     check_real("hp", hp, lo_open=True)
-    check_real("sigma_rec", sigma_rec, lo_open=True)
+    sigma_rec = math.sqrt(check_real("sigma2_rec", sigma2_rec, lo_open=True))
     return math.log2(hp / sigma_rec) + 0.5 * math.log2(math.e / (2.0 * math.pi))
 
 
-def c1_upper(hp: float, sigma_rec: float, params: C1BoundParams) -> float:
-    """Intensity-channel capacity upper bound, valid for any (beta, delta).
+def c1_upper(hp: float, sigma2_rec: float, beta: float, delta: float) -> float:
+    """Intensity-channel capacity upper bound, valid for any beta > 0 and
+    delta >= 0.
 
     A duality-style bound: an output-measure log term, two moment terms in
     nats, minus the processing-noise differential entropy.
     """
     check_real("hp", hp, lo_open=True)
-    check_real("sigma_rec", sigma_rec, lo_open=True)
-    return float(_c1_upper_bits(hp, sigma_rec, params.beta, params.delta))
+    sigma_rec = math.sqrt(check_real("sigma2_rec", sigma2_rec, lo_open=True))
+    check_real("beta", beta, lo_open=True)
+    check_real("delta", delta)
+    return float(_c1_upper_bits(hp, sigma_rec, beta, delta))
 
 
 def _c1_upper_bits(hp, sigma_rec, beta, delta):
-    """The c1_upper formula; beta and delta may be broadcasting arrays."""
+    """The c1_upper formula in the noise std sigma_rec; beta and delta may be
+    broadcasting arrays."""
     dr = delta / sigma_rec
     edr = np.exp(-0.5 * dr * dr)
     q_dr = q_function(dr)
@@ -135,8 +127,8 @@ def _c1_beta_star(hp, sigma_rec, delta):
 _C1_GRID, _C1_ROUNDS = 257, 4  # the delta search: points per grid, zoom rounds
 
 
-def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParams]:
-    """Minimize the free parameters of c1_upper.
+def c1_upper_optimized(hp: float, sigma2_rec: float) -> tuple[float, float, float]:
+    """Minimize the free parameters of c1_upper: (bits, beta, delta).
 
     beta takes its closed-form minimizer at each delta (_c1_beta_star), which
     leaves a search over delta in [0, 10 sigma_rec]: a uniform grid, zoomed to
@@ -144,7 +136,7 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
     search error only loosens the (still valid) bound.
     """
     check_real("hp", hp, lo_open=True)
-    check_real("sigma_rec", sigma_rec, lo_open=True)
+    sigma_rec = math.sqrt(check_real("sigma2_rec", sigma2_rec, lo_open=True))
     lo, hi = 0.0, 10.0 * sigma_rec
     best_val, best_delta = math.inf, 0.0
     for _ in range(_C1_ROUNDS):
@@ -154,8 +146,8 @@ def c1_upper_optimized(hp: float, sigma_rec: float) -> tuple[float, C1BoundParam
         if vals[i] < best_val:
             best_val, best_delta = float(vals[i]), float(deltas[i])
         lo, hi = deltas[max(i - 1, 0)], deltas[min(i + 1, _C1_GRID - 1)]
-    params = C1BoundParams(float(_c1_beta_star(hp, sigma_rec, best_delta)), best_delta)
-    return c1_upper(hp, sigma_rec, params), params
+    beta = float(_c1_beta_star(hp, sigma_rec, best_delta))
+    return float(_c1_upper_bits(hp, sigma_rec, beta, best_delta)), beta, best_delta
 
 
 def c2_upper(hp: float, sigma2_a: float) -> float:
@@ -175,10 +167,10 @@ def c2_asymptotic(hp: float, sigma2_a: float) -> float:
     return 0.5 * math.log2(1.0 + hp / (2.0 * sigma2_a))
 
 
-def cnl_upper(hp: float, sigma2_a: float, sigma_rec: float) -> float:
+def cnl_upper(hp: float, sigma2_a: float, sigma2_rec: float) -> float:
     """Capacity upper bound of the rectified channel: the tighter of the two
     single-noise-limit bounds."""
-    c1, _ = c1_upper_optimized(hp, sigma_rec)
+    c1, _, _ = c1_upper_optimized(hp, sigma2_rec)
     return min(c1, c2_upper(hp, sigma2_a))
 
 

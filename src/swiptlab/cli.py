@@ -12,7 +12,6 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -97,7 +96,7 @@ def write_json(path: str, inputs: dict, outputs: dict, seed=None):
 def _link_params(ns) -> LinkParams:
     return LinkParams(h=ns.h, p=ns.p, zeta=ns.zeta, sigma2_a=ns.sa2,
                       sigma2_cov=ns.scov2, sigma2_rec=ns.srec2,
-                      sigma2_adc=ns.sadc2, theta=ns.theta)
+                      sigma2_adc=ns.sadc2)
 
 
 def _mc_config(ns) -> MonteCarloConfig:
@@ -146,14 +145,13 @@ def cmd_capacity(ns) -> int:
     if not ns.lower and not ns.upper:
         ns.upper = True
     if ns.upper:
-        sigma_rec = math.sqrt(ns.srec2)
-        c1, params = c1_upper_optimized(ns.hp, sigma_rec)
+        c1, beta, delta = c1_upper_optimized(ns.hp, ns.srec2)
         c2 = c2_upper(ns.hp, ns.sa2)
         outputs["upper"] = {
             "cnl_upper_bits": min(c1, c2),  # cnl_upper, without optimizing c1 again
             "c1_upper_bits": c1,
-            "c1_beta": params.beta,
-            "c1_delta": params.delta,
+            "c1_beta": beta,
+            "c1_delta": delta,
             "c2_upper_bits": c2,
         }
     if ns.lower:
@@ -247,7 +245,6 @@ _LINK_OPTIONS = (
     ("scov2", float, 0.0, "conversion noise power [W]"),
     ("srec2", float, 0.0, "rectifier noise variance [W^2]"),
     ("sadc2", float, 0.0, "ADC noise power [W]"),
-    ("theta", float, 0.0, "channel phase [rad]"),
 )
 _MC_OPTIONS = (
     ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),

@@ -29,8 +29,6 @@ class LinkParams:
     sigma2_rec rectifier noise variance [W^2]; the std sigma_rec is a power-like
                quantity in watts because the rectified signal is a power signal
     sigma2_adc ADC quantization noise power [W]
-    theta      channel phase shift [rad); irrelevant to all closed forms, kept
-               for the waveform simulator
     """
 
     h: float
@@ -40,7 +38,6 @@ class LinkParams:
     sigma2_cov: float = 0.0
     sigma2_rec: float = 0.0
     sigma2_adc: float = 0.0
-    theta: float = 0.0
 
     def __post_init__(self):
         check_real("h", self.h, lo_open=True)
@@ -49,7 +46,6 @@ class LinkParams:
         check_real("zeta", self.zeta, hi=1.0, lo_open=True, hi_open=False)
         for name in ("sigma2_a", "sigma2_cov", "sigma2_rec", "sigma2_adc"):
             check_real(name, getattr(self, name))
-        check_real("theta", self.theta, hi=2 * math.pi)
 
     @property
     def received_power(self) -> float:

@@ -179,11 +179,12 @@ def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> Mod
     if q_req == lp.q_max:
         # decoder permanently off; no constellation is usable at the limit
         return ModulationPlan(family=QAM, m=None, alpha=1.0, rho=1.0, rate=0.0)
-    rho0 = min((q_req + p_s) / lp.q_max, _RHO_MAX)
-    rhos = sorted({0.0, rho0, *_qam_thresholds(lp, ser_target)})
+    rho0 = (q_req + p_s) / lp.q_max
+    rhos = sorted({0.0, min(rho0, _RHO_MAX), *_qam_thresholds(lp, ser_target)})
     best = None
     for rho, snr in zip(rhos, split_snr(np.array(rhos), lp).tolist()):
-        alpha = min(p1_alpha(lp, p_s, q_req, rho), 1.0)
+        # from rho0 on alpha is 0, which p1_alpha's cancellation can miss by an ulp
+        alpha = 0.0 if rho >= rho0 else min(p1_alpha(lp, p_s, q_req, rho), 1.0)
         m = max_modulation(QAM, snr, ser_target)
         rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
         # candidates ascend in rho, so a tie keeps the smaller split

@@ -206,14 +206,17 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     q_in = qs[inner]
 
     co = rs_coefficients(lp, p_s, q_in)   # checks p_s, for an empty batch too
+    # an interval no wider than the endpoint nudge (every one when p_s >> q_max)
+    # is far below the bisection tolerance, and dR/ds can be 0/0 inside it: s*
+    # is its lower end, where rho = 0 meets the target exactly
+    width = co.s_hi - co.s_lo
+    fits = 1e-12 * np.maximum(width, 1.0) < width
+    s_star, rho_in = co.s_lo.copy(), np.zeros_like(q_in)
+    co = rs_coefficients(lp, p_s, q_in[fits])
     lo, hi = co.s_lo, co.s_hi
     nudge = 1e-12 * np.maximum(hi - lo, 1.0)
-    # an interval no wider than the endpoint nudge is far below the bisection
-    # tolerance: s* is its midpoint, and dR/ds is never probed outside it
-    fits = nudge < hi - lo
-    centre = 0.5 * (lo + hi)
-    at_lo = fits & (co.rate_deriv(np.where(fits, lo + nudge, centre)) <= 0.0)
-    at_hi = fits & ~at_lo & (co.rate_deriv(np.where(fits, hi - nudge, centre)) >= 0.0)
+    at_lo = co.rate_deriv(lo + nudge) <= 0.0
+    at_hi = ~at_lo & (co.rate_deriv(hi - nudge) >= 0.0)
     a, b = lo, hi
     live = ~(at_lo | at_hi) & (b - a > _BISECT_TOL)
     while live.any():
@@ -222,12 +225,15 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
         a = np.where(live & up, mid, a)
         b = np.where(live & ~up, mid, b)
         live &= b - a > _BISECT_TOL
-    s_star = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
+    s_star[fits] = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
     if q_in.size:   # never at q_max = 0, where _rho_from_split cannot divide
+        rho_in[fits] = _rho_from_split(lp, p_s, q_in[fits], s_star[fits])
         alpha[inner] = 1.0 - s_star
-        rho[inner] = _rho_from_split(lp, p_s, q_in, s_star)
-        rate[inner] = (1.0 - alpha[inner]) * np.log2(1.0 + split_snr(rho[inner], lp))
+        rho[inner] = rho_in
+        # the on fraction is 1 - alpha, or s* itself where alpha rounds it away
+        on = np.where(fits, 1.0 - alpha[inner], s_star)
+        rate[inner] = on * np.log2(1.0 + split_snr(rho_in, lp))
     return P0Solution(*(x if q.ndim else float(x[0]) for x in (alpha, rho, rate, qs)))
 
 

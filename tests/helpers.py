@@ -121,7 +121,7 @@ def fft_rectifier_dc(lp: LinkParams, diode: DiodeModel, cfg: SimConfig,
     else:
         x = (parts.pop(0) + 1j * parts.pop(0)) / math.sqrt(2.0)
     na = parts[0] + 1j * parts[1] if parts else 0.0
-    envelope = math.sqrt(lp.received_power) * x * np.exp(1j * lp.theta) + na
+    envelope = math.sqrt(lp.received_power) * x + na
     dt = 1.0 / (f * cfg.oversampling)
     phase = 2.0 * math.pi * f * dt * np.arange(spp)
     y = math.sqrt(2.0) * (np.outer(envelope.real, np.cos(phase))

@@ -328,13 +328,13 @@ def test_criterion_9_capacity_bound_sandwich():
         s2a, s2r = float(ratio), 1.0
         est = cnl_lower_chi2(100.0, s2a, s2r,
                              MonteCarloConfig(n_samples=100_000, seed=900 + i))
-        ub = cnl_upper(100.0, s2a, math.sqrt(s2r))
+        ub = cnl_upper(100.0, s2a, s2r)
         slack = ub - (est.value - 3.0 * est.std_error)
         worst = max(worst, -slack)
         sandwich_ok &= slack >= 0.0
     branch_ok = True
     for hp in (1.0, 10.0, 100.0):
-        c1, _ = c1_upper_optimized(hp, 1.0)
+        c1, _, _ = c1_upper_optimized(hp, 1.0)
         branch_ok &= c1 < c2_upper(hp, 1e-4)
     checks = [
         ("lower - 3*stderr <= upper at 10 noise ratios in [1e-4, 1e2]", sandwich_ok),

@@ -14,7 +14,6 @@ from scipy.special import erf, i0e
 
 import swiptlab.capacity as cap
 from swiptlab.capacity import (
-    C1BoundParams,
     MonteCarloConfig,
     c1_asymptotic,
     c1_upper,
@@ -41,47 +40,51 @@ def c1_upper_delta0(hp, sigma_rec, beta):
     )
 
 
+# the c1 functions take the rectifier noise variance; these tests pick its std
+# sr and pass sr * sr
 class TestC1Upper:
     def test_delta_zero_collapse(self):
         for hp, sr, beta in [(1.0, 1.0, 2.0), (100.0, 1.0, 80.0), (10.0, 3.0, 1.0)]:
-            full = c1_upper(hp, sr, C1BoundParams(beta, 0.0))
+            full = c1_upper(hp, sr * sr, beta, 0.0)
             assert full == pytest.approx(c1_upper_delta0(hp, sr, beta), rel=1e-14)
 
     def test_scale_invariance(self):
         # jointly scaling (hP, sigma_rec, beta, delta) cannot change the bound
-        a = c1_upper(100.0, 1.0, C1BoundParams(50.0, 2.0))
-        b = c1_upper(1000.0, 10.0, C1BoundParams(500.0, 20.0))
+        a = c1_upper(100.0, 1.0, 50.0, 2.0)
+        b = c1_upper(1000.0, 100.0, 500.0, 20.0)
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
-            C1BoundParams(0.0, 1.0)
-        with pytest.raises(InvalidParams):
-            C1BoundParams(1.0, -0.1)
+        with pytest.raises(InvalidParams, match="beta"):
+            c1_upper(1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(InvalidParams, match="delta"):
+            c1_upper(1.0, 1.0, 1.0, -0.1)
+        with pytest.raises(InvalidParams, match="sigma2_rec"):
+            c1_upper(1.0, 0.0, 1.0, 1.0)
 
 
 class TestC1UpperOptimized:
     def test_small_power_limit(self):
-        val, _ = c1_upper_optimized(1e-6, 1.0)
+        val, _, _ = c1_upper_optimized(1e-6, 1.0)
         assert 0.0 <= val <= 0.2
 
     def test_above_asymptote(self):
-        val, _ = c1_upper_optimized(100.0, 1.0)
+        val, _, _ = c1_upper_optimized(100.0, 1.0)
         assert val >= c1_asymptotic(100.0, 1.0)
         assert val <= c1_asymptotic(100.0, 1.0) + 1.0
 
     def test_reproduces_through_c1_upper(self):
-        val, params = c1_upper_optimized(37.0, 2.5)
-        assert c1_upper(37.0, 2.5, params) == val
+        val, beta, delta = c1_upper_optimized(37.0, 6.25)
+        assert c1_upper(37.0, 6.25, beta, delta) == val
 
     def test_never_above_grid_points(self):
         rng = np.random.default_rng(5)
         hp, sr = 50.0, 1.5
-        opt, _ = c1_upper_optimized(hp, sr)
+        opt, _, _ = c1_upper_optimized(hp, sr * sr)
         for _ in range(10):
             beta = math.exp(rng.uniform(math.log(1e-3 * sr), math.log(1e3 * (hp + sr))))
             delta = rng.uniform(0.0, 10.0 * sr)
-            assert opt <= c1_upper(hp, sr, C1BoundParams(beta, delta)) + 1e-12
+            assert opt <= c1_upper(hp, sr * sr, beta, delta) + 1e-12
 
     def test_array_grid_equals_scalar_bound(self):
         # the bound on an array grid, as the delta search evaluates it, against
@@ -90,8 +93,7 @@ class TestC1UpperOptimized:
         betas = np.exp(np.linspace(math.log(1e-3 * sr), math.log(1e3 * (hp + sr)), 48))
         deltas = np.linspace(0.0, 10.0 * sr, 25)
         grid = cap._c1_upper_bits(hp, sr, betas[:, None], deltas[None, :])
-        loop = np.array([[c1_upper(hp, sr, C1BoundParams(b, d)) for d in deltas]
-                         for b in betas])
+        loop = np.array([[c1_upper(hp, sr * sr, b, d) for d in deltas] for b in betas])
         assert np.array_equal(grid, loop)
 
 
@@ -100,9 +102,9 @@ class TestC1UpperOptimized:
     def test_closed_form_beta_is_the_minimum(self, hp, sr):
         for delta in np.linspace(0.0, 10.0 * sr, 9):
             beta = float(cap._c1_beta_star(hp, sr, delta))
-            at = c1_upper(hp, sr, C1BoundParams(beta, delta))
+            at = c1_upper(hp, sr * sr, beta, delta)
             for f in (1.0 - 1e-3, 1.0 + 1e-3):
-                assert c1_upper(hp, sr, C1BoundParams(f * beta, delta)) >= at
+                assert c1_upper(hp, sr * sr, f * beta, delta) >= at
 
     # the bound as the earlier coordinate-descent optimizer found it, at the
     # criterion-9 points, the mi_points and adc_sweep benchmark points and the
@@ -129,7 +131,7 @@ class TestC1UpperOptimized:
         (1000.0, 0.1, 12.684040314709154),
     ])
     def test_never_above_the_search_it_replaced(self, hp, sr, before):
-        val, _ = c1_upper_optimized(hp, sr)
+        val, _, _ = c1_upper_optimized(hp, sr * sr)
         assert val <= before + 1e-12
 
 
@@ -172,12 +174,12 @@ class TestClosedFormBounds:
 class TestCnlUpper:
     def test_c1_branch_active_with_dominant_rectifier_noise(self):
         val = cnl_upper(100.0, 1e-4, 1.0)
-        c1, _ = c1_upper_optimized(100.0, 1.0)
+        c1, _, _ = c1_upper_optimized(100.0, 1.0)
         assert val == c1
         assert c1 < c2_upper(100.0, 1e-4)
 
     def test_c2_branch_active_with_vanishing_rectifier_noise(self):
-        val = cnl_upper(100.0, 1.0, 1e-4)
+        val = cnl_upper(100.0, 1.0, 1e-8)
         assert val == c2_upper(100.0, 1.0)
 
 
@@ -312,13 +314,13 @@ class TestMiEstimator:
     def test_sandwich_against_upper_bound(self):
         for hp, s2a, s2r in [(100.0, 1e-4, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 25.0)]:
             est = cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
-            ub = cnl_upper(hp, s2a, math.sqrt(s2r))
+            ub = cnl_upper(hp, s2a, s2r)
             assert est.value - 3.0 * est.std_error <= ub
 
     def test_intensity_limit_sandwich(self):
         # dominant rectifier noise: bounded by the optimized intensity bound
         est = cnl_lower_chi2(100.0, 1e-6, 1.0, MC_FAST)
-        ub, _ = c1_upper_optimized(100.0, 1.0)
+        ub, _, _ = c1_upper_optimized(100.0, 1.0)
         assert 0.0 < est.value <= ub
 
     def test_noncoherent_limit_sandwich(self):

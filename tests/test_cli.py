@@ -57,6 +57,16 @@ class TestRegionCommand:
         assert bnd.energies()[-1] == pytest.approx(100.0)
         assert np.all(np.diff(bnd.energies()) >= 0)
 
+    # p_s far above q_max = 60 collapses every feasible interval of the solver
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p_s", ["1e17", "1e20", "1e300"])
+    @pytest.mark.parametrize("argv", [["region", "--scheme", "ops-circuit"],
+                                      ["solve", "--problem", "p0", "--q", "30"]])
+    def test_ops_circuit_far_above_q_max(self, argv, p_s, tmp_path, monkeypatch, capsys):
+        code, _, err = run([*argv, *FIG9_FLAGS, "--ps", p_s, "--out", "out"],
+                           tmp_path, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+
     def test_ub_box_polyline(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "ub", "--h", "1", "--p", "100",
                           "--sa2", "1", "--points", "17"],
@@ -194,6 +204,15 @@ class TestSimulateCommand:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         out = json.loads((tmp_path / "a.json").read_text())["outputs"]
         assert 0 <= out["ser_hat"] <= 1 and out["n_symbols"] == 20000
+
+    # y/hP overflows; every decision clips to an outer level as before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pem_overflowing_normalization(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["simulate", "--kind", "pem", "--h", "1e-300", "--p", "1",
+                            "--srec2", "1e30", "--symbols", "100", "--out", "pem.json"],
+                           tmp_path, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "pem.json").read_text())["outputs"]["ser_hat"] == 0.77
 
 
 class TestFigureCommand:
@@ -488,6 +507,9 @@ def _fuzzed_argv(case):
 
 
 class TestExitCodeContract:
+    # a RuntimeWarning is an error, so a run that warns on stderr before its
+    # record fails here
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(st.one_of(*map(_fuzzed_argv, FUZZ_CASES)))
     # crashes that exited 1: a dBm level whose watts overflow, solve_p0 at
@@ -497,6 +519,11 @@ class TestExitCodeContract:
     @example(["region", "--scheme", "ops-circuit", "--points", "8", "--h=1e-300",
               "--p=1e-300", "--ps=1", "--sa2=1", "--scov2=1"])
     @example(["simulate", "--kind", "rectifier", "--symbols=64", "--diode-gamma=1e-300"])
+    # runs that warned: solve_p0 probing dR/ds (0/0) in the collapsed feasible
+    # intervals of p_s >> q_max, and the PEM oracle's y/hP overflowing
+    @example(["region", "--scheme", "ops-circuit", *FIG9_FLAGS, "--ps=1e20"])
+    @example(["simulate", "--kind", "pem", "--h=1e-300", "--p=1", "--srec2=1e30",
+              "--symbols=100"])
     def test_float_flags(self, argv):
         with tempfile.TemporaryDirectory() as out_dir:
             err = io.StringIO()
@@ -551,9 +578,8 @@ class TestReadmeCli:
 
 _LINK = {"--h": ("h", float), "--p": ("p", float), "--zeta": ("zeta", float),
          "--sa2": ("sa2", float), "--scov2": ("scov2", float), "--srec2": ("srec2", float),
-         "--sadc2": ("sadc2", float), "--theta": ("theta", float)}
-_LINK_VALUES = dict(h=1.0, p=100.0, zeta=1.0, sa2=0.0, scov2=0.0, srec2=0.0, sadc2=0.0,
-                    theta=0.0)
+         "--sadc2": ("sadc2", float)}
+_LINK_VALUES = dict(h=1.0, p=100.0, zeta=1.0, sa2=0.0, scov2=0.0, srec2=0.0, sadc2=0.0)
 _SCHEMES = ("ub", "ts", "sps", "ops-circuit", "ts-circuit", "sps-circuit", "int-ideal",
             "int-adc", "int-circuit")
 

@@ -77,7 +77,7 @@ class TestLinkParams:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["h", "p", "zeta", "sigma2_a", "sigma2_cov",
-                                       "sigma2_rec", "sigma2_adc", "theta"])
+                                       "sigma2_rec", "sigma2_adc"])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(InvalidParams):
             LinkParams(**{"h": 1.0, "p": 1.0, field: value})

@@ -60,7 +60,7 @@ def test_exit_codes_by_class():
 @pytest.mark.parametrize("call,raises", [
     (lambda: capacity.c2_asymptotic(math.nan, 1.0), InvalidParams),
     (lambda: capacity.c1_asymptotic(math.inf, 1.0), InvalidParams),
-    (lambda: capacity.C1BoundParams(1.0, math.nan), InvalidParams),
+    (lambda: capacity.c1_upper(1.0, 1.0, 1.0, math.nan), InvalidParams),
     (lambda: modulation.ser_qam(4, math.nan), InvalidParams),
     (lambda: modulation.ser_pem(4, math.nan), InvalidParams),
     (lambda: modulation.max_modulation(modulation.QAM, math.nan, 1e-5), InvalidParams),

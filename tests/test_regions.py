@@ -259,6 +259,21 @@ class TestSolveP0:
         best_end = np.maximum(co.rate(co.s_lo), co.rate(co.s_hi))
         assert np.all(batch.rate >= best_end - 1e-15)
 
+    # p_s >> q_max makes every target's s-interval narrower than the endpoint
+    # nudge; dR/ds there was 0/0, and rho rebuilt from the constraint was noise
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p_s", [1e17, 1e20, 1e300])
+    def test_collapsed_intervals_take_the_lower_end(self, p_s):
+        qs = np.linspace(0.0, FIG9_LP.q_max, 512)
+        sol = solve_p0(FIG9_LP, p_s, qs)
+        co = rs_coefficients(FIG9_LP, p_s, qs[:-1])
+        assert np.all((sol.rho_star >= 0.0) & (sol.rho_star <= 1.0))
+        best = np.append(co.s_hi, 0.0) * math.log2(1.0 + split_snr(0.0, FIG9_LP))
+        assert np.all(np.isfinite(sol.rate) & (sol.rate <= best))
+        assert np.all(sol.rate[:-1] > 0.0)
+        bnd = region_sep_circuit(FIG9_LP, p_s)
+        assert bnd.rates().tobytes() == sol.rate.tobytes()
+
     def test_energy_constraint_met_with_equality(self):
         for q in [0.0, 10.0, 30.0, 55.0]:
             sol = solve_p0(FIG9_LP, FIG9_PS, q)

@@ -9,15 +9,17 @@ byte-reproducible. To see which bytes a change moves, run the script once per
 tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
 The set: every CLI example in README.md; every region scheme as CSV and as
-JSON; ``capacity --lower`` without antenna noise and without rectifier noise,
-the two branches of the output densities that the examples miss; ``solve``
-p0, p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
-and the rectifier with a Gaussian and a constant envelope and at truncation
-order 3); every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples
-and the others at their defaults; and a fixed set of rejected commands, each
-of which leaves its exit code and stderr record under ``errors/<name>/`` so
-that ``diff -r`` shows a changed message.  A run counts as failed when its
-exit code differs from the expected one: 0, or the rejected command's own.
+JSON, and ``ops-circuit`` at p_s = 1e20, where every feasible interval of
+the on-off solver collapses; ``capacity --lower`` without antenna noise and
+without rectifier noise, the two branches of the output densities that the
+examples miss; ``solve`` p0, p1 and p2; every ``simulate`` kind (qam plain
+and importance-sampled, pem, and the rectifier with a Gaussian and a
+constant envelope and at truncation order 3); every figure, fig7, fig8 and
+fig10 at 10000 Monte Carlo samples and the others at their defaults; and a
+fixed set of rejected commands, each of which leaves its exit code and
+stderr record under ``errors/<name>/`` so that ``diff -r`` shows a changed
+message.  A run counts as failed when its exit code differs from the
+expected one: 0, or the rejected command's own.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ SCHEME_FLAGS = {
                 "--sadc2", "1", "--points", "9", "--samples", "10000", "--seed", "4"],
     "int-circuit": [*FIG10_INT, "--pi", "10", "--samples", "10000", "--seed", "5"],
 }
+# p_s far above q_max = 60: every energy target's feasible s-interval collapses
+OPS_COLLAPSED = ["region", "--scheme", "ops-circuit", *FIG9, "--ps", "1e20",
+                 "--format", "json"]
 CAPACITY_RUNS = {
     "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
@@ -73,8 +78,8 @@ SIMULATE_RUNS = {
                "--symbols", "100000", "--seed", "6"],
     "pem": ["--kind", "pem", "--m", "16", "--h", "1", "--p", "50", "--srec2", "1",
             "--symbols", "100000", "--seed", "4"],
-    "rectifier": ["--kind", "rectifier", *WAVE, "--sa2", "0.5", "--theta", "0.7",
-                  "--symbols", "20000", "--seed", "801"],
+    "rectifier": ["--kind", "rectifier", *WAVE, "--sa2", "0.5", "--symbols", "20000",
+                  "--seed", "801"],
     "rectifier-const": ["--kind", "rectifier", *WAVE, "--constant-envelope",
                         "--symbols", "256", "--seed", "800"],
     "rectifier-order3": ["--kind", "rectifier", *WAVE, "--truncation-order", "3",
@@ -115,6 +120,7 @@ def runs() -> list[tuple[str, list[str]]]:
         for fmt in ("csv", "json"):
             out.append((f"region/{scheme}-{fmt}",
                         ["region", "--scheme", scheme, *flags, "--format", fmt]))
+    out.append(("region/ops-circuit-collapsed", OPS_COLLAPSED))
     for name, flags in CAPACITY_RUNS.items():
         out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
     for problem, flags in SOLVE_RUNS.items():
