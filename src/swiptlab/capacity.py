@@ -188,21 +188,64 @@ def _log_density_w_cond(w, nu, sigma2_a):
     )
 
 
-def _density_t_cond(t, nu, sigma2_a, out, tmp):
+# i0e(z) = (2 pi z)^(-1/2) sum_k a_k z^-k for large z (Abramowitz & Stegun 9.7.1),
+# a_0 = 1, a_k = a_{k-1} (2k - 1)^2 / (8k).  From z = 50 on, the first omitted
+# term (k = 12) is below 2^-54 and the dropped e^(-2z) term below 1e-43.
+_I0E_SERIES_MIN = 50.0
+_I0E_SERIES = [1.0]
+for _k in range(1, 12):
+    _I0E_SERIES.append(_I0E_SERIES[-1] * (2 * _k - 1) ** 2 / (8 * _k))
+_I0E_SERIES = tuple(_I0E_SERIES)
+
+
+def _i0e_rows(z, spare, spare2):
+    """i0e(z) in place for z of shape (P, 1, n) whose rows are nondecreasing,
+    with spare and spare2 (z's shape) as scratch.
+
+    Rows whose first entry is >= _I0E_SERIES_MIN take the asymptotic series
+    (about a quarter of scipy's cost per element); the other rows take scipy's
+    i0e.  Each path runs on its rows gathered to the front of a spare buffer,
+    since scipy's ufuncs must not be masked with where=.
+    """
+    series = z[:, 0, 0] >= _I0E_SERIES_MIN
+    rows = np.flatnonzero(series)
+    if not rows.size:
+        return i0e(z, out=z)
+    other = np.flatnonzero(~series)
+    small = np.take(z, other, axis=0, out=spare[:other.size])
+    i0e(small, out=small)
+    big = np.take(z, rows, axis=0, out=spare2[:rows.size])
+    r = np.reciprocal(big, out=z[:rows.size])  # z's rows are saved in the spares
+    acc = np.multiply(r, _I0E_SERIES[-1], out=spare[other.size:])
+    for a in _I0E_SERIES[-2:0:-1]:
+        acc += a
+        acc *= r
+    acc += 1.0
+    big *= 2.0 * math.pi
+    acc /= np.sqrt(big, out=big)
+    z[rows] = acc
+    z[other] = small
+    return z
+
+
+def _density_t_cond(t, nu, sigma2_a, out, tmp, spare):
     """Density of T = sqrt(W) given nu (Rice law):
     (2 t / sigma2_a) exp(-(t - nu)^2 / sigma2_a) i0e(2 t nu / sigma2_a),
-    computed in place in out with tmp as the second buffer (both of t's shape)."""
-    np.multiply(2.0, t, out=out)
-    out /= sigma2_a
-    np.subtract(t, nu, out=tmp)
-    np.square(tmp, out=tmp)
-    np.negative(tmp, out=tmp)
-    tmp /= sigma2_a
-    out *= np.exp(tmp, out=tmp)
+    computed in place in out with tmp and spare as further buffers (all of t's
+    shape).  The rows of t are nondecreasing, and nu >= 0, so the Bessel
+    argument is nondecreasing along each row, as _i0e_rows requires."""
     np.multiply(2.0, t, out=tmp)
     tmp *= nu
     tmp /= sigma2_a
-    out *= i0e(tmp, out=tmp)
+    _i0e_rows(tmp, out, spare)
+    np.multiply(2.0, t, out=out)
+    out /= sigma2_a
+    np.subtract(t, nu, out=spare)
+    np.square(spare, out=spare)
+    np.negative(spare, out=spare)
+    spare /= sigma2_a
+    out *= np.exp(spare, out=spare)
+    out *= tmp
     return out
 
 
@@ -368,15 +411,24 @@ def _log_phi(z, sigma2, out=None):
     return out
 
 
-def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch):
+def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=None):
     """log of the rectifier-noise convolution int N(y - t^2; 0, sigma2_rec) p_T(t) dt
     for each sample, where p_T is a law of T = sqrt(W).
 
-    The t window maps y -/+ 10 sigma_rec, and its panel knots are the density's
-    own features plus sqrt(y) -/+ 2 and 6 widths of the Gaussian factor.
-    density(t, active, scratch) returns p_T at the (P, 1, nodes) nodes t of the
-    samples active; it may use any scratch buffer except "t" and "gauss".  scratch
-    is the worker's _Scratch, or None for a fresh one.
+    The full t window maps y -/+ 10 sigma_rec, and its panel knots are the
+    density's own features plus sqrt(y) -/+ 2 and 6 widths of the Gaussian
+    factor.  density(t, active, scratch) returns p_T at the (P, 1, nodes) nodes
+    t of the samples active, in a scratch buffer other than "t" and "gauss"; it
+    may use any buffer except "t" as scratch, since the Gaussian factor is
+    evaluated after it.  scratch is the worker's _Scratch, or None for a fresh one.
+
+    support, when given, is (lo, hi, tail): per-sample bounds with
+    P(T outside [lo, hi]) <= tail.  The panels that lie wholly outside [lo, hi]
+    are then dropped, so every panel kept is a panel of the full window.  The
+    Gaussian factor is unimodal in t with its mode at sqrt(max(y, 0)), so the
+    dropped part is at most tail times the factor's sup over the dropped t.  A
+    sample whose bound exceeds 2^-52 of its kept integral is recomputed on the
+    full window.
     """
     sigma_rec = math.sqrt(sigma2_rec)
     t_lo = np.sqrt(np.maximum(y - 10.0 * sigma_rec, 0.0))
@@ -388,19 +440,45 @@ def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch):
     scratch = _Scratch() if scratch is None else scratch
 
     def integrand(t, active):
+        dens = density(t, active, scratch)
         gauss = np.multiply(t, t, out=scratch.take("gauss", t.shape))
         np.subtract(y[active, None, None], gauss, out=gauss)
         np.exp(_log_phi(gauss, sigma2_rec, out=gauss), out=gauss)
-        dens = density(t, active, scratch)
         return np.multiply(dens, gauss, out=dens)
 
-    vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
+    if support is None:
+        vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
+    else:
+        lo, hi, tail = support
+        # the last knot at or below lo and the first at or above hi; clipping every
+        # knot to them empties the panels outside, which are never evaluated
+        k_lo = np.where(knots <= lo[:, None], knots, knots[:, :1]).max(axis=1)
+        k_hi = np.where(knots >= hi[:, None], knots, knots[:, -1:]).min(axis=1)
+        vals = _panelized_integrals(np.clip(knots, k_lo[:, None], k_hi[:, None]),
+                                    integrand, quad_tol, scratch)
+        # the Gaussian factor's sup over each dropped side (0 where none is dropped)
+        sup_lo = np.exp(_log_phi(y - np.minimum(ty, k_lo) ** 2, sigma2_rec))
+        sup_hi = np.exp(_log_phi(y - np.maximum(ty, k_hi) ** 2, sigma2_rec))
+        sup = np.maximum(sup_lo * (k_lo > knots[:, 0]), sup_hi * (k_hi < knots[:, -1]))
+        redo = ~(tail * sup <= 2.0 ** -52 * vals)
+        if redo.any():
+            # the other samples' panels collapse to zero width and cost nothing
+            full = np.where(redo[:, None], knots, knots[:, :1])
+            vals = np.where(redo, _panelized_integrals(full, integrand, quad_tol, scratch), vals)
     return np.log(np.maximum(vals, 5e-324))
+
+
+# half-width of the conditional density's support window, in antenna-noise stds:
+# the Rice mass outside is at most e^-49, and with the knots of _log_p_cond no
+# sample of the benchmark channels needs the full window
+_RICE_WINDOW = 7.0
 
 
 def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
     """log p(y | x) for each sample; the quadrature's node arrays live in scratch
-    (a fresh _Scratch when none is given)."""
+    (a fresh _Scratch when none is given).  The convolution skips the panels
+    outside nu -/+ _RICE_WINDOW sigma_a, where the Rice law has mass <= e^-49
+    (see _log_p_conv for the bound and the full-window fallback)."""
     if sigma2_rec == 0.0:
         return _log_density_w_cond(y, np.sqrt(hp * x), sigma2_a)
     if sigma2_a == 0.0:
@@ -410,10 +488,14 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
 
     def rice(t, active, scratch):
         return _density_t_cond(t, nu[active, None, None], sigma2_a,
-                               scratch.take("dens", t.shape), scratch.take("tmp", t.shape))
+                               scratch.take("dens", t.shape), scratch.take("tmp", t.shape),
+                               scratch.take("gauss", t.shape))
 
+    # T = |nu + Z2| with |Z2|^2 exponential of mean sigma2_a, and |T - nu| <= |Z2|,
+    # so P(|T - nu| > a sig_t) <= exp(-a^2) exactly
+    support = (nu - _RICE_WINDOW * sig_t, nu + _RICE_WINDOW * sig_t, math.exp(-_RICE_WINDOW ** 2))
     return _log_p_conv(y, sigma2_rec, rice, [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t,
-                                             nu + 6 * sig_t], quad_tol, scratch)
+                                             nu + 6 * sig_t], quad_tol, scratch, support)
 
 
 def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
@@ -576,11 +658,15 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     Draws X = G^2 (G standard normal, so E[X] = 1), pushes each sample through
     the channel, and averages log2 p(Y|X)/p(Y).  The conditional law of the
     squared envelope is the scaled noncentral form with scale sigma2_a and
-    noncentrality hP*X, evaluated in log space via the exponentially scaled
-    Bessel term; its processing-noise convolution is a per-sample 1-D panel
+    noncentrality hP*X, evaluated via the exponentially scaled Bessel term
+    (an asymptotic series for panels whose arguments are all >= 50, scipy's
+    i0e elsewhere); its processing-noise convolution is a per-sample 1-D panel
     quadrature (a 31-point Gauss-Kronrod rule checked against its embedded
     15-point Gauss rule, escalating to 512 Gauss-Legendre nodes where needed)
-    to absolute tolerance mc.quad_tol.  The input-averaged marginal p(Y)
+    to absolute tolerance mc.quad_tol.  The conditional quadrature skips the
+    panels outside sqrt(hP*X) -/+ 7 sigma_a, where the envelope's law has mass
+    <= e^-49; a sample whose skipped part is not bounded by 2^-52 of its value
+    is recomputed on the full window.  The input-averaged marginal p(Y)
     depends on Y alone, so it is computed once per call: the same quadrature
     at the nodes of a piecewise Chebyshev table of log p over the range of the
     drawn Y (in asinh(Y / sigma_rec)), each panel certified to

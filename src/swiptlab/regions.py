@@ -228,7 +228,11 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     s_star[fits] = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
     if q_in.size:   # never at q_max = 0, where _rho_from_split cannot divide
-        rho_in[fits] = _rho_from_split(lp, p_s, q_in[fits], s_star[fits])
+        # at the lower end of a fitting interval rho = 0 meets the target exactly
+        # too; rebuilding it there loses p_s/q_max ulps, beyond the slack when
+        # p_s >> q_max
+        solved = np.flatnonzero(fits)[~at_lo]
+        rho_in[solved] = _rho_from_split(lp, p_s, q_in[solved], s_star[solved])
         alpha[inner] = 1.0 - s_star
         rho[inner] = rho_in
         # the on fraction is 1 - alpha, or s* itself where alpha rounds it away

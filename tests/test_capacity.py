@@ -430,14 +430,19 @@ class TestPanelQuadrature:
         assert np.array_equal(both, cap._panelized_integrals(knots, cube, 1e-12))
 
     def test_in_place_densities_match_their_formulas(self):
-        # bit for bit, so that the buffers change no estimate
+        # bit for bit, so that the buffers change no estimate; the rows of t are
+        # Kronrod panels, and the chunk mixes both Bessel kernel paths
         rng = np.random.default_rng(3)
-        t = rng.uniform(0.0, 12.0, (50, 1, 31))
+        t = rng.uniform(0.0, 12.0, (50, 1, 1)) + rng.uniform(0.0, 2.0, (50, 1, 1)) * \
+            cap._kronrod_nodes()[0]
         nu = rng.uniform(0.0, 12.0, (50, 1, 1))
         s2 = 0.7
-        want = (2.0 * t / s2) * np.exp(-((t - nu) ** 2) / s2) * i0e(2.0 * t * nu / s2)
-        out, tmp = np.empty_like(t), np.empty_like(t)
-        assert cap._density_t_cond(t, nu, s2, out, tmp) is out
+        z = 2.0 * t * nu / s2
+        assert 0 < np.count_nonzero(z[:, 0, 0] >= cap._I0E_SERIES_MIN) < 50
+        bessel = cap._i0e_rows(z, np.empty_like(z), np.empty_like(z))
+        want = (2.0 * t / s2) * np.exp(-((t - nu) ** 2) / s2) * bessel
+        out, tmp, spare = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+        assert cap._density_t_cond(t, nu, s2, out, tmp, spare) is out
         assert np.array_equal(out, want)
         z = t - nu
         want = -(z * z) / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * s2)
@@ -484,6 +489,45 @@ class TestPanelQuadrature:
         s = sigma * math.sqrt(2.0)
         want = 0.5 * math.sqrt(math.pi) * s * (erf((hi - mu) / s) - erf((lo - mu) / s))
         assert abs(got - want) <= 1e-12
+
+
+def _bessel_rows(z):
+    z = np.array(z, dtype=float)
+    return cap._i0e_rows(z, np.empty_like(z), np.empty_like(z))
+
+
+class TestBesselKernel:
+    """_i0e_rows: the large-argument series beside scipy's i0e."""
+
+    def test_series_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        z = np.concatenate([[50.0, 1e12], 50.0 + rng.uniform(0.0, 5.0, 500),
+                            np.exp(rng.uniform(math.log(50.0), math.log(1e12), 2000))])
+        got = _bessel_rows(z.reshape(-1, 1, 1)).ravel()
+        with mpmath.workdps(40):
+            exact = [mpmath.besseli(0, mpmath.mpf(v)) * mpmath.exp(-mpmath.mpf(v)) for v in z]
+            rel = [float(abs(mpmath.mpf(float(g)) / e - 1)) for g, e in zip(got, exact)]
+        assert max(rel) <= 2 * 2.0 ** -52
+
+    def test_non_finite_arguments(self):
+        got = _bessel_rows([[[50.0, 1e300, np.inf]], [[60.0, np.nan, np.inf]],
+                         [[np.nan, 1.0, 2.0]], [[np.inf, np.inf, np.inf]]])
+        assert got[0, 0, 2] == 0.0 and got[3].tolist() == [[0.0, 0.0, 0.0]]
+        assert np.isnan(got[1, 0, 1]) and got[1, 0, 2] == 0.0
+        assert np.isnan(got[2, 0, 0])
+        assert np.array_equal(got[2, 0, 1:], i0e([1.0, 2.0]))
+
+    def test_mixed_chunk_equals_its_rows_alone(self):
+        rng = np.random.default_rng(4)
+        z = np.sort(rng.uniform(0.0, 200.0, (40, 1, 31)), axis=-1)
+        z[::7] += 50.0  # both paths, in runs of unequal length
+        series = z[:, 0, 0] >= cap._I0E_SERIES_MIN
+        assert series.any() and not series.all()
+        got = _bessel_rows(z)
+        assert np.array_equal(got, np.concatenate([_bessel_rows(row[None]) for row in z]))
+        assert np.array_equal(got[~series], i0e(z[~series]))  # scipy's rows are scipy's
+        assert got[series] == pytest.approx(i0e(z[series]), rel=1e-15)
 
 
 # --- independent oracle for the output densities ---------------------------
@@ -543,6 +587,21 @@ def _channel_draws(rng, n, hp, s2a, s2r):
     return x, w + math.sqrt(s2r) * rng.standard_normal(n)
 
 
+def _record_panel_samples(monkeypatch):
+    """Record, per call of the panel quadrature, the samples with a nonempty
+    panel; in one conditional density call, the calls after the first are the
+    full-window recompute."""
+    calls = []
+    integrals = cap._panelized_integrals
+
+    def recording(knots, *args):
+        calls.append(np.flatnonzero((np.diff(knots, axis=1) > 0).any(axis=1)).tolist())
+        return integrals(knots, *args)
+
+    monkeypatch.setattr(cap, "_panelized_integrals", recording)
+    return calls
+
+
 class TestDensityOracle:
     """The panel quadrature against per-sample adaptive QUADPACK integrals of
     textbook laws, in w rather than t = sqrt(w) space."""
@@ -563,6 +622,42 @@ class TestDensityOracle:
         assert np.array_equal(cap._log_p_marg(y, hp, s2a, s2r, 1e-10, scratch), log_marg)
         assert np.array_equal(cap._log_p_marg(y, hp, s2a, 0.0, 1e-10, scratch),
                               cap._log_p_marg(y, hp, s2a, 0.0, 1e-10))
+
+    # criterion 9's ratio 1e-4, fig7's s2r = 1e4 point and the fig10 point
+    @pytest.mark.parametrize("s2a, s2r", [(1e-4, 1.0), (1.0, 1e4), (1e-2, 1e2)])
+    def test_windowed_conditional(self, s2a, s2r, monkeypatch):
+        hp = 100.0
+        x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a + s2r)), 6, hp, s2a, s2r)
+        # two more x, each with y 8 std below and 8 std above its conditional mean:
+        # from about 5.1 std on, the window's bound exceeds 2^-52 of the kept part
+        nu2 = hp * x[:2]
+        mean, std = nu2 + s2a, np.sqrt(2.0 * nu2 * s2a + s2a * s2a + s2r)
+        x, y = np.r_[x, x[:2], x[:2]], np.r_[y, mean - 8.0 * std, mean + 8.0 * std]
+        calls = _record_panel_samples(monkeypatch)
+        cond = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        recomputed = {k for call in calls[1:] for k in call}
+        assert np.exp(cond) == pytest.approx(
+            [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
+        # the samples above take the full window; below, only where the window
+        # leaves out a panel
+        assert {8, 9} <= recomputed <= {6, 7, 8, 9}
+        monkeypatch.setattr(cap, "_RICE_WINDOW", math.inf)  # keeps every panel
+        full = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        assert np.array_equal(cond[6:], full[6:])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(log_hp=st.floats(0.0, 3.0), log_ratio=st.floats(-6.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_moves_p_by_rounding_only(self, log_hp, log_ratio, seed):
+        hp, s2r = 10.0 ** log_hp, 1.0
+        s2a = s2r * 10.0 ** log_ratio
+        x, y = _channel_draws(np.random.default_rng(seed), 256, hp, s2a, s2r)
+        windowed = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cap, "_RICE_WINDOW", math.inf)
+            full = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        # 4 ulp in p, plus the rounding of each log
+        assert np.all(np.abs(windowed - full) <= 4 * 2.0 ** -52 + 2 * np.spacing(np.abs(full)))
 
     @pytest.mark.parametrize("hp", [1e-2, 10.0, 1e3])
     def test_marginal_without_antenna_noise(self, hp):
@@ -587,6 +682,26 @@ def _count_marginal_nodes(monkeypatch):
 
     monkeypatch.setattr(cap, "_log_p_marg", counting)
     return seen
+
+
+class TestConditionalWork:
+    # integrand evaluations per sample before the support window and after:
+    # 270 and 170 at sa2 = 1e-4, where the Rice law is narrow; 154 and 154 at
+    # sa2 = 100, where the window keeps every panel
+    @pytest.mark.parametrize("s2a, most", [(1e-4, 200), (100.0, 160)])
+    def test_evaluations_per_sample(self, s2a, most, monkeypatch):
+        seen = []
+        rule_sums = cap._panel_rule_sums
+
+        def counting(integrand, n, owner, lower, widths, scratch, u, *weights):
+            seen.append(owner.size * u.size)
+            return rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights)
+
+        monkeypatch.setattr(cap, "_panel_rule_sums", counting)
+        # without the marginal table, every evaluation is the conditional stage's
+        monkeypatch.setattr(cap, "_marginal_table", lambda *args: np.zeros_like)
+        cnl_lower_chi2(100.0, s2a, 1.0, MonteCarloConfig(n_samples=10_000, seed=3))
+        assert 0 < sum(seen) <= most * 10_000
 
 
 class TestMarginalTable:

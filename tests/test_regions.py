@@ -184,6 +184,28 @@ class TestDerivativeFormulas:
             assert np.all(co.rate_deriv2(ss) <= 0.0)
 
 
+def _p0_alpha_grid(lp, p_s, q, points=4001, zooms=6):
+    """Brute-force P0 rate over alpha alone: at each alpha the rate falls with
+    rho, so rho is the least that meets the target (>= 0), and alpha is
+    infeasible where that exceeds 1.  The first grid spaces 1 - alpha
+    geometrically over [1e-12, 1]; each next one is linear on the neighbours of
+    the best point so far."""
+    hp, qm = lp.received_power, lp.q_max
+    alpha = 1.0 - np.logspace(-12.0, 0.0, points)
+    best = 0.0
+    for _ in range(zooms + 1):
+        s = 1.0 - alpha
+        need = (q - alpha * qm + s * p_s) / (s * qm)
+        keep = 1.0 - np.clip(need, 0.0, 1.0)
+        tau = keep * hp / (keep * lp.sigma2_a + lp.sigma2_cov)
+        rate = np.where(need <= 1.0, s * np.log2(1.0 + tau), -np.inf)
+        i = int(np.argmax(rate))
+        best = max(best, float(rate[i]))
+        lo, hi = alpha[max(i - 1, 0)], alpha[min(i + 1, points - 1)]
+        alpha = np.linspace(min(lo, hi), max(lo, hi), points)
+    return best
+
+
 class TestSolveP0:
     def test_full_harvest_endpoint(self):
         sol = solve_p0(FIG9_LP, FIG9_PS, FIG9_LP.q_max)
@@ -273,6 +295,17 @@ class TestSolveP0:
         assert np.all(sol.rate[:-1] > 0.0)
         bnd = region_sep_circuit(FIG9_LP, p_s)
         assert bnd.rates().tobytes() == sol.rate.tobytes()
+
+    # p_s ~ 5e3-1e6 q_max: intervals still fit the nudge, and where s* is their
+    # lower end, rho rebuilt from the constraint lost p_s/q_max ulps below -slack
+    @pytest.mark.parametrize("p_s", [3.2e5, 1e6, 1e7, 5.6e7])
+    def test_lower_end_optima_far_above_q_max(self, p_s):
+        qs = np.linspace(0.0, FIG9_LP.q_max, 512)
+        sol = solve_p0(FIG9_LP, p_s, qs)
+        assert np.all((sol.rho_star >= 0.0) & (sol.rho_star <= 1.0))
+        assert region_sep_circuit(FIG9_LP, p_s).rates().tobytes() == sol.rate.tobytes()
+        for q, rate in zip(qs[::64], sol.rate[::64]):
+            assert rate == pytest.approx(_p0_alpha_grid(FIG9_LP, p_s, q), abs=1e-6)
 
     def test_energy_constraint_met_with_equality(self):
         for q in [0.0, 10.0, 30.0, 55.0]:
