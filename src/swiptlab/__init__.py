@@ -1,11 +1,14 @@
 """swiptlab: rate-energy tradeoff analysis for SWIPT receiver architectures.
 
 Library layout:
-    core        shared types, rates, SNRs, dB conversion
+    core        shared types, rates, SNRs, the outer-bound box, dBm to watts
+    errors      error classes, their CLI exit codes and the input range checks
     capacity    nonlinear-channel capacity bounds and the chi-square-input rate
     regions     rate-energy region boundaries and the circuit-power solver
-    modulation  QAM/PEM symbol error rates and constrained rate maximizers
+    modulation  QAM/PEM symbol error rates, constrained rate maximizers and the
+                distance-law link budget
     simkit      Monte Carlo symbol and waveform oracles
+    figures     the parameter setups of the `figure` command
     cli         command-line front end emitting CSV/JSON artifacts
 """
 
@@ -19,7 +22,6 @@ from .core import (
     q_function,
     split_snr,
     upper_bound_region,
-    watts_to_dbm,
 )
 from .errors import (
     AliasedCarrier,
@@ -27,7 +29,6 @@ from .errors import (
     DegenerateCircuitPower,
     InfeasibleTarget,
     InvalidParams,
-    NonPositivePower,
     QuadratureFailure,
     SplitAtUnity,
     SwiptError,
@@ -38,8 +39,8 @@ __all__ = [
     "__version__",
     "LinkParams", "REBoundary",
     "q_function", "awgn_rate", "split_snr", "upper_bound_region",
-    "dbm_to_watts", "watts_to_dbm",
-    "SwiptError", "InvalidParams", "ZeroNoise", "NonPositivePower", "SplitAtUnity",
+    "dbm_to_watts",
+    "SwiptError", "InvalidParams", "ZeroNoise", "SplitAtUnity",
     "QuadratureFailure", "InfeasibleTarget", "DegenerateCircuitPower",
     "BadConstellation", "AliasedCarrier",
 ]

@@ -26,7 +26,7 @@ from .capacity import (
 from .core import LinkParams, REBoundary, upper_bound_region
 from .errors import InvalidParams, SwiptError
 from .figures import build_figure
-from .modulation import LinkBudget, link_budget_to_params, solve_p1, solve_p2
+from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
     region_int_adc,
@@ -65,17 +65,6 @@ def write_csv(path: str, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_boundary_csv(path: str) -> REBoundary:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != ",".join(CSV_HEADER):
-        raise InvalidParams(f"unexpected CSV header in {path}: {lines[0]}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    scheme, receiver = rows[-1][:2] if rows else (None, None)
-    return REBoundary(points=[(float(r), float(e)) for _, _, r, e in rows],
-                      scheme=scheme, receiver=receiver)
 
 
 def provenance(seed=None) -> dict:
@@ -185,11 +174,8 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_link(ns) -> int:
-    lb = LinkBudget(distance_m=ns.distance, tx_power_w=ns.tx_power,
-                    antenna_noise_dbm=ns.antenna_noise_dbm,
-                    conv_noise_dbm=ns.conv_noise_dbm,
-                    rec_noise_dbm=ns.rec_noise_dbm)
-    lp = link_budget_to_params(lb, zeta=ns.zeta)
+    lp = link_budget_to_params(ns.distance, ns.tx_power, ns.antenna_noise_dbm,
+                               ns.conv_noise_dbm, ns.rec_noise_dbm, zeta=ns.zeta)
     inputs = {k: getattr(ns, k) for k in ("distance", "tx_power", "antenna_noise_dbm",
                                           "conv_noise_dbm", "rec_noise_dbm", "zeta")}
     write_json(ns.out, inputs=inputs, outputs=lp.to_json_dict())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erfc
 
-from .errors import InvalidParams, NonPositivePower, ZeroNoise, check_count, check_real
+from .errors import InvalidParams, ZeroNoise, check_count, check_real
 
 LOG2E = math.log2(math.e)
 
@@ -129,11 +129,6 @@ class REBoundary:
             "points": [{"rate_bits": r, "energy_units": e} for r, e in self.points.tolist()],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "REBoundary":
-        pts = [(p["rate_bits"], p["energy_units"]) for p in d["points"]]
-        return cls(points=pts, scheme=d["scheme"], receiver=d["receiver"])
-
 
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x).
@@ -197,10 +192,3 @@ def dbm_to_watts(dbm: float) -> float:
         return 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError:
         raise InvalidParams(f"a level of {dbm:g} dBm overflows a float in watts") from None
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Inverse of dbm_to_watts; requires a strictly positive power."""
-    if not watts > 0:
-        raise NonPositivePower(f"cannot express {watts} W in dBm")
-    return 10.0 * math.log10(watts) + 30.0

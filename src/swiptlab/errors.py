@@ -22,10 +22,6 @@ class ZeroNoise(SwiptError):
     """All relevant noise powers are zero while signal power is positive."""
 
 
-class NonPositivePower(SwiptError):
-    """A power that must be strictly positive (e.g. for dBm conversion) is not."""
-
-
 class SplitAtUnity(SwiptError):
     """Split ratio of exactly 1 makes the effective processing noise unbounded."""
 

@@ -12,7 +12,7 @@ import numpy as np
 from .capacity import MonteCarloConfig, cnl_lower_chi2
 from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams
-from .modulation import LinkBudget, link_budget_to_params, solve_p1, solve_p2
+from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
     region_int_adc,
@@ -138,8 +138,7 @@ def distance_sweep_rows() -> tuple[list[tuple], list[tuple]]:
     """Maximum-rate plans for both receivers over the distance grid."""
     sep_rows, int_rows = [], []
     for d in sweep_distances():
-        lp = link_budget_to_params(LinkBudget(distance_m=float(d), **SWEEP_BUDGET),
-                                   zeta=SWEEP_ZETA)
+        lp = link_budget_to_params(float(d), zeta=SWEEP_ZETA, **SWEEP_BUDGET)
         plan1 = solve_p1(lp, SWEEP_PS, 0.0, SWEEP_SER_TARGET)
         plan2 = solve_p2(lp, SWEEP_PI, 0.0, SWEEP_SER_TARGET)
         sep_rows.append(plan1.to_csv_row(float(d), "separated"))

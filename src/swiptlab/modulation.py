@@ -44,21 +44,6 @@ class ModulationPlan:
                 self.alpha, math.nan if self.rho is None else self.rho, self.rate)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Distance/power/noise description of the practical link setup."""
-
-    distance_m: float
-    tx_power_w: float
-    antenna_noise_dbm: float
-    conv_noise_dbm: float
-    rec_noise_dbm: float   # dBm level of the rectifier noise std (a power-like std)
-
-    def __post_init__(self):
-        check_real("distance_m", self.distance_m, lo=1.0)
-        check_real("tx_power_w", self.tx_power_w, lo_open=True)
-
-
 def _check_constellation(m) -> int:
     if not isinstance(m, (int, np.integer)):
         raise BadConstellation(f"constellation size must be an integer, got {m!r}")
@@ -208,16 +193,21 @@ def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> Mod
     return ModulationPlan(family=PEM, m=m, alpha=alpha, rho=None, rate=rate)
 
 
-def link_budget_to_params(lb: LinkBudget, zeta: float = 1.0) -> LinkParams:
-    """Channel gain from the (-30 - 30 log10 d) dB attenuation law plus noise
-    powers converted from their dBm levels."""
-    h = 10.0 ** ((-30.0 - 30.0 * math.log10(lb.distance_m)) / 10.0)
-    sigma_rec = dbm_to_watts(lb.rec_noise_dbm)
+def link_budget_to_params(distance_m: float, tx_power_w: float, antenna_noise_dbm: float,
+                          conv_noise_dbm: float, rec_noise_dbm: float,
+                          zeta: float = 1.0) -> LinkParams:
+    """Link at distance_m >= 1 with transmit power tx_power_w > 0: channel gain
+    from the (-30 - 30 log10 d) dB attenuation law, noise powers and the
+    rectifier noise std (a power-like std) from their dBm levels."""
+    check_real("distance_m", distance_m, lo=1.0)
+    check_real("tx_power_w", tx_power_w, lo_open=True)
+    h = 10.0 ** ((-30.0 - 30.0 * math.log10(distance_m)) / 10.0)
+    sigma_rec = dbm_to_watts(rec_noise_dbm)
     return LinkParams(
         h=h,
-        p=lb.tx_power_w,
+        p=tx_power_w,
         zeta=zeta,
-        sigma2_a=dbm_to_watts(lb.antenna_noise_dbm),
-        sigma2_cov=dbm_to_watts(lb.conv_noise_dbm),
+        sigma2_a=dbm_to_watts(antenna_noise_dbm),
+        sigma2_cov=dbm_to_watts(conv_noise_dbm),
         sigma2_rec=sigma_rec * sigma_rec,
     )

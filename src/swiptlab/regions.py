@@ -263,12 +263,11 @@ def region_ts_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoun
 
 
 def region_sps_circuit(lp: LinkParams, p_s: float, n_points: int = 512) -> REBoundary:
-    """Always-on static split with circuit power, truncated at zero net energy."""
+    """Always-on static split with circuit power, truncated at zero net energy;
+    at p_s >= q_max every point is (0, 0), at rho = 1."""
     check_count("n_points", n_points, 2)
-    if check_real("p_s", p_s) >= lp.q_max:
-        # decoder can never be energy-neutral: only the zero-energy point at rho = 1
-        return _boundary([0.0], [0.0], "sps-circuit", "separated")
-    rhos = np.linspace(p_s / lp.q_max, 1.0, n_points)
+    rho_min = p_s / lp.q_max if check_real("p_s", p_s) < lp.q_max else 1.0
+    rhos = np.linspace(rho_min, 1.0, n_points)
     return _boundary(np.log2(1.0 + split_snr(rhos, lp)),
                      np.maximum(rhos * lp.q_max - p_s, 0.0), "sps-circuit", "separated")
 

@@ -25,12 +25,22 @@ from swiptlab.cli import (
     _merge_options,
     build_parser,
     main,
-    read_boundary_csv,
 )
 from swiptlab.core import REBoundary
 from swiptlab.figures import FIGURES
 
 FIG9_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--scov2", "10"]
+
+
+def read_boundary(path) -> REBoundary:
+    """The boundary a region CSV holds: its header must be CSV_HEADER, and
+    every row must name the same scheme and receiver."""
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == ",".join(CSV_HEADER) + "\n"
+    labels = np.loadtxt(path, dtype=str, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+    points = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
+    (scheme, receiver), = {tuple(row) for row in labels}
+    return REBoundary(points=points, scheme=scheme, receiver=receiver)
 
 
 def run(args, tmp_path, monkeypatch, capsys):
@@ -50,7 +60,7 @@ class TestRegionCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 512
-        bnd = read_boundary_csv(path)
+        bnd = read_boundary(path)
         assert bnd.rates()[0] == pytest.approx(5.672425341971495, rel=1e-12)
         assert bnd.energies()[0] == 0.0
         assert bnd.rates()[-1] == 0.0
@@ -76,7 +86,7 @@ class TestRegionCommand:
                           "--sa2", "1", "--points", "17"],
                          tmp_path, monkeypatch, capsys)
         assert code == 0
-        bnd = read_boundary_csv(tmp_path / "region_ub.csv")
+        bnd = read_boundary(tmp_path / "region_ub.csv")
         rates = bnd.rates()
         # flat top at R_max then the corner drop to (0, Q_max)
         assert np.all(rates[:-1] == rates[0])
@@ -90,7 +100,7 @@ class TestRegionCommand:
                     "--points", "512", "--ps", "25"]
             code, _, _ = run(args, tmp_path, monkeypatch, capsys)
             assert code == 0
-            files[scheme] = read_boundary_csv(tmp_path / f"region_{scheme}.csv")
+            files[scheme] = read_boundary(tmp_path / f"region_{scheme}.csv")
         ops = files["ops-circuit"]
         for scheme in ("ts-circuit", "sps-circuit"):
             other = files[scheme]
@@ -106,11 +116,11 @@ class TestRegionCommand:
                 "--scov2", "0.5", "--points", "33"]
         run(base + ["--out", "bnd.csv", "--format", "csv"], tmp_path, monkeypatch, capsys)
         run(base + ["--out", "bnd.json", "--format", "json"], tmp_path, monkeypatch, capsys)
-        from_csv = read_boundary_csv(tmp_path / "bnd.csv")
-        doc = json.loads((tmp_path / "bnd.json").read_text())
-        from_json = REBoundary.from_json_dict(doc["outputs"])
-        assert np.array_equal(from_csv.points, from_json.points)
-        assert (from_csv.scheme, from_csv.receiver) == (from_json.scheme, from_json.receiver)
+        from_csv = read_boundary(tmp_path / "bnd.csv")
+        outputs = json.loads((tmp_path / "bnd.json").read_text())["outputs"]
+        assert [[p["rate_bits"], p["energy_units"]] for p in outputs["points"]] \
+            == from_csv.points.tolist()
+        assert (from_csv.scheme, from_csv.receiver) == (outputs["scheme"], outputs["receiver"])
 
     def test_int_circuit_with_explicit_cap(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "int-circuit", "--h", "1", "--p", "100",
@@ -118,7 +128,7 @@ class TestRegionCommand:
                           "--pi", "10", "--cap", "2.5", "--points", "65"],
                          tmp_path, monkeypatch, capsys)
         assert code == 0
-        bnd = read_boundary_csv(tmp_path / "region_int-circuit.csv")
+        bnd = read_boundary(tmp_path / "region_int-circuit.csv")
         assert bnd.rate_at(0.0) == pytest.approx(2.5)
         assert bnd.rate_at(50.0) == pytest.approx(2.5)
         assert bnd.energies()[-1] == pytest.approx(60.0)
@@ -183,7 +193,7 @@ class TestSolveCommand:
             code, _, _ = run(["region", "--scheme", scheme, *flags, "--points", "4"],
                              tmp_path, monkeypatch, capsys)
             assert code == 0
-            assert not read_boundary_csv(str(tmp_path / f"region_{scheme}.csv")).points.any()
+            assert not read_boundary(tmp_path / f"region_{scheme}.csv").points.any()
 
 
 class TestLinkCommand:
@@ -284,6 +294,20 @@ class TestErrorHandling:
                       "of the batch", "integration window [", "rescale",
                       "of the draw (y="):
             assert field in doc["message"]
+
+    def test_rescaled_point_passes_at_a_looser_quad_tol(self, tmp_path, monkeypatch, capsys):
+        # the exit-4 point above meets --quad-tol 1e-6 and then gives the unit
+        # point's rate, as the MI does not depend on units; while quad_tol is an
+        # absolute tolerance, this option is the only way through that point
+        values = []
+        for link in (["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12", "--quad-tol", "1e-6"],
+                     ["--hp", "100", "--sa2", "1", "--srec2", "1"]):
+            code, _, _ = run(["capacity", *link, "--lower", "--samples", "10000", "--seed", "0",
+                              "--out", "c.json"], tmp_path, monkeypatch, capsys)
+            assert code == 0
+            values.append(json.loads((tmp_path / "c.json").read_text())
+                          ["outputs"]["lower"]["value_bits"])
+        assert abs(values[0] - values[1]) <= 1e-9
 
     @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1", "--lower"],
                                        ["--hp", "100", "--sa2", "inf", "--lower"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swiptlab import capacity, core, errors, modulation
-from swiptlab.errors import InvalidParams, NonPositivePower, check_count, check_real
+from swiptlab.errors import InvalidParams, check_count, check_real
 
 
 class TestCheckReal:
@@ -51,7 +51,7 @@ def test_exit_codes_by_class():
     codes = {name: cls.exit_code for name, cls in vars(errors).items()
              if isinstance(cls, type) and issubclass(cls, errors.SwiptError)}
     assert codes == {"SwiptError": 2, "InvalidParams": 2, "ZeroNoise": 2,
-                     "NonPositivePower": 2, "SplitAtUnity": 2, "QuadratureFailure": 4,
+                     "SplitAtUnity": 2, "QuadratureFailure": 4,
                      "InfeasibleTarget": 3, "DegenerateCircuitPower": 3,
                      "BadConstellation": 2, "AliasedCarrier": 4}
 
@@ -64,16 +64,19 @@ def test_exit_codes_by_class():
     (lambda: modulation.ser_qam(4, math.nan), InvalidParams),
     (lambda: modulation.ser_pem(4, math.nan), InvalidParams),
     (lambda: modulation.max_modulation(modulation.QAM, math.nan, 1e-5), InvalidParams),
-    (lambda: modulation.LinkBudget(math.nan, 1.0, -104.0, -70.0, -50.0), InvalidParams),
-    (lambda: modulation.LinkBudget(math.inf, 1.0, -104.0, -70.0, -50.0), InvalidParams),
-    (lambda: modulation.LinkBudget(1.0, math.nan, -104.0, -70.0, -50.0), InvalidParams),
-    (lambda: modulation.LinkBudget(1.0, math.inf, -104.0, -70.0, -50.0), InvalidParams),
-    (lambda: core.watts_to_dbm(math.nan), NonPositivePower),
+    (lambda: modulation.link_budget_to_params(math.nan, 1.0, -104.0, -70.0, -50.0),
+     InvalidParams),
+    (lambda: modulation.link_budget_to_params(math.inf, 1.0, -104.0, -70.0, -50.0),
+     InvalidParams),
+    (lambda: modulation.link_budget_to_params(1.0, math.nan, -104.0, -70.0, -50.0),
+     InvalidParams),
+    (lambda: modulation.link_budget_to_params(1.0, math.inf, -104.0, -70.0, -50.0),
+     InvalidParams),
     (lambda: core.dbm_to_watts(1e12), InvalidParams),
     (lambda: capacity.MonteCarloConfig(n_samples=20000.5), InvalidParams),
 ], ids=["c2_asymptotic", "c1_asymptotic", "c1_params", "ser_qam", "ser_pem",
         "max_modulation", "budget_distance_nan", "budget_distance_inf", "budget_power_nan",
-        "budget_power_inf", "watts_to_dbm", "dbm_to_watts", "mc_samples"])
+        "budget_power_inf", "dbm_to_watts", "mc_samples"])
 def test_former_holes_raise(call, raises):
     with pytest.raises(raises):
         call()

@@ -14,7 +14,6 @@ from swiptlab.modulation import (
     MAX_BITS,
     PEM,
     QAM,
-    LinkBudget,
     link_budget_to_params,
     max_modulation,
     p1_alpha,
@@ -27,18 +26,9 @@ from swiptlab.modulation import (
 SER_TARGET = 1e-5
 
 
-def fig11_budget(distance_m: float) -> LinkBudget:
-    return LinkBudget(
-        distance_m=distance_m,
-        tx_power_w=1.0,
-        antenna_noise_dbm=-104.0,
-        conv_noise_dbm=-70.0,
-        rec_noise_dbm=-50.0,
-    )
-
-
 def fig11_params(distance_m: float) -> LinkParams:
-    return link_budget_to_params(fig11_budget(distance_m), zeta=0.6)
+    return link_budget_to_params(distance_m, tx_power_w=1.0, antenna_noise_dbm=-104.0,
+                                 conv_noise_dbm=-70.0, rec_noise_dbm=-50.0, zeta=0.6)
 
 
 FIG11_PS = 0.5e-3
@@ -337,4 +327,4 @@ class TestLinkBudget:
 
     def test_minimum_distance(self):
         with pytest.raises(InvalidParams):
-            fig11_budget(0.5)
+            fig11_params(0.5)

@@ -386,6 +386,12 @@ class TestRegionSepCircuit:
             ops = solve_p0(lp, p_s, other.energies()).rate
             assert np.all(other.rates() <= ops + 1e-9)
 
+    # q_max = 60 on the fig9 link: the decoder can never be energy-neutral
+    @pytest.mark.parametrize("p_s", [60.0, 100.0])
+    def test_sps_circuit_at_and_above_q_max_is_all_zero(self, p_s):
+        assert FIG9_LP.q_max == 60.0
+        assert region_sps_circuit(FIG9_LP, p_s, 8).points.tolist() == [[0.0, 0.0]] * 8
+
     def test_rate_monotone_in_target(self):
         ops = region_sep_circuit(FIG9_LP, FIG9_PS, 65)
         rates = ops.rates()

@@ -10,9 +10,10 @@ largest rate it supports and q_max: rounding differs from one c to the next,
 and a rate or energy near p_s = q_max, or at a target near q_max, is a
 difference of nearly equal numbers, so its own size is no scale.  Boundaries
 are compared as regions, by their rate at every energy of a fine grid: at
-p_s or p_i = q_max a boundary switches its sampling (one point or n, a chord
-with or without a vertex), and the rounding of the scaled powers may pick
-either side of that switch for the same region.
+p_i = q_max the integrated boundary switches its sampling (a chord with or
+without a vertex), and the rounding of the scaled powers may pick either side
+of that switch for the same region.  Every boundary keeps its number of
+points at every scale.
 """
 
 import dataclasses
@@ -75,6 +76,8 @@ def assert_same_region(got, want, c: float, lp: LinkParams):
 @pytest.mark.parametrize("c", SCALES)
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(LINKS, FRACTIONS, FRACTIONS)
+# p_s = q_max: sps-circuit once gave one point at some c and 512 at others
+@example(LinkParams(h=1.25, p=63.84375, sigma2_a=1.0, sigma2_cov=1.0), 1.0, 1.0)
 def test_regions(c, lp, ps_frac, pi_frac):
     p_s, p_i = ps_frac * lp.q_max, pi_frac * lp.q_max
     lp_c = scaled(lp, c)
@@ -82,6 +85,7 @@ def test_regions(c, lp, ps_frac, pi_frac):
         want = build(lp, p_s, p_i)
         got = build(lp_c, p_s * c, p_i * c)
         assert got.scheme == want.scheme == name
+        assert got.points.shape == want.points.shape
         assert_same_region(got, want, c, lp)
 
 

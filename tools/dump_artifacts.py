@@ -9,16 +9,16 @@ byte-reproducible. To see which bytes a change moves, run the script once per
 tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
 The set: every CLI example in README.md; every region scheme as CSV and as
-JSON, and ``ops-circuit`` at p_s = 1e20, where every feasible interval of
-the on-off solver collapses; ``capacity --lower`` without antenna noise and
-without rectifier noise, the two branches of the output densities that the
-examples miss; ``solve`` p0, p1 and p2; every ``simulate`` kind (qam plain
-and importance-sampled, pem, and the rectifier with a Gaussian and a
-constant envelope and at truncation order 3); every figure, fig7, fig8 and
-fig10 at 10000 Monte Carlo samples and the others at their defaults; and a
-fixed set of rejected commands, each of which leaves its exit code and
-stderr record under ``errors/<name>/`` so that ``diff -r`` shows a changed
-message.  A run counts as failed when its exit code differs from the
+JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
+on-off solver collapses, and ``sps-circuit`` at p_s = q_max and above it;
+``capacity --lower`` without antenna noise and without rectifier noise, the
+two branches of the output densities that the examples miss; ``solve`` p0,
+p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
+and the rectifier with a Gaussian and a constant envelope and at truncation
+order 3); every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples and
+the others at their defaults; and a fixed set of rejected commands, each of
+which leaves its exit code and stderr record under ``errors/<name>/`` so that
+``diff -r`` shows a changed message.  A run counts as failed when its exit code differs from the
 expected one: 0, or the rejected command's own.
 """
 
@@ -57,6 +57,8 @@ SCHEME_FLAGS = {
 # p_s far above q_max = 60: every energy target's feasible s-interval collapses
 OPS_COLLAPSED = ["region", "--scheme", "ops-circuit", *FIG9, "--ps", "1e20",
                  "--format", "json"]
+# p_s at q_max = 60 and above it: every sps-circuit point is (0, 0)
+SPS_CIRCUIT_PS = ("60", "100")
 CAPACITY_RUNS = {
     "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
@@ -121,6 +123,9 @@ def runs() -> list[tuple[str, list[str]]]:
             out.append((f"region/{scheme}-{fmt}",
                         ["region", "--scheme", scheme, *flags, "--format", fmt]))
     out.append(("region/ops-circuit-collapsed", OPS_COLLAPSED))
+    for p_s in SPS_CIRCUIT_PS:
+        out.append((f"region/sps-circuit-ps{p_s}",
+                    ["region", "--scheme", "sps-circuit", *FIG9, "--ps", p_s]))
     for name, flags in CAPACITY_RUNS.items():
         out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
     for problem, flags in SOLVE_RUNS.items():
