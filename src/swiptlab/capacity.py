@@ -10,7 +10,6 @@ conditional/marginal output densities.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -32,11 +31,9 @@ class MonteCarloConfig:
 
     n_samples: int = 100_000
     seed: int = 0
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         check_count("n_samples", self.n_samples, 10_000)
-        check_real("quad_tol", self.quad_tol, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,6 @@ class MiEstimate:
     value: float
     std_error: float
     n_samples: int
-    quadrature_tolerance: float
     seed: int
 
     def to_json_dict(self) -> dict:
@@ -54,7 +50,6 @@ class MiEstimate:
             "value_bits": self.value,
             "std_error_bits": self.std_error,
             "n_samples": self.n_samples,
-            "quadrature_tolerance": self.quadrature_tolerance,
             "seed": self.seed,
         }
 
@@ -388,8 +383,7 @@ def _panelized_integrals(knots, integrand, quad_tol, scratch=None):
         f"{unresolved.size} of {n} output-density integrals missed tol={quad_tol:g} "
         f"with {_GL_LEVELS[-1]} nodes per panel; worst |delta| between the last two "
         f"levels {delta[worst]:.3g} at sample {worst} of the batch, integration "
-        f"window [{knots[worst, 0]:.6g}, {knots[worst, -1]:.6g}]; "
-        "rescale powers/noises toward order unity",
+        f"window [{knots[worst, 0]:.6g}, {knots[worst, -1]:.6g}]",
         sample=int(worst),
     )
 
@@ -411,7 +405,12 @@ def _log_phi(z, sigma2, out=None):
     return out
 
 
-def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=None):
+# absolute tolerance of every output density; cnl_lower_chi2 integrates in units
+# where sigma_rec = 1, so it holds the same meaning on every channel
+_QUAD_TOL = 1e-10
+
+
+def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None):
     """log of the rectifier-noise convolution int N(y - t^2; 0, sigma2_rec) p_T(t) dt
     for each sample, where p_T is a law of T = sqrt(W).
 
@@ -447,7 +446,7 @@ def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=Non
         return np.multiply(dens, gauss, out=dens)
 
     if support is None:
-        vals = _panelized_integrals(knots, integrand, quad_tol, scratch)
+        vals = _panelized_integrals(knots, integrand, _QUAD_TOL, scratch)
     else:
         lo, hi, tail = support
         # the last knot at or below lo and the first at or above hi; clipping every
@@ -455,7 +454,7 @@ def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=Non
         k_lo = np.where(knots <= lo[:, None], knots, knots[:, :1]).max(axis=1)
         k_hi = np.where(knots >= hi[:, None], knots, knots[:, -1:]).min(axis=1)
         vals = _panelized_integrals(np.clip(knots, k_lo[:, None], k_hi[:, None]),
-                                    integrand, quad_tol, scratch)
+                                    integrand, _QUAD_TOL, scratch)
         # the Gaussian factor's sup over each dropped side (0 where none is dropped)
         sup_lo = np.exp(_log_phi(y - np.minimum(ty, k_lo) ** 2, sigma2_rec))
         sup_hi = np.exp(_log_phi(y - np.maximum(ty, k_hi) ** 2, sigma2_rec))
@@ -464,7 +463,7 @@ def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=Non
         if redo.any():
             # the other samples' panels collapse to zero width and cost nothing
             full = np.where(redo[:, None], knots, knots[:, :1])
-            vals = np.where(redo, _panelized_integrals(full, integrand, quad_tol, scratch), vals)
+            vals = np.where(redo, _panelized_integrals(full, integrand, _QUAD_TOL, scratch), vals)
     return np.log(np.maximum(vals, 5e-324))
 
 
@@ -474,7 +473,7 @@ def _log_p_conv(y, sigma2_rec, density, features, quad_tol, scratch, support=Non
 _RICE_WINDOW = 7.0
 
 
-def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
+def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, scratch=None):
     """log p(y | x) for each sample; the quadrature's node arrays live in scratch
     (a fresh _Scratch when none is given).  The convolution skips the panels
     outside nu -/+ _RICE_WINDOW sigma_a, where the Rice law has mass <= e^-49
@@ -495,10 +494,10 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
     # so P(|T - nu| > a sig_t) <= exp(-a^2) exactly
     support = (nu - _RICE_WINDOW * sig_t, nu + _RICE_WINDOW * sig_t, math.exp(-_RICE_WINDOW ** 2))
     return _log_p_conv(y, sigma2_rec, rice, [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t,
-                                             nu + 6 * sig_t], quad_tol, scratch, support)
+                                             nu + 6 * sig_t], scratch, support)
 
 
-def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
+def _log_p_marg(y, hp, sigma2_a, sigma2_rec, scratch=None):
     """log p(y) under the chi-square power input, for each sample."""
     if sigma2_rec == 0.0:
         return _log_density_w_marg(y, hp, sigma2_a)
@@ -515,12 +514,11 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, quad_tol, scratch=None):
             dens *= math.sqrt(2.0 / (math.pi * hp))
             return dens
 
-        return _log_p_conv(y, sigma2_rec, half_normal, [0.5 * sq, sq, 2 * sq, 4 * sq],
-                           quad_tol, scratch)
+        return _log_p_conv(y, sigma2_rec, half_normal, [0.5 * sq, sq, 2 * sq, 4 * sq], scratch)
     v1, v2 = _marginal_w_variances(hp, sigma2_a)
     s1, s2 = math.sqrt(v1), math.sqrt(v2)
     return _log_p_conv(y, sigma2_rec, lambda t, active, _: _density_t_marg(t, hp, sigma2_a),
-                       [s2, 3 * s2, 0.5 * s1, s1, 2 * s1, 3 * s1], quad_tol, scratch)
+                       [s2, 3 * s2, 0.5 * s1, s1, 2 * s1, 3 * s1], scratch)
 
 
 # chunks run on one thread per CPU the process may use (see taskset)
@@ -540,7 +538,7 @@ _CHEB_WEIGHTS = np.where(np.arange(17) % 2, -1.0, 1.0) * np.r_[0.5, np.ones(15),
 _CHEB_CHECKS = -np.cos(np.pi * (np.arange(16) + 0.5) / 16)
 _TABLE_START_PANELS = 8
 _TABLE_MAX_PANELS = 256
-# relative part of the certification tolerance: an absolute quad_tol alone asks
+# relative part of the certification tolerance: an absolute _QUAD_TOL alone asks
 # for accuracy below rounding where the density is large
 _TABLE_REL_TOL = 1e-10
 
@@ -582,27 +580,26 @@ def _barycentric(s, nodes, values):
                     (q * values).sum(axis=-1) / q.sum(axis=-1))
 
 
-def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
+def _marginal_table(y, hp, sigma2_a, sigma2_rec):
     """log p(.) as a function of y over [min y, max y]: the closed form where
     one exists, else a piecewise Chebyshev interpolant of the quadrature.
 
     Starting from equal panels in s = asinh(y / sigma_rec), a panel is accepted
-    when the interpolant meets |p_hat - p| <= quad_tol + 1e-10 p against direct
+    when the interpolant meets |p_hat - p| <= _QUAD_TOL + 1e-10 p against direct
     quadrature at its check points, and bisected otherwise; evaluating more
     than _TABLE_MAX_PANELS panels in all raises QuadratureFailure.  The table
     depends on y only through its range, so no sample's value depends on
     chunking.
     """
     if sigma2_rec == 0.0 or (sigma2_a == 0.0 and hp == 0.0):
-        return functools.partial(_log_p_marg, hp=hp, sigma2_a=sigma2_a,
-                                 sigma2_rec=sigma2_rec, quad_tol=quad_tol)
+        return functools.partial(_log_p_marg, hp=hp, sigma2_a=sigma2_a, sigma2_rec=sigma2_rec)
     sigma_rec = math.sqrt(sigma2_rec)
 
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
         return _map_chunks(
-            lambda sl, scratch: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, quad_tol,
-                                            scratch), s.size)
+            lambda sl, scratch: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, scratch),
+            s.size)
 
     s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
     start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)
@@ -614,8 +611,7 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
         if evaluated > _TABLE_MAX_PANELS:
             raise QuadratureFailure(
                 f"log p(y) needs more than {_TABLE_MAX_PANELS} table panels of 17 nodes "
-                f"to meet tol={quad_tol:g} + {_TABLE_REL_TOL:g} p over y in "
-                f"[{y.min():.6g}, {y.max():.6g}]; rescale powers/noises toward order unity"
+                f"to meet tol={_QUAD_TOL:g} + {_TABLE_REL_TOL:g} p"
             )
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _CHEB_NODES
@@ -624,7 +620,7 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
         vals = both[:nodes.size].reshape(nodes.shape)
         p = np.exp(both[nodes.size:].reshape(checks.shape))
         p_hat = np.exp(_barycentric(checks, nodes[:, None], vals[:, None]))
-        ok = (np.abs(p_hat - p) <= quad_tol + _TABLE_REL_TOL * p).all(axis=1)
+        ok = (np.abs(p_hat - p) <= _QUAD_TOL + _TABLE_REL_TOL * p).all(axis=1)
         accepted.append((lo[ok], nodes[ok], vals[ok]))
         lo, hi, mid = lo[~ok], hi[~ok], mid[~ok]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
@@ -640,51 +636,47 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, quad_tol):
     return log_p
 
 
-@contextlib.contextmanager
-def _failure_stage(stage, hp, sigma2_a, sigma2_rec):
-    """Prefix a QuadratureFailure with the failing stage and the channel."""
-    try:
-        yield
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(
-            f"{stage} at hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}: {exc}"
-        ) from exc
-
-
 def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
                    mc: MonteCarloConfig = MonteCarloConfig()) -> MiEstimate:
     """Achievable rate of the rectified channel with a chi-square power input.
 
     Draws X = G^2 (G standard normal, so E[X] = 1), pushes each sample through
-    the channel, and averages log2 p(Y|X)/p(Y).  The conditional law of the
-    squared envelope is the scaled noncentral form with scale sigma2_a and
-    noncentrality hP*X, evaluated via the exponentially scaled Bessel term
-    (an asymptotic series for panels whose arguments are all >= 50, scipy's
-    i0e elsewhere); its processing-noise convolution is a per-sample 1-D panel
-    quadrature (a 31-point Gauss-Kronrod rule checked against its embedded
-    15-point Gauss rule, escalating to 512 Gauss-Legendre nodes where needed)
-    to absolute tolerance mc.quad_tol.  The conditional quadrature skips the
-    panels outside sqrt(hP*X) -/+ 7 sigma_a, where the envelope's law has mass
-    <= e^-49; a sample whose skipped part is not bounded by 2^-52 of its value
-    is recomputed on the full window.  The input-averaged marginal p(Y)
-    depends on Y alone, so it is computed once per call: the same quadrature
-    at the nodes of a piecewise Chebyshev table of log p over the range of the
-    drawn Y (in asinh(Y / sigma_rec)), each panel certified to
-    |p_hat - p| <= mc.quad_tol + 1e-10 p at its check points, and interpolated
-    at every sample.  Raises QuadratureFailure, naming the stage (conditional
-    density or marginal table) and the channel, when a density misses its
-    tolerance at every level or the table needs too many panels; a conditional
-    failure also names its worst sample's index in the draw and its (y, x).
-    The per-sample work runs in chunks on one thread per CPU of the process's
-    affinity mask, so `taskset -c 0` limits it to one.  Results are
-    bit-reproducible for a fixed seed and independent of internal chunking and
-    of the thread count.
+    the channel, and averages log2 p(Y|X)/p(Y).  The rate does not change when
+    hP and sigma2_a scale by c and sigma2_rec by c^2, so for sigma2_rec > 0 the
+    draw and every density are computed in units where sigma_rec = 1.  The
+    conditional law of the squared envelope is the scaled noncentral form with
+    scale sigma2_a and noncentrality hP*X, evaluated via the exponentially
+    scaled Bessel term (an asymptotic series for panels whose arguments are
+    all >= 50, scipy's i0e elsewhere); its processing-noise convolution is a
+    per-sample 1-D panel quadrature (a 31-point Gauss-Kronrod rule checked
+    against its embedded 15-point Gauss rule, escalating to 512 Gauss-Legendre
+    nodes where needed) to absolute tolerance 1e-10 in those units.  The
+    conditional quadrature skips the panels outside sqrt(hP*X) -/+ 7 sigma_a,
+    where the envelope's law has mass <= e^-49; a sample whose skipped part is
+    not bounded by 2^-52 of its value is recomputed on the full window.  The
+    input-averaged marginal p(Y) depends on Y alone, so it is computed once per
+    call: the same quadrature at the nodes of a piecewise Chebyshev table of
+    log p over the range of the drawn Y (in asinh(Y / sigma_rec)), each panel
+    certified to |p_hat - p| <= 1e-10 + 1e-10 p at its check points, and
+    interpolated at every sample.  Raises QuadratureFailure when a density
+    misses its tolerance at every level or the table needs too many panels.
+    The message names the stage (conditional density or marginal table), the
+    channel and the drawn y in the caller's units: for a conditional failure
+    the worst sample's index in the draw and its (y, x), for the table the
+    range of y.  The per-sample work runs in chunks on one thread per CPU of
+    the process's affinity mask, so `taskset -c 0` limits it to one.  Results
+    are bit-reproducible for a fixed seed and independent of internal chunking
+    and of the thread count.
     """
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
     check_real("sigma2_rec", sigma2_rec)
     if sigma2_a == 0 and sigma2_rec == 0:
         raise ZeroNoise("noiseless rectified channel has unbounded rate")
+    at = f"at hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}"
+    # to units where sigma_rec = 1, in which y is c times the caller's y
+    c = 1.0 / math.sqrt(sigma2_rec) if sigma2_rec > 0 else 1.0
+    hp, sigma2_a, sigma2_rec = c * hp, c * sigma2_a, 1.0 if sigma2_rec > 0 else 0.0
 
     n = mc.n_samples
     rng = np.random.default_rng(mc.seed)
@@ -696,35 +688,32 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
             + (scale * rng.standard_normal(n)) ** 2
     else:
         w = hp * x
-    if sigma2_rec > 0:
-        y = w + math.sqrt(sigma2_rec) * rng.standard_normal(n)
-    else:
-        y = w
+    y = w + rng.standard_normal(n) if sigma2_rec > 0 else w
 
     def log_p_cond(sl, scratch):
         try:
-            return _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, mc.quad_tol, scratch)
+            return _log_p_cond(y[sl], x[sl], hp, sigma2_a, sigma2_rec, scratch)
         except QuadratureFailure as exc:
-            k = sl.start + exc.sample
-            raise QuadratureFailure(
-                f"worst sample {k} of the draw (y={y[k]:.6g}, x={x[k]:.6g}): {exc}"
-            ) from exc
+            exc.sample += sl.start  # the worst sample's index in the draw
+            raise
 
-    channel = (hp, sigma2_a, sigma2_rec)
-    with _failure_stage("conditional density", *channel):
+    try:
         cond = _map_chunks(log_p_cond, n)
+    except QuadratureFailure as exc:
+        k = exc.sample
+        raise QuadratureFailure(
+            f"conditional density {at}: worst sample {k} of the draw (y={y[k] / c:.6g}, "
+            f"x={x[k]:.6g}): in units where sigma_rec = 1, {exc}") from exc
     # the table comes second: a channel the quadrature cannot resolve usually
     # fails in the first conditional chunk, before the table's cost is paid
-    with _failure_stage("marginal table", *channel):
-        log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, mc.quad_tol)
+    try:
+        log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(
+            f"marginal table {at}: over y in [{y.min() / c:.6g}, {y.max() / c:.6g}]: "
+            f"in units where sigma_rec = 1, {exc}") from exc
     llr = _map_chunks(lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))
-    return MiEstimate(
-        value=max(0.0, value),
-        std_error=std_error,
-        n_samples=n,
-        quadrature_tolerance=mc.quad_tol,
-        seed=mc.seed,
-    )
+    return MiEstimate(value=max(0.0, value), std_error=std_error, n_samples=n, seed=mc.seed)

@@ -89,7 +89,7 @@ def _link_params(ns) -> LinkParams:
 
 
 def _mc_config(ns) -> MonteCarloConfig:
-    return MonteCarloConfig(n_samples=ns.samples, seed=ns.seed, quad_tol=ns.quad_tol)
+    return MonteCarloConfig(n_samples=ns.samples, seed=ns.seed)
 
 
 def _resolve_cap(ns, lp: LinkParams) -> float:
@@ -146,8 +146,7 @@ def cmd_capacity(ns) -> int:
     if ns.lower:
         est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2, _mc_config(ns))
         outputs["lower"] = est.to_json_dict()
-    inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2,
-              "samples": ns.samples, "quad_tol": ns.quad_tol}
+    inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2, "samples": ns.samples}
     write_json(ns.out, inputs=inputs, outputs=outputs, seed=ns.seed)
     print(ns.out)
     return 0
@@ -235,7 +234,6 @@ _LINK_OPTIONS = (
 _MC_OPTIONS = (
     ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
     ("seed", int, 0, "Monte Carlo seed"),
-    ("quad_tol", float, 1e-10, "absolute tolerance of the output-density quadrature"),
 )
 
 # command -> (handler, help, required selector as (name, choices), options)

@@ -27,7 +27,7 @@ class SplitAtUnity(SwiptError):
 
 
 class QuadratureFailure(SwiptError):
-    """Adaptive quadrature did not reach tolerance; inputs likely need rescaling.
+    """Adaptive quadrature did not reach tolerance.
 
     `sample` is the index of the worst unresolved integral in its batch, where
     the failure has one.

@@ -276,24 +276,20 @@ def region_int_circuit(lp: LinkParams, p_i: float, cap: float,
                        n_points: int = 512) -> REBoundary:
     """Integrated receiver with circuit power.
 
-    Below q_max the boundary is a vertical segment at the capacity followed by
-    the chord to (0, q_max); when the circuit draw exceeds q_max only a scaled
-    chord survives.
+    Decoding all the time nets q_max - p_i; when that is negative, decoding
+    can run only q_max / p_i of the time.  The boundary is a vertical segment
+    at the rate of that vertex, (cap * min(1, q_max / p_i), max(q_max - p_i, 0)),
+    followed by the chord to (0, q_max).
     """
     check_count("n_points", n_points, 3)
     check_real("p_i", p_i)
     c = check_real("capacity", cap)
     q_max = lp.q_max
-    if p_i < q_max:
-        vertex_energy = q_max - p_i
-        n1 = max(n_points // 2, 2)
-        fracs = np.linspace(0.0, 1.0, max(n_points - n1, 2) + 1)[1:]
-        rates = np.append(np.full(n1, c), (1.0 - fracs) * c)
-        energies = np.append(np.linspace(0.0, vertex_energy, n1),
-                             vertex_energy + fracs * p_i)
-    elif q_max == 0.0:
-        rates, energies = [0.0], [0.0]
-    else:
-        fracs = np.linspace(0.0, 1.0, n_points)
-        rates, energies = (1.0 - fracs) * q_max * c / p_i, fracs * q_max
+    vertex_rate = c * q_max / p_i if p_i > q_max else c
+    vertex_energy = max(q_max - p_i, 0.0)
+    n1 = max(n_points // 2, 2)
+    fracs = np.linspace(0.0, 1.0, max(n_points - n1, 2) + 1)[1:]
+    rates = np.append(np.full(n1, vertex_rate), (1.0 - fracs) * vertex_rate)
+    energies = np.append(np.linspace(0.0, vertex_energy, n1),
+                         vertex_energy + fracs * min(p_i, q_max))
     return _boundary(rates, energies, "int-circuit", "integrated")

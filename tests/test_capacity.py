@@ -28,6 +28,9 @@ from swiptlab.core import LOG2E
 from swiptlab.errors import InvalidParams, QuadratureFailure, SplitAtUnity, ZeroNoise
 
 MC_FAST = MonteCarloConfig(n_samples=10_000, seed=42)
+# a channel whose conditional densities miss their tolerance in some samples of
+# every chunk, whatever the units
+UNRESOLVED = (1e6, 1e-10, 1.0)
 
 
 def c1_upper_delta0(hp, sigma_rec, beta):
@@ -271,45 +274,50 @@ class TestMiEstimator:
         cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
         assert threading.active_count() == before
         with pytest.raises(QuadratureFailure):
-            cnl_lower_chi2(1e-4, 1e-6, 1e-12, MC_FAST)
+            cnl_lower_chi2(*UNRESOLVED, MC_FAST)
         assert threading.active_count() == before
 
     def test_failure_independent_of_worker_count(self, monkeypatch):
-        # every chunk fails at this rescaled point; the first one in sample order
+        # every chunk fails on this channel; the first one in sample order
         # raises, whichever thread finishes first
         messages = []
         for workers in (1, 2):
             monkeypatch.setattr(cap, "_WORKERS", workers)
             with pytest.raises(QuadratureFailure) as info:
-                cnl_lower_chi2(1e-4, 1e-6, 1e-12, MC_FAST)
+                cnl_lower_chi2(*UNRESOLVED, MC_FAST)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
     def test_conditional_failure_names_the_sample(self, monkeypatch):
-        # every chunk fails at this rescaled point; pass the first two, in order on
-        # one worker, so that the failure's index in the draw is not its batch index
-        hp, s2a, s2r = 1e-4, 1e-6, 1e-12
-        calls = []
+        # every chunk fails on this channel, and on the same channel in units
+        # where sigma_rec = 1e-3; pass the first two, in order on one worker, so
+        # that the failure's index in the draw is not its batch index.  The
+        # message gives the channel and the sample in the caller's units.
         cond = cap._log_p_cond
-
-        def third_chunk_on(y, *args):
-            calls.append(y.size)
-            return np.zeros_like(y) if len(calls) <= 2 else cond(y, *args)
-
         monkeypatch.setattr(cap, "_WORKERS", 1)
-        monkeypatch.setattr(cap, "_log_p_cond", third_chunk_on)
-        with pytest.raises(QuadratureFailure) as info:
-            cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
-        msg = str(info.value)
-        found = re.search(r"worst sample (\d+) of the draw \(y=(\S+), x=(\S+)\): .* "
-                          r"at sample (\d+) of the batch", msg)
-        assert found, msg
-        k, batch_k = int(found.group(1)), int(found.group(4))
-        assert k == 2 * cap._CHUNK + batch_k
-        x, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
-                              hp, s2a, s2r)
-        assert float(found.group(2)) == pytest.approx(y[k], rel=1e-5)
-        assert float(found.group(3)) == pytest.approx(x[k], rel=1e-5)
+        for c in (1.0, 1e-3):
+            hp, s2a, s2r = UNRESOLVED[0] * c, UNRESOLVED[1] * c, UNRESOLVED[2] * c * c
+            calls = []
+
+            def third_chunk_on(y, *args):
+                calls.append(y.size)
+                return np.zeros_like(y) if len(calls) <= 2 else cond(y, *args)
+
+            monkeypatch.setattr(cap, "_log_p_cond", third_chunk_on)
+            with pytest.raises(QuadratureFailure) as info:
+                cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+            msg = str(info.value)
+            assert msg.startswith(f"conditional density at hP={hp:g}, sigma2_a={s2a:g}, "
+                                  f"sigma2_rec={s2r:g}: ")
+            found = re.search(r"worst sample (\d+) of the draw \(y=(\S+), x=(\S+)\): .* "
+                              r"at sample (\d+) of the batch", msg)
+            assert found, msg
+            k, batch_k = int(found.group(1)), int(found.group(4))
+            assert k == 2 * cap._CHUNK + batch_k
+            x, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
+                                  hp, s2a, s2r)
+            assert float(found.group(2)) == pytest.approx(y[k], rel=1e-5)
+            assert float(found.group(3)) == pytest.approx(x[k], rel=1e-5)
 
     def test_sandwich_against_upper_bound(self):
         for hp, s2a, s2r in [(100.0, 1e-4, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 25.0)]:
@@ -352,7 +360,6 @@ class TestMiEstimator:
         d = est.to_json_dict()
         assert d["n_samples"] == 10_000
         assert d["seed"] == 42
-        assert d["quadrature_tolerance"] == MC_FAST.quad_tol
 
 
 class TestPanelQuadrature:
@@ -470,7 +477,6 @@ class TestPanelQuadrature:
         assert worst and float(worst.group(1)) > 1e-14
         assert "sample 1 of the batch" in msg
         assert "window [2, 3]" in msg
-        assert "rescale powers/noises toward order unity" in msg
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(lo=st.floats(-3.0, 1.0), span=st.floats(0.2, 4.0),
@@ -610,18 +616,18 @@ class TestDensityOracle:
     def test_conditional_and_marginal(self, s2a):
         hp, s2r = 100.0, 1.0
         x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a)), 6, hp, s2a, s2r)
-        cond = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10))
-        log_marg = cap._log_p_marg(y, hp, s2a, s2r, 1e-10)
+        cond = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r))
+        log_marg = cap._log_p_marg(y, hp, s2a, s2r)
         marg = np.exp(log_marg)
         assert cond == pytest.approx(
             [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
         assert marg == pytest.approx([_p_marg_oracle(yi, hp, s2a, s2r) for yi in y], rel=1e-8)
         # a worker's scratch, left dirty by a conditional call, changes no bit
         scratch = cap._Scratch()
-        cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10, scratch)
-        assert np.array_equal(cap._log_p_marg(y, hp, s2a, s2r, 1e-10, scratch), log_marg)
-        assert np.array_equal(cap._log_p_marg(y, hp, s2a, 0.0, 1e-10, scratch),
-                              cap._log_p_marg(y, hp, s2a, 0.0, 1e-10))
+        cap._log_p_cond(y, x, hp, s2a, s2r, scratch)
+        assert np.array_equal(cap._log_p_marg(y, hp, s2a, s2r, scratch), log_marg)
+        assert np.array_equal(cap._log_p_marg(y, hp, s2a, 0.0, scratch),
+                              cap._log_p_marg(y, hp, s2a, 0.0))
 
     # criterion 9's ratio 1e-4, fig7's s2r = 1e4 point and the fig10 point
     @pytest.mark.parametrize("s2a, s2r", [(1e-4, 1.0), (1.0, 1e4), (1e-2, 1e2)])
@@ -634,7 +640,7 @@ class TestDensityOracle:
         mean, std = nu2 + s2a, np.sqrt(2.0 * nu2 * s2a + s2a * s2a + s2r)
         x, y = np.r_[x, x[:2], x[:2]], np.r_[y, mean - 8.0 * std, mean + 8.0 * std]
         calls = _record_panel_samples(monkeypatch)
-        cond = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        cond = cap._log_p_cond(y, x, hp, s2a, s2r)
         recomputed = {k for call in calls[1:] for k in call}
         assert np.exp(cond) == pytest.approx(
             [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
@@ -642,7 +648,7 @@ class TestDensityOracle:
         # leaves out a panel
         assert {8, 9} <= recomputed <= {6, 7, 8, 9}
         monkeypatch.setattr(cap, "_RICE_WINDOW", math.inf)  # keeps every panel
-        full = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        full = cap._log_p_cond(y, x, hp, s2a, s2r)
         assert np.array_equal(cond[6:], full[6:])
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -652,10 +658,10 @@ class TestDensityOracle:
         hp, s2r = 10.0 ** log_hp, 1.0
         s2a = s2r * 10.0 ** log_ratio
         x, y = _channel_draws(np.random.default_rng(seed), 256, hp, s2a, s2r)
-        windowed = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+        windowed = cap._log_p_cond(y, x, hp, s2a, s2r)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap, "_RICE_WINDOW", math.inf)
-            full = cap._log_p_cond(y, x, hp, s2a, s2r, 1e-10)
+            full = cap._log_p_cond(y, x, hp, s2a, s2r)
         # 4 ulp in p, plus the rounding of each log
         assert np.all(np.abs(windowed - full) <= 4 * 2.0 ** -52 + 2 * np.spacing(np.abs(full)))
 
@@ -663,12 +669,12 @@ class TestDensityOracle:
     def test_marginal_without_antenna_noise(self, hp):
         s2r = 1.0
         x, y = _channel_draws(np.random.default_rng(5), 4, hp, 0.0, s2r)
-        log_marg = cap._log_p_marg(y, hp, 0.0, s2r, 1e-10)
+        log_marg = cap._log_p_marg(y, hp, 0.0, s2r)
         assert np.exp(log_marg) == pytest.approx(
             [_p_marg_oracle(yi, hp, 0.0, s2r) for yi in y], rel=1e-8)
         scratch = cap._Scratch()
-        cap._log_p_cond(y, x, hp, 1.0, s2r, 1e-10, scratch)
-        assert np.array_equal(cap._log_p_marg(y, hp, 0.0, s2r, 1e-10, scratch), log_marg)
+        cap._log_p_cond(y, x, hp, 1.0, s2r, scratch)
+        assert np.array_equal(cap._log_p_marg(y, hp, 0.0, s2r, scratch), log_marg)
 
 
 def _count_marginal_nodes(monkeypatch):
@@ -714,10 +720,12 @@ class TestMarginalTable:
         hp, s2r = 10.0 ** log_hp, 10.0 ** log_s2r
         s2a = 0.0 if log_ratio is None else s2r * 10.0 ** log_ratio
         _, y = _channel_draws(np.random.default_rng(seed), 2000, hp, s2a, s2r)
-        p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r, 1e-10)(y))
+        p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r)(y))
         # the reference at a tighter tolerance: at 1e-10 the direct quadrature
         # itself can be off by a few times 1e-10 at single samples
-        p = np.exp(cap._log_p_marg(y, hp, s2a, s2r, 1e-13))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cap, "_QUAD_TOL", 1e-13)
+            p = np.exp(cap._log_p_marg(y, hp, s2a, s2r))
         assert np.all(np.abs(p_hat - p) <= 1e-10 + 1e-10 * p)
 
     @pytest.mark.parametrize("n", [10_000, 40_000])
@@ -728,7 +736,7 @@ class TestMarginalTable:
 
     def test_runaway_refinement_hits_the_cap(self, monkeypatch):
         # the conditional stage fails first on this channel; a stub lets the run
-        # reach the table, which cannot certify the densities at this scale
+        # reach the table, which cannot certify the densities of this channel
         seen = _count_marginal_nodes(monkeypatch)
         monkeypatch.setattr(cap, "_log_p_cond", lambda y, *args: np.zeros_like(y))
         with pytest.raises(QuadratureFailure) as info:
@@ -738,6 +746,11 @@ class TestMarginalTable:
         assert f"more than {cap._TABLE_MAX_PANELS} table panels" in msg
         y_range = re.search(r"over y in \[(\S+), (\S+)\]", msg)
         assert y_range and 0.0 < float(y_range.group(1)) < float(y_range.group(2))
+        # in the caller's units, though the table is built where sigma_rec = 1
+        _, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
+                              1e12, 1e-20, 1e-20)
+        assert float(y_range.group(1)) == pytest.approx(y.min(), rel=1e-5)
+        assert float(y_range.group(2)) == pytest.approx(y.max(), rel=1e-5)
         assert 0 < sum(seen) <= cap._TABLE_MAX_PANELS * 33  # 17 nodes + 16 checks each
 
     def test_conditional_failure_names_stage_and_channel(self):

@@ -283,31 +283,29 @@ class TestErrorHandling:
         assert "nonsense" in json.loads(err)["error"]["message"]
 
     def test_unresolved_quadrature_exit_4(self, tmp_path, monkeypatch, capsys):
-        # the unit point scaled by 1e-6: quad_tol is an absolute density tolerance,
-        # so at this scale some integrals cannot meet it
-        code, _, err = run(["capacity", "--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12",
+        # a channel whose conditional densities miss their tolerance in some
+        # samples, whatever the units
+        code, _, err = run(["capacity", "--hp", "1e6", "--sa2", "1e-10", "--srec2", "1",
                             "--lower", "--samples", "10000"], tmp_path, monkeypatch, capsys)
         assert code == 4
         doc = json.loads(err)["error"]
         assert doc["type"] == "QuadratureFailure" and doc["exit_code"] == 4
         for field in ("output-density integrals missed tol=1e-10", "worst |delta|",
-                      "of the batch", "integration window [", "rescale",
-                      "of the draw (y="):
+                      "of the batch", "integration window [", "of the draw (y="):
             assert field in doc["message"]
 
-    def test_rescaled_point_passes_at_a_looser_quad_tol(self, tmp_path, monkeypatch, capsys):
-        # the exit-4 point above meets --quad-tol 1e-6 and then gives the unit
-        # point's rate, as the MI does not depend on units; while quad_tol is an
-        # absolute tolerance, this option is the only way through that point
-        values = []
-        for link in (["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12", "--quad-tol", "1e-6"],
+    def test_rescaled_point_equals_unit_point(self, tmp_path, monkeypatch, capsys):
+        # the unit point with every power scaled by 1e-6: the same channel in
+        # other units, estimated in the same units where sigma_rec = 1
+        lowers = []
+        for link in (["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12"],
                      ["--hp", "100", "--sa2", "1", "--srec2", "1"]):
-            code, _, _ = run(["capacity", *link, "--lower", "--samples", "10000", "--seed", "0",
+            code, _, _ = run(["capacity", *link, "--lower", "--samples", "10000", "--seed", "5",
                               "--out", "c.json"], tmp_path, monkeypatch, capsys)
             assert code == 0
-            values.append(json.loads((tmp_path / "c.json").read_text())
-                          ["outputs"]["lower"]["value_bits"])
-        assert abs(values[0] - values[1]) <= 1e-9
+            lowers.append(json.loads((tmp_path / "c.json").read_text())["outputs"]["lower"])
+        for key in ("value_bits", "std_error_bits"):
+            assert lowers[0][key] == lowers[1][key]
 
     @pytest.mark.parametrize("flags", [["--hp", "nan", "--sa2", "1", "--lower"],
                                        ["--hp", "100", "--sa2", "inf", "--lower"],
@@ -315,8 +313,7 @@ class TestErrorHandling:
                                        ["--hp", "100", "--sa2", "inf", "--upper"],
                                        ["--hp", "inf", "--sa2", "1", "--upper"],
                                        ["--hp", "100", "--srec2", "inf", "--upper"],
-                                       ["--hp", "100", "--sa2", "1", "--lower",
-                                        "--quad-tol", "inf"]])
+                                       ["--hp", "100", "--srec2", "nan", "--lower"]])
     def test_non_finite_capacity_input_exit_2(self, flags, tmp_path, monkeypatch, capsys):
         code, _, err = run(["capacity", "--srec2", "1", *flags, "--samples", "10000"],
                            tmp_path, monkeypatch, capsys)
@@ -525,6 +522,50 @@ FUZZ_CASES = (
 )
 
 
+# config values of every JSON kind, NaN and +-Infinity among them (Python's json
+# writes and reads both); integers stay small so that no count is large
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-300, 0.5,
+                     3.0, 1e300]),
+    st.integers(-2, 16),
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+              st.lists(st.integers(0, 3), max_size=2),
+              st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1)))
+
+
+def _fuzzed_config(case):
+    """A FUZZ_CASES entry as (argv, config): its float flags but --cap go to a
+    config, where up to three options (but lower, which would run a
+    100k-sample MI estimate) or unknown keys (quad_tol is a removed one) take
+    fuzzed values."""
+    floats = {dest for dest, kind, _, _ in COMMANDS[case[0]][3] if kind is float}
+    argv, base = [], {}
+    for arg in case:
+        dest, _, value = arg[2:].replace("-", "_").partition("=")
+        if arg.startswith("--") and dest in floats - {"cap"}:
+            base[dest] = float(value)
+        else:
+            argv.append(arg)
+    keys = [dest for dest, _, _, _ in COMMANDS[case[0]][3] if dest != "lower"]
+    names = st.sampled_from([*keys, "quad_tol", "nonsense"])
+    return st.dictionaries(names, CONFIG_VALUES, max_size=3).map(
+        lambda fuzzed: (argv, {**base, **fuzzed}))
+
+
+def _assert_exit_contract(argv):
+    """main(argv) exits 0, 2, 3 or 4; on an error it prints one JSON error
+    record with that code and writes no file."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", os.path.join(out_dir, "artifact")])
+        assert code in (0, 2, 3, 4)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"]["exit_code"] == code
+            assert not os.listdir(out_dir)
+
+
 def _fuzzed_argv(case):
     """case followed by a value from FUZZ_VALUES for a few of its float flags."""
     floats = [dest.replace("_", "-") for dest, kind, _, _ in COMMANDS[case[0]][3]
@@ -553,15 +594,18 @@ class TestExitCodeContract:
     @example(["simulate", "--kind", "pem", "--h=1e-300", "--p=1", "--srec2=1e30",
               "--symbols=100"])
     def test_float_flags(self, argv):
-        with tempfile.TemporaryDirectory() as out_dir:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([*argv, "--out", os.path.join(out_dir, "artifact")])
-            assert code in (0, 2, 3, 4)
-            if code:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and json.loads(lines[0])["error"]["exit_code"] == code
-                assert not os.listdir(out_dir)
+        _assert_exit_contract(argv)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(*map(_fuzzed_config, FUZZ_CASES)))
+    def test_config_values(self, case):
+        argv, config = case
+        with tempfile.TemporaryDirectory() as config_dir:
+            path = os.path.join(config_dir, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            _assert_exit_contract([*argv, "--config", path])
 
 
 class TestStartup:
@@ -621,20 +665,20 @@ PARSER_PIN = {
         "--ps": ("ps", float, None, False), "--pi": ("pi", float, None, False),
         "--cap": ("cap", float, None, False), "--points": ("points", int, None, False),
         "--samples": ("samples", int, None, False), "--seed": ("seed", int, None, False),
-        "--quad-tol": ("quad_tol", float, None, False), "--out": ("out", str, None, False),
+        "--out": ("out", str, None, False),
         "--format": ("format", str, ("csv", "json"), False),
         "--config": ("config", str, None, False),
     }, ["--scheme", "int-adc"], dict(
         scheme="int-adc", **_LINK_VALUES, ps=0.0, pi=0.0, cap=None, points=512,
-        samples=100_000, seed=0, quad_tol=1e-10, out=None, format="csv")),
+        samples=100_000, seed=0, out=None, format="csv")),
     "capacity": ({
         "--hp": ("hp", float, None, False), "--sa2": ("sa2", float, None, False),
         "--srec2": ("srec2", float, None, False), "--lower": ("lower", bool, None, False),
         "--upper": ("upper", bool, None, False), "--samples": ("samples", int, None, False),
-        "--seed": ("seed", int, None, False), "--quad-tol": ("quad_tol", float, None, False),
+        "--seed": ("seed", int, None, False),
         "--out": ("out", str, None, False), "--config": ("config", str, None, False),
     }, [], dict(hp=100.0, sa2=0.0, srec2=0.0, lower=False, upper=False, samples=100_000,
-                seed=0, quad_tol=1e-10, out="capacity.json")),
+                seed=0, out="capacity.json")),
     "solve": ({
         "--problem": ("problem", str, ("p0", "p1", "p2"), True),
         **{f: (d, t, None, False) for f, (d, t) in _LINK.items()},

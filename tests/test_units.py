@@ -1,4 +1,5 @@
-"""Regions and planners do not depend on the units the caller picks.
+"""Regions, planners and the mutual information do not depend on the units
+the caller picks.
 
 Scaling every power (P, sigma2_a, sigma2_cov, p_s, p_i and the energy
 targets) by c, and the rectifier noise variance sigma2_rec by c^2, describes
@@ -9,11 +10,8 @@ Rates and energies are compared to 1e-12 of their scale on the link, the
 largest rate it supports and q_max: rounding differs from one c to the next,
 and a rate or energy near p_s = q_max, or at a target near q_max, is a
 difference of nearly equal numbers, so its own size is no scale.  Boundaries
-are compared as regions, by their rate at every energy of a fine grid: at
-p_i = q_max the integrated boundary switches its sampling (a chord with or
-without a vertex), and the rounding of the scaled powers may pick either side
-of that switch for the same region.  Every boundary keeps its number of
-points at every scale.
+are compared as regions, by their rate at every energy of a fine grid, and
+every boundary keeps its number of points at every scale.
 """
 
 import dataclasses
@@ -23,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swiptlab.capacity import MonteCarloConfig, cnl_lower_chi2
 from swiptlab.core import LinkParams, awgn_rate
 from swiptlab.modulation import solve_p1, solve_p2
 from swiptlab.regions import (
@@ -41,8 +40,7 @@ LINKS = st.builds(LinkParams, h=st.floats(0.3, 2.0), p=st.floats(20.0, 300.0),
                   zeta=st.floats(0.3, 1.0), sigma2_a=st.floats(0.05, 3.0),
                   sigma2_cov=st.floats(1.0, 20.0), sigma2_rec=st.floats(1e-2, 1e2))
 FRACTIONS = st.floats(0.01, 1.5)   # of q_max, for p_s and p_i
-# the integrated receiver's rate: fixed, since its estimate, the MI, is not
-# free of units
+# the integrated receiver's rate: fixed, so that the regions run no MI estimate
 INT_RATE = 2.5
 # boundary builders at link lp with decoder powers p_s and p_i
 REGIONS = {
@@ -87,6 +85,32 @@ def test_regions(c, lp, ps_frac, pi_frac):
         assert got.scheme == want.scheme == name
         assert got.points.shape == want.points.shape
         assert_same_region(got, want, c, lp)
+
+
+# p_i = q_max: int-circuit once sampled a chord with a vertex at some c and
+# one without at c = 1e-12, and an elementwise comparison saw two boundaries
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("pi_frac", [0.5, 1.0, 1.5])
+def test_int_circuit_points(c, pi_frac):
+    lp = LinkParams(h=1.25, p=63.84375, sigma2_a=1.0, sigma2_cov=1.0)
+    p_i = pi_frac * lp.q_max
+    want = region_int_circuit(lp, p_i, INT_RATE).points
+    got = region_int_circuit(scaled(lp, c), p_i * c, INT_RATE).points
+    assert got.shape == want.shape
+    assert_same_rates(got[:, 0], want[:, 0], lp)
+    assert np.max(np.abs(got[:, 1] / c - want[:, 1])) <= TOL * lp.q_max
+
+
+# the unit point and the fig10 point: the estimate is computed in units where
+# sigma_rec = 1, so the same draw and the same densities serve every c
+@pytest.mark.parametrize("hp, sigma2_a, sigma2_rec", [(100.0, 1.0, 1.0), (100.0, 0.01, 100.0)])
+def test_mutual_information(hp, sigma2_a, sigma2_rec):
+    mc = MonteCarloConfig(n_samples=10_000, seed=5)
+    want = cnl_lower_chi2(hp, sigma2_a, sigma2_rec, mc)
+    for c in SCALES:
+        got = cnl_lower_chi2(hp * c, sigma2_a * c, sigma2_rec * c * c, mc)
+        assert abs(got.value - want.value) <= TOL
+        assert abs(got.std_error - want.std_error) <= TOL
 
 
 @pytest.mark.parametrize("c", SCALES)

@@ -12,7 +12,8 @@ The set: every CLI example in README.md; every region scheme as CSV and as
 JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
 on-off solver collapses, and ``sps-circuit`` at p_s = q_max and above it;
 ``capacity --lower`` without antenna noise and without rectifier noise, the
-two branches of the output densities that the examples miss; ``solve`` p0,
+two branches of the output densities that the examples miss, and at the unit
+point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6; ``solve`` p0,
 p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
 and the rectifier with a Gaussian and a constant envelope and at truncation
 order 3); every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples and
@@ -62,6 +63,8 @@ SPS_CIRCUIT_PS = ("60", "100")
 CAPACITY_RUNS = {
     "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
+    # the unit point scaled by 1e-6: the same channel, so the unit point's estimate
+    "rescaled": ["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12", "--seed", "0"],
 }
 SOLVE_RUNS = {
     "p0": ["--q", "30", "--ps", "25", *FIG9],
@@ -96,13 +99,8 @@ ERROR_RUNS = {
                           "--sa2", "1", "--scov2", "1"], 2),
     "pem-p-zero": (["simulate", "--kind", "pem", "--p", "0", "--srec2", "1",
                     "--symbols", "100"], 2),
-    "quad-tol-inf": (["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--lower",
-                      "--samples", "10000", "--quad-tol", "inf"], 2),
     "dbm-overflow": (["link", "--rec-noise-dbm", "1e12"], 2),
     "p0-infeasible": (["solve", "--problem", "p0", "--q", "100", "--ps", "25", *FIG9], 3),
-    # the unit point scaled by 1e-6, where the output-density quadrature gives up
-    "capacity-rescaled": (["capacity", "--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12",
-                           "--lower", "--samples", "10000"], 4),
 }
 
 

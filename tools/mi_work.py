@@ -3,9 +3,10 @@
 Usage:
     PYTHONPATH=src python tools/mi_work.py [--samples N] [--seed S]
 
-For the six channels of the ``mi_points`` benchmark workload (the rescaled
-point, which fails by design, is left out) and the eight effective-noise
-channels of the ``adc_sweep`` workload, runs ``cnl_lower_chi2`` twice: once as
+For the seven channels of the ``mi_points`` benchmark workload (the last is
+the unit point with every power scaled by 1e-6, which counts the same work as
+the unit point) and the eight effective-noise channels of the ``adc_sweep``
+workload, runs ``cnl_lower_chi2`` twice: once as
 is, to time it, and once on one worker with counting wrappers around the
 quadrature's internals.  It prints per channel:
 
@@ -31,9 +32,10 @@ import swiptlab.capacity as cap
 
 HP = 100.0
 # mi_points: criterion 9's ratios sa2/srec2 1e-4, 1e-2, 1, 1e2 at srec2 = 1,
-# fig7's srec2 = 1e4 point and the fig10 point
+# fig7's srec2 = 1e4 point, the fig10 point and the ratio-1 point scaled by 1e-6
 MI_POINTS = ([(f"c9_ratio{r:.3g}", HP, r, 1.0) for r in np.logspace(-4, 2, 10)[::3]]
-             + [("fig7_proc100", HP, 1.0, 1e4), ("fig10", HP, 0.01, 100.0)])
+             + [("fig7_proc100", HP, 1.0, 1e4), ("fig10", HP, 0.01, 100.0),
+                ("rescaled_1e-6", HP * 1e-6, 1e-6, 1e-12)])
 # adc_sweep: region --scheme int-adc --points 4 on the fig8 links
 ADC_SA2, ADC_SADC2, ADC_SREC2 = 1.0, 1.0, (1.0, 1e4)
 ADC_RHOS = np.linspace(0.0, 1.0 - 1e-3, 4)
