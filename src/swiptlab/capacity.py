@@ -659,7 +659,9 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     log p over the range of the drawn Y (in asinh(Y / sigma_rec)), each panel
     certified to |p_hat - p| <= 1e-10 + 1e-10 p at its check points, and
     interpolated at every sample.  Raises QuadratureFailure when a density
-    misses its tolerance at every level or the table needs too many panels.
+    misses its tolerance at every level or the table needs too many panels,
+    and before any quadrature when hP, sigma2_a or a drawn y overflows a float
+    in units where sigma_rec = 1.
     The message names the stage (conditional density or marginal table), the
     channel and the drawn y in the caller's units: for a conditional failure
     the worst sample's index in the draw and its (y, x), for the table the
@@ -677,18 +679,27 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     # to units where sigma_rec = 1, in which y is c times the caller's y
     c = 1.0 / math.sqrt(sigma2_rec) if sigma2_rec > 0 else 1.0
     hp, sigma2_a, sigma2_rec = c * hp, c * sigma2_a, 1.0 if sigma2_rec > 0 else 0.0
+    if not (math.isfinite(hp) and math.isfinite(sigma2_a)):
+        raise QuadratureFailure(f"channel {at} overflows in units where sigma_rec = 1: "
+                                f"hP={hp:g}, sigma2_a={sigma2_a:g} there")
 
     n = mc.n_samples
     rng = np.random.default_rng(mc.seed)
     g = rng.standard_normal(n)
     x = g * g
-    if sigma2_a > 0:
-        scale = math.sqrt(0.5 * sigma2_a)
-        w = (np.sqrt(hp * x) + scale * rng.standard_normal(n)) ** 2 \
-            + (scale * rng.standard_normal(n)) ** 2
-    else:
-        w = hp * x
-    y = w + rng.standard_normal(n) if sigma2_rec > 0 else w
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sigma2_a > 0:
+            scale = math.sqrt(0.5 * sigma2_a)
+            w = (np.sqrt(hp * x) + scale * rng.standard_normal(n)) ** 2 \
+                + (scale * rng.standard_normal(n)) ** 2
+        else:
+            w = hp * x
+        y = w + rng.standard_normal(n) if sigma2_rec > 0 else w
+    if not np.isfinite(y).all():
+        k = int(np.argmin(np.isfinite(y)))
+        raise QuadratureFailure(f"channel {at}: the output y of sample {k} of the draw "
+                                f"(x={x[k]:.6g}) overflows in units where sigma_rec = 1",
+                                sample=k)
 
     def log_p_cond(sl, scratch):
         try:

@@ -45,10 +45,6 @@ from .simkit import DiodeModel, SimConfig, simulate_pem_integrated, \
 CSV_HEADER = ("scheme", "receiver", "rate_bits", "energy_units")
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".swiptlab-", suffix=".tmp")
@@ -61,10 +57,21 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+@functools.cache
+def _row_template(cell_types: tuple) -> str:
+    """The %-format of a CSV row: 17 significant digits for a float cell (a
+    float subclass such as numpy.float64 too), str() for any other."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in cell_types) + "\n"
+
+
 def write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write header and rows as CSV, formatting the whole table with one %."""
+    rows = list(rows)
+    # each row's cell types, gathered column by column
+    signatures = zip(*[map(type, column) for column in zip(*rows)])
+    body = "".join(map(_row_template, signatures))
+    cells = tuple([cell for row in rows for cell in row])
+    _atomic_write(path, ",".join(header) + "\n" + body % cells)
 
 
 def provenance(seed=None) -> dict:

@@ -153,7 +153,9 @@ def awgn_rate(lp: LinkParams) -> float:
 
 def split_snr(rho, lp: LinkParams):
     """Decoder SNR under a power split: (1-rho) hP / ((1-rho) sigma2_a + sigma2_cov),
-    elementwise over an array of split ratios; a scalar rho gives a float."""
+    elementwise over an array of split ratios; a scalar rho gives a float.
+    The link's p, received_power, sigma2_a and sigma2_cov may also be arrays
+    broadcasting against rho, one entry per link."""
     rho = np.asarray(rho, dtype=float)
     ok = (rho >= 0) & (rho <= 1)
     if not ok.all():
@@ -161,7 +163,7 @@ def split_snr(rho, lp: LinkParams):
     keep = 1.0 - rho
     noise = keep * lp.sigma2_a + lp.sigma2_cov
     # noise >= sigma2_cov, so only sigma2_cov = 0 can leave an unsplit share noiseless
-    if lp.p > 0 and lp.sigma2_cov <= 0 and ((noise <= 0) & (keep > 0)).any():
+    if ((lp.p > 0) & (lp.sigma2_cov <= 0) & (noise <= 0) & (keep > 0)).any():
         raise ZeroNoise("split-path noise is zero; SNR is unbounded")
     out = keep * lp.received_power / np.where(noise > 0, noise, 1.0)
     return float(out) if out.ndim == 0 else out

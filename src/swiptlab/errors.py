@@ -67,7 +67,14 @@ def check_real(name: str, value, lo: float = 0.0, hi: float = math.inf,
                lo_open: bool = False, hi_open: bool = True):
     """Return `value` if it is finite and lies between lo and hi, each end
     closed unless open; otherwise raise InvalidParams naming `name`.  NaN and
-    +-inf always fail, whatever the ends."""
+    +-inf always fail, whatever the ends.  An array passes when every entry
+    does, and otherwise fails as its first failing entry."""
+    if isinstance(value, np.ndarray):
+        ok = ((lo < value if lo_open else lo <= value)
+              & (value < hi if hi_open else value <= hi) & np.isfinite(value))
+        if ok.all():
+            return value
+        return check_real(name, value[~ok][0], lo, hi, lo_open, hi_open)
     if ((lo < value if lo_open else lo <= value)
             and (value < hi if hi_open else value <= hi) and math.isfinite(value)):
         return value

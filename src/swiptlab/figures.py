@@ -12,7 +12,7 @@ import numpy as np
 from .capacity import MonteCarloConfig, cnl_lower_chi2
 from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams
-from .modulation import link_budget_to_params, solve_p1, solve_p2
+from .modulation import link_budget_to_params, solve_p1_links, solve_p2_links
 from .regions import (
     int_adc_cap_fn,
     region_int_adc,
@@ -136,14 +136,12 @@ def sweep_distances() -> np.ndarray:
 
 def distance_sweep_rows() -> tuple[list[tuple], list[tuple]]:
     """Maximum-rate plans for both receivers over the distance grid."""
-    sep_rows, int_rows = [], []
-    for d in sweep_distances():
-        lp = link_budget_to_params(float(d), zeta=SWEEP_ZETA, **SWEEP_BUDGET)
-        plan1 = solve_p1(lp, SWEEP_PS, 0.0, SWEEP_SER_TARGET)
-        plan2 = solve_p2(lp, SWEEP_PI, 0.0, SWEEP_SER_TARGET)
-        sep_rows.append(plan1.to_csv_row(float(d), "separated"))
-        int_rows.append(plan2.to_csv_row(float(d), "integrated"))
-    return sep_rows, int_rows
+    distances = sweep_distances().tolist()
+    links = [link_budget_to_params(d, zeta=SWEEP_ZETA, **SWEEP_BUDGET) for d in distances]
+    sep = solve_p1_links(links, SWEEP_PS, 0.0, SWEEP_SER_TARGET)
+    itg = solve_p2_links(links, SWEEP_PI, 0.0, SWEEP_SER_TARGET)
+    return ([plan.to_csv_row(d, "separated") for d, plan in zip(distances, sep)],
+            [plan.to_csv_row(d, "integrated") for d, plan in zip(distances, itg)])
 
 
 def fig11(n_points: int, samples: int) -> list[tuple[str, object]]:

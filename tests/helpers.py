@@ -6,14 +6,17 @@ values and the rectifier reference filters the whole waveform record in the
 frequency domain.  The QAM and PEM references are the whole-array
 simulators that the streaming ones replaced: they draw every symbol at once,
 or block by block when given a block size, and then detect the whole record.
+The P1 reference is the one-link scalar planner that the batched one replaced.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfcinv
 
-from swiptlab.core import LinkParams, split_snr
+from swiptlab.core import LinkParams, q_function, split_snr
+from swiptlab.modulation import MAX_BITS, ModulationPlan
 from swiptlab.simkit import _CHUNK_SYMBOLS, DiodeModel, SimConfig, _detect_levels, _qam_levels
 
 
@@ -201,3 +204,50 @@ def pem_integrated_reference(lp: LinkParams, m: int, cfg: SimConfig,
     ser = float(np.mean(det != idx))
     ci = CI_FACTOR * math.sqrt(ser * (1.0 - ser) / n) if 0.0 < ser < 1.0 else 3.0 / n
     return {"ser_hat": ser, "ci_halfwidth": ci, "n_symbols": n, "seed": cfg.seed}
+
+
+def _qam_ser_scalar(m: int, snr: float) -> float:
+    sm = math.sqrt(m)
+    return 4.0 * (sm - 1.0) / sm * q_function(math.sqrt(3.0 * snr / (m - 1)))
+
+
+def p1_scalar_reference(lp: LinkParams, p_s: float, q_req: float,
+                        ser_target: float) -> ModulationPlan:
+    """solve_p1 one link at a time in Python scalars: the thresholds with their
+    ulp-doubling step-down, then one scan of the sorted candidate splits that
+    keeps the first strictly better (rate, -m).  Inputs are taken as valid."""
+    rho_max = 1.0 - 1e-12
+    if q_req == lp.q_max:
+        return ModulationPlan(family="qam", m=None, alpha=1.0, rho=1.0, rate=0.0)
+    hp = lp.received_power
+    thresholds = []
+    for l in range(1, MAX_BITS + 1):
+        m = 1 << l
+        sm = math.sqrt(m)
+        z = math.sqrt(2.0) * float(erfcinv(2.0 * ser_target * sm / (4.0 * (sm - 1.0))))
+        s = (m - 1) / 3.0 * max(z, 0.0) ** 2
+        if hp <= s * lp.sigma2_a:
+            continue
+        rho = min(max(1.0 - s * lp.sigma2_cov / (hp - s * lp.sigma2_a), 0.0), rho_max)
+        snr, gap = split_snr(rho, lp), 0.0
+        while rho > 0.0 and _qam_ser_scalar(m, snr) > ser_target:
+            gap = max(2.0 * gap, math.ulp(rho))
+            rho = max(rho - gap, 0.0)
+            snr = split_snr(rho, lp)
+        thresholds.append(rho)
+    rho0 = (q_req + p_s) / lp.q_max
+    best = None
+    for rho in sorted({0.0, min(rho0, rho_max), *thresholds}):
+        snr = split_snr(rho, lp)
+        if rho >= rho0:
+            alpha = 0.0
+        else:
+            alpha = (q_req - rho * lp.q_max + p_s) / ((1.0 - rho) * lp.q_max + p_s)
+            alpha = min(max(alpha, 0.0), 1.0)
+        m = next((1 << l for l in range(MAX_BITS, 0, -1)
+                  if _qam_ser_scalar(1 << l, snr) <= ser_target), None)
+        rate = 0.0 if m is None else (1.0 - alpha) * math.log2(m)
+        if best is None or (rate, -(m or 0)) > (best[0], -(best[1] or 0)):
+            best = (rate, m, alpha, rho)
+    rate, m, alpha, rho = best
+    return ModulationPlan(family="qam", m=m, alpha=alpha, rho=rho, rate=rate)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -25,9 +26,12 @@ from swiptlab.cli import (
     _merge_options,
     build_parser,
     main,
+    write_csv,
 )
-from swiptlab.core import REBoundary
-from swiptlab.figures import FIGURES
+from swiptlab.core import LinkParams, REBoundary
+from swiptlab.figures import FIGURES, PLAN_HEADER
+from swiptlab.modulation import ModulationPlan
+from swiptlab.regions import region_sps
 
 FIG9_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--scov2", "10"]
 
@@ -251,6 +255,39 @@ class TestFigureCommand:
         assert json.loads(err)["error"]["type"] == "InvalidParams"
 
 
+def per_cell_csv(header, rows) -> str:
+    """A table as CSV text formatted cell by cell: 17 significant digits for a
+    float (a float subclass too), str() for anything else."""
+    cell = lambda x: f"{x:.17g}" if isinstance(x, float) else str(x)
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+class TestWriteCsv:
+    TABLES = {
+        "plans": (PLAN_HEADER, [
+            ModulationPlan("qam", None, 1.0, 1.0, 0.0).to_csv_row(1.0, "separated"),
+            ModulationPlan("qam", 1024, 1 / 3, 0.1, 20 / 3).to_csv_row(10 ** 0.05, "separated"),
+            ModulationPlan("pem", 16, 0.25, None, 3.0).to_csv_row(31.6, "integrated")]),
+        "specials": (("a", "b", "c", "d", "e"), [
+            (-0.0, 5e-324, 1e22, np.float64(0.1), np.float64(-1e-300)),
+            (math.inf, -math.inf, math.nan, 1 / 3, np.float64(2.0) ** 0.5)]),
+        "percent": (("label", "x"), [("50%", 0.5), ("%s%d%%", 1), ("%(x)s", np.float32(0.1))]),
+        "header_only": (CSV_HEADER, []),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_bytes_equal_per_cell_formatting(self, name, tmp_path):
+        header, rows = self.TABLES[name]
+        write_csv(str(tmp_path / "t.csv"), header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, rows).encode()
+
+    def test_boundary_bytes_equal_per_cell_formatting(self, tmp_path):
+        rows = region_sps(LinkParams(h=1.0, p=100.0, sigma2_a=1.0, sigma2_cov=10.0),
+                          512).to_csv_rows()
+        write_csv(str(tmp_path / "t.csv"), CSV_HEADER, rows)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(CSV_HEADER, rows).encode()
+
+
 class TestErrorHandling:
     def test_invalid_parameters_exit_2(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(["region", "--scheme", "ts", "--h", "-1", "--p", "100",
@@ -293,6 +330,21 @@ class TestErrorHandling:
         for field in ("output-density integrals missed tol=1e-10", "worst |delta|",
                       "of the batch", "integration window [", "of the draw (y="):
             assert field in doc["message"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [
+        ["--hp", "1e300", "--sa2", "1", "--srec2", "1e-300"],   # hP overflows at sigma_rec = 1
+        ["--hp", "1", "--sa2", "1e300", "--srec2", "1e-300"],   # sigma2_a overflows there
+        ["--hp", "1.7e308", "--sa2", "1", "--srec2", "1"],      # a drawn y overflows
+    ])
+    def test_overflowing_channel_exit_4(self, flags, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["capacity", *flags, "--lower", "--samples", "10000"],
+                           tmp_path, monkeypatch, capsys)
+        assert code == 4
+        (line,) = err.splitlines()
+        doc = json.loads(line)["error"]
+        assert doc["type"] == "QuadratureFailure" and doc["exit_code"] == 4
+        assert "overflows in units where sigma_rec = 1" in doc["message"]
 
     def test_rescaled_point_equals_unit_point(self, tmp_path, monkeypatch, capsys):
         # the unit point with every power scaled by 1e-6: the same channel in

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptlab.modulation as modulation
+from helpers import p1_scalar_reference
 from swiptlab.core import LinkParams, q_function
 from swiptlab.errors import BadConstellation, InfeasibleTarget, InvalidParams
+from swiptlab.figures import sweep_distances
 from swiptlab.modulation import (
     MAX_BITS,
     PEM,
@@ -20,7 +22,9 @@ from swiptlab.modulation import (
     ser_pem,
     ser_qam,
     solve_p1,
+    solve_p1_links,
     solve_p2,
+    solve_p2_links,
 )
 
 SER_TARGET = 1e-5
@@ -72,6 +76,17 @@ class TestSerQam:
         for m in (1, 3, 48, 2048, 4096):
             with pytest.raises(BadConstellation):
                 ser_qam(m, 1.0)
+        with pytest.raises(BadConstellation):
+            ser_qam(np.array([4, 48]), 1.0)
+        with pytest.raises(BadConstellation):
+            ser_qam(np.array([4.0, 16.0]), 1.0)
+
+    def test_array_equals_scalar_calls(self):
+        sizes = 1 << np.arange(1, MAX_BITS + 1)
+        snrs = np.linspace(0.0, 400.0, 9)[:, None]
+        for ser in (ser_qam, ser_pem):
+            table = ser(sizes, snrs)
+            assert table.tolist() == [[ser(int(m), s) for m in sizes] for (s,) in snrs.tolist()]
 
     def test_monotone_in_snr_and_size(self):
         snrs = np.linspace(0.5, 400, 40)
@@ -128,6 +143,21 @@ class TestMaxModulation:
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidParams):
             max_modulation(QAM, 10.0, 0.0)
+
+    def test_array_equals_scalar_calls(self):
+        snrs = np.logspace(-1, 6, 60).reshape(3, 20)
+        targets = np.array([[1e-9], [1e-5], [1e-2]])
+        for family in (QAM, PEM):
+            sizes = max_modulation(family, snrs, targets)
+            assert sizes.shape == snrs.shape
+            assert sizes.tolist() == [[max_modulation(family, s, t) or 0 for s in row]
+                                      for row, (t,) in zip(snrs.tolist(), targets.tolist())]
+
+    def test_array_rejects_any_bad_entry(self):
+        with pytest.raises(InvalidParams):
+            max_modulation(QAM, np.array([1.0, math.inf]), SER_TARGET)
+        with pytest.raises(InvalidParams):
+            max_modulation(QAM, np.ones(2), np.array([SER_TARGET, 0.0]))
 
 
 class TestSolveP1:
@@ -187,15 +217,17 @@ class TestSolveP1:
     @pytest.mark.parametrize("log_d,q_frac", [(0.0, 0.0), (0.5, 0.3), (1.0, 0.0),
                                               (1.2, 0.9), (1.5, 0.5)])
     def test_evaluates_at_most_the_candidates(self, log_d, q_frac, monkeypatch):
-        # one max_modulation call per candidate split: 0, rho0 and one
-        # threshold per constellation size
-        calls = []
+        # one max_modulation call for the whole batch, over at most MAX_BITS + 2
+        # candidate splits per link: 0, rho0 and one threshold per size
+        shapes = []
         real = modulation.max_modulation
         monkeypatch.setattr(modulation, "max_modulation",
-                            lambda *args: calls.append(args) or real(*args))
-        lp = fig11_params(10.0 ** log_d)
-        solve_p1(lp, FIG11_PS, q_frac * lp.q_max, SER_TARGET)
-        assert 0 < len(calls) <= MAX_BITS + 2
+                            lambda family, snr, target: shapes.append(np.shape(snr))
+                            or real(family, snr, target))
+        links = [fig11_params(10.0 ** log_d)] + [fig11_params(d) for d in sweep_distances()]
+        solve_p1_links(links, FIG11_PS, [q_frac * lp.q_max for lp in links], SER_TARGET)
+        (shape,) = shapes
+        assert shape[0] == len(links) and shape[1] <= MAX_BITS + 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_inputs(self, bad):
@@ -217,6 +249,66 @@ class TestSolveP1:
                 continue
             identity = (lp.q_max - q_req) / ((1.0 - rho) * lp.q_max + FIG11_PS)
             assert 1.0 - alpha == pytest.approx(identity, rel=1e-12)
+
+
+def random_p1_problems(rng, n):
+    """n (link, p_s, q_req, ser_target) problems over many decades of gain,
+    power, noise and target, with p_s = 0, q_req = 0 and q_req = q_max among
+    them."""
+    problems = []
+    for _ in range(n):
+        lp = LinkParams(h=10.0 ** rng.uniform(-7, 1), p=10.0 ** rng.uniform(-1, 3),
+                        zeta=rng.uniform(0.1, 1.0), sigma2_a=10.0 ** rng.uniform(-14, 0),
+                        sigma2_cov=10.0 ** rng.uniform(-11, 2))
+        p_s = float(rng.choice([0.0, 1e-3, 1.0]) * rng.uniform(0.0, 2.0) * lp.q_max)
+        q_req = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]) * lp.q_max)
+        problems.append((lp, p_s, q_req, float(10.0 ** rng.uniform(-12, -0.5))))
+    return problems
+
+
+class TestSolveP1Links:
+    """The batched planner against the one-link scalar planner it replaced."""
+
+    def test_equals_scalar_reference_bit_for_bit(self):
+        # about a quarter of these links' thresholds step down from their
+        # closed form, so the step-down loop is exercised too
+        problems = random_p1_problems(np.random.default_rng(17), 3000)
+        plans = solve_p1_links(*map(list, zip(*problems)))
+        for plan, problem in zip(plans, problems):
+            assert repr(plan) == repr(p1_scalar_reference(*problem))
+
+    def test_distance_sweep_equals_scalar_reference(self):
+        links = [fig11_params(d) for d in sweep_distances()]
+        plans = solve_p1_links(links, FIG11_PS, 0.0, SER_TARGET)
+        assert [repr(p) for p in plans] == \
+            [repr(p1_scalar_reference(lp, FIG11_PS, 0.0, SER_TARGET)) for lp in links]
+
+    def test_threshold_rounding_regression(self):
+        # threshold arithmetic moved into arrays once moved rho here by one ulp,
+        # to 0.6682827014146118
+        lp = LinkParams(h=1.0285403703290288, p=1603.638428659761, zeta=0.27242381213834693,
+                        sigma2_a=0.19271045712038753, sigma2_cov=20.55514754287926)
+        args = (lp, 4.65707065021984, 321.48339122296863, 2.5874348525661815e-07)
+        plan = solve_p1(*args)
+        assert plan.rho == 0.6682827014146117
+        assert repr(plan) == repr(p1_scalar_reference(*args))
+
+    def test_one_link_is_solve_p1(self):
+        lp = fig11_params(3.0)
+        assert solve_p1_links([lp], FIG11_PS, 0.0, SER_TARGET) == \
+            [solve_p1(lp, FIG11_PS, 0.0, SER_TARGET)]
+        assert solve_p1_links([], FIG11_PS, 0.0, SER_TARGET) == []
+
+    def test_rejects_any_bad_link_input(self):
+        links = [fig11_params(2.0), fig11_params(3.0)]
+        with pytest.raises(InvalidParams):
+            solve_p1_links(links, [FIG11_PS, math.nan], 0.0, SER_TARGET)
+        with pytest.raises(InfeasibleTarget):
+            solve_p1_links(links, FIG11_PS, [0.0, 2.0 * links[1].q_max], SER_TARGET)
+        with pytest.raises(InvalidParams):
+            solve_p1_links(links, FIG11_PS, 0.0, [SER_TARGET, 1.0])
+        with pytest.raises(InvalidParams):
+            solve_p1_links(links, [FIG11_PS], 0.0, SER_TARGET)
 
 
 class TestSolveP2:
@@ -262,6 +354,18 @@ class TestSolveP2:
         rates = [solve_p2(lp, FIG11_PI, q, SER_TARGET).rate
                  for q in np.linspace(0.0, lp.q_max, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+
+    def test_links_equal_one_link_each(self):
+        rng = np.random.default_rng(23)
+        links = [LinkParams(h=10.0 ** rng.uniform(-7, -3), p=1.0, zeta=0.6,
+                            sigma2_rec=(10.0 ** rng.uniform(-10, -6)) ** 2)
+                 for _ in range(200)]
+        p_i = rng.uniform(0.0, 2e-3, len(links)).tolist()
+        q_req = [float(rng.uniform(0.0, 1.0) * lp.q_max) for lp in links]
+        targets = (10.0 ** rng.uniform(-12, -1, len(links))).tolist()
+        assert solve_p2_links(links, p_i, q_req, targets) == \
+            [solve_p2(*args) for args in zip(links, p_i, q_req, targets)]
+        assert solve_p2_links([], FIG11_PI, 0.0, SER_TARGET) == []
 
 
 class TestAlphaOrdering:
