@@ -17,9 +17,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
-from .core import LOG2E, q_function
+from .core import LOG2E, _special, q_function
 from .errors import QuadratureFailure, SplitAtUnity, ZeroNoise, check_count, check_real
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -178,7 +177,7 @@ def _log_density_w_cond(w, nu, sigma2_a):
     sw = np.sqrt(np.maximum(w, 0.0))
     return (
         -((sw - nu) ** 2) / sigma2_a
-        + np.log(i0e(2.0 * sw * nu / sigma2_a))
+        + np.log(_special("i0e")(2.0 * sw * nu / sigma2_a))
         - np.log(sigma2_a)
     )
 
@@ -202,6 +201,7 @@ def _i0e_rows(z, spare, spare2):
     i0e.  Each path runs on its rows gathered to the front of a spare buffer,
     since scipy's ufuncs must not be masked with where=.
     """
+    i0e = _special("i0e")
     series = z[:, 0, 0] >= _I0E_SERIES_MIN
     rows = np.flatnonzero(series)
     if not rows.size:
@@ -254,14 +254,14 @@ def _log_density_w_marg(w, hp, sigma2_a):
     v1, v2 = _marginal_w_variances(hp, sigma2_a)
     return (
         -w / (2.0 * v1)
-        + np.log(i0e(w * (v1 - v2) / (4.0 * v1 * v2)))
+        + np.log(_special("i0e")(w * (v1 - v2) / (4.0 * v1 * v2)))
         - np.log(2.0 * math.sqrt(v1 * v2))
     )
 
 
 def _density_t_marg(t, hp, sigma2_a):
     v1, v2 = _marginal_w_variances(hp, sigma2_a)
-    return (t / math.sqrt(v1 * v2)) * np.exp(-t * t / (2.0 * v1)) * i0e(
+    return (t / math.sqrt(v1 * v2)) * np.exp(-t * t / (2.0 * v1)) * _special("i0e")(
         t * t * (v1 - v2) / (4.0 * v1 * v2)
     )
 

@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .capacity import (
@@ -46,8 +45,11 @@ CSV_HEADER = ("scheme", "receiver", "rate_bits", "energy_units")
 
 
 def _atomic_write(path: str, text: str):
+    # a fresh name created with mode 0o666, so that the umask sets the
+    # artifact's mode as open(path, "w") would (mkstemp's files are 0600)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".swiptlab-", suffix=".tmp")
+    tmp = os.path.join(directory, f".swiptlab-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

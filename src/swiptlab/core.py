@@ -6,15 +6,26 @@ normalized to one, so energy per symbol and average power coincide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InvalidParams, ZeroNoise, check_count, check_real
 
 LOG2E = math.log2(math.e)
+
+
+@functools.cache
+def _special(name: str):
+    """The scipy.special function ``name``, imported at its first call.
+
+    Importing scipy.special takes about 0.15 s, more than most commands
+    compute, and only Q(x), the QAM thresholds and the MI densities need it.
+    """
+    import scipy.special
+    return getattr(scipy.special, name)
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,7 @@ def q_function(x):
     tail decay beyond.
     """
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / math.sqrt(2.0))
+    out = 0.5 * _special("erfc")(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcinv
 
-from .core import LinkParams, dbm_to_watts, q_function, split_snr
+from .core import LinkParams, _special, dbm_to_watts, q_function, split_snr
 from .errors import BadConstellation, InfeasibleTarget, InvalidParams, check_real
 
 MAX_BITS = 10  # largest supported constellation is 2**10
@@ -166,7 +165,7 @@ def _qam_thresholds(lk: _Links, ser_target: np.ndarray) -> np.ndarray:
     """
     sizes = _SIZES.astype(float)
     sm = np.sqrt(sizes)
-    z = math.sqrt(2.0) * erfcinv(2.0 * ser_target * sm / (4.0 * (sm - 1.0)))
+    z = math.sqrt(2.0) * _special("erfcinv")(2.0 * ser_target * sm / (4.0 * (sm - 1.0)))
     # Python's float ** 2 is libm's pow, which can round z*z the other way;
     # the thresholds keep pow so that every plan keeps its bits
     z2 = np.array([v ** 2 for v in np.maximum(z, 0.0).ravel().tolist()]).reshape(z.shape)

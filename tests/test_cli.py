@@ -660,18 +660,82 @@ class TestExitCodeContract:
             _assert_exit_contract([*argv, "--config", path])
 
 
+# One argv per command kind that needs no scipy: the closed-form regions
+# (int-ideal and int-circuit given --cap), solve p0, link, the three
+# oracles and the fixed-link figures.  Every other kind imports scipy.special.
+_INT_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "0.01", "--srec2", "100"]
+SCIPY_FREE_ARGVS = (
+    *(["region", "--scheme", scheme, *FIG9_FLAGS, "--ps", "25", "--points", "8",
+       "--out", f"{scheme}.csv"]
+      for scheme in ("ub", "ts", "sps", "ops-circuit", "ts-circuit", "sps-circuit")),
+    ["region", "--scheme", "int-ideal", *_INT_FLAGS, "--cap", "2", "--points", "8",
+     "--out", "int-ideal.csv"],
+    ["region", "--scheme", "int-circuit", *_INT_FLAGS, "--pi", "10", "--cap", "2",
+     "--points", "8", "--out", "int-circuit.csv"],
+    ["solve", "--problem", "p0", "--q", "30", *FIG9_FLAGS, "--ps", "25"],
+    ["link", "--distance", "3"],
+    *(["simulate", "--kind", kind, *FIG9_FLAGS, "--srec2", "1", "--symbols", "64",
+       "--out", f"{kind}.json"] for kind in ("qam", "pem", "rectifier")),
+    ["figure", "fig5", "--points", "8", "--out-dir", "fig5"],
+    ["figure", "fig9", "--points", "8", "--out-dir", "fig9"],
+)
+
+
+def scipy_after(argvs, cwd) -> list:
+    """Run each argv through cli.main in one fresh interpreter, after building
+    the parser; return, as JSON, the scipy modules loaded before the first
+    call, the exit codes and the scipy modules loaded at the end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import json, sys\n"
+        "from swiptlab.cli import build_parser, main\n"
+        "build_parser()\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "before = scipy()\n"
+        f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps([before, codes, scipy()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartup:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_cli_import_leaves_out_scipy_optimize(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, swiptlab.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.strip() == "False"
+    def test_closed_form_commands_leave_out_scipy(self, tmp_path):
+        before, codes, after = scipy_after(SCIPY_FREE_ARGVS, tmp_path)
+        assert before == []
+        assert codes == [0] * len(SCIPY_FREE_ARGVS)
+        assert after == []
+
+    def test_capacity_imports_scipy_special(self, tmp_path):
+        before, codes, after = scipy_after(
+            [["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1"]], tmp_path)
+        assert before == [] and codes == [0]
+        assert "scipy.special" in after
+
+
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    @pytest.mark.parametrize("argv", [["link", "--distance", "3", "--out", "x.json"],
+                                      ["region", "--scheme", "ts", *FIG9_FLAGS,
+                                       "--points", "8", "--out", "x.csv"]],
+                             ids=["json", "csv"])
+    def test_mode_follows_the_umask(self, argv, umask, tmp_path, monkeypatch, capsys):
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(argv, tmp_path, monkeypatch, capsys)
+            open(tmp_path / "reference", "w").close()
+        finally:
+            os.umask(old)
+        assert code == 0
+        artifact = tmp_path / argv[-1]
+        assert artifact.stat().st_mode == (tmp_path / "reference").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([argv[-1], "reference"])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
