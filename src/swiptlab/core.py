@@ -21,8 +21,8 @@ LOG2E = math.log2(math.e)
 def _special(name: str):
     """The scipy.special function ``name``, imported at its first call.
 
-    Importing scipy.special takes about 0.15 s, more than most commands
-    compute, and only Q(x), the QAM thresholds and the MI densities need it.
+    Importing scipy.special takes longer than most commands compute, and
+    only Q(x), the QAM thresholds and the MI densities need it.
     """
     import scipy.special
     return getattr(scipy.special, name)

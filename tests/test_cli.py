@@ -683,8 +683,8 @@ SCIPY_FREE_ARGVS = (
 
 def scipy_after(argvs, cwd) -> list:
     """Run each argv through cli.main in one fresh interpreter, after building
-    the parser; return, as JSON, the scipy modules loaded before the first
-    call, the exit codes and the scipy modules loaded at the end."""
+    the parser; return the scipy modules loaded before the first call, the
+    exit codes, and the scipy modules loaded at the end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
