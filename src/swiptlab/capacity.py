@@ -161,11 +161,17 @@ def c2_asymptotic(hp: float, sigma2_a: float) -> float:
     return 0.5 * math.log2(1.0 + hp / (2.0 * sigma2_a))
 
 
-def cnl_upper(hp: float, sigma2_a: float, sigma2_rec: float) -> float:
-    """Capacity upper bound of the rectified channel: the tighter of the two
-    single-noise-limit bounds."""
-    c1, _, _ = c1_upper_optimized(hp, sigma2_rec)
-    return min(c1, c2_upper(hp, sigma2_a))
+def cnl_upper(hp: float, sigma2_a: float, sigma2_rec: float) -> dict:
+    """Capacity upper bound of the rectified channel, min(c1, c2), as the
+    record `capacity --upper` writes; every input is checked before c1's
+    delta search."""
+    check_real("hp", hp, lo_open=True)
+    check_real("sigma2_rec", sigma2_rec, lo_open=True)
+    check_real("sigma2_a", sigma2_a, lo_open=True)
+    c1, beta, delta = c1_upper_optimized(hp, sigma2_rec)
+    c2 = c2_upper(hp, sigma2_a)
+    return {"cnl_upper_bits": min(c1, c2), "c1_upper_bits": c1, "c1_beta": beta,
+            "c1_delta": delta, "c2_upper_bits": c2}
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .capacity import (
-    MonteCarloConfig,
-    c1_upper_optimized,
-    c2_upper,
-    cnl_lower_chi2,
-)
+from .capacity import MonteCarloConfig, cnl_lower_chi2, cnl_upper
 from .core import LinkParams, REBoundary, upper_bound_region
 from .errors import InvalidParams, SwiptError
 from .figures import build_figure
@@ -143,15 +138,7 @@ def cmd_capacity(ns) -> int:
     if not ns.lower and not ns.upper:
         ns.upper = True
     if ns.upper:
-        c1, beta, delta = c1_upper_optimized(ns.hp, ns.srec2)
-        c2 = c2_upper(ns.hp, ns.sa2)
-        outputs["upper"] = {
-            "cnl_upper_bits": min(c1, c2),  # cnl_upper, without optimizing c1 again
-            "c1_upper_bits": c1,
-            "c1_beta": beta,
-            "c1_delta": delta,
-            "c2_upper_bits": c2,
-        }
+        outputs["upper"] = cnl_upper(ns.hp, ns.sa2, ns.srec2)
     if ns.lower:
         est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2, _mc_config(ns))
         outputs["lower"] = est.to_json_dict()
@@ -170,7 +157,7 @@ def cmd_solve(ns) -> int:
         inputs = {"ps": ns.ps, "q": ns.q}
     else:
         solver, power = (solve_p1, "ps") if ns.problem == "p1" else (solve_p2, "pi")
-        plan = solver(lp, getattr(ns, power), ns.qreq, ns.ser_target)
+        (plan,) = solver([lp], getattr(ns, power), ns.qreq, ns.ser_target)
         outputs = {"family": plan.family, "m": plan.m, "alpha": plan.alpha,
                    "rho": plan.rho, "rate_bits": plan.rate}
         inputs = {power: getattr(ns, power), "qreq": ns.qreq,

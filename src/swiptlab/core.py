@@ -154,12 +154,7 @@ def q_function(x):
 
 def awgn_rate(lp: LinkParams) -> float:
     """Coherent AWGN rate log2(1 + hP / (sigma2_a + sigma2_cov)) [bits/use]."""
-    noise = lp.sigma2_a + lp.sigma2_cov
-    if noise <= 0:
-        if lp.p > 0:
-            raise ZeroNoise("antenna plus conversion noise is zero; rate is unbounded")
-        return 0.0
-    return math.log2(1.0 + lp.received_power / noise)
+    return math.log2(1.0 + split_snr(0.0, lp))
 
 
 def split_snr(rho, lp: LinkParams):

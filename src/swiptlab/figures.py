@@ -12,7 +12,7 @@ import numpy as np
 from .capacity import MonteCarloConfig, cnl_lower_chi2
 from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams
-from .modulation import link_budget_to_params, solve_p1_links, solve_p2_links
+from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
     region_int_adc,
@@ -138,8 +138,8 @@ def distance_sweep_rows() -> tuple[list[tuple], list[tuple]]:
     """Maximum-rate plans for both receivers over the distance grid."""
     distances = sweep_distances().tolist()
     links = [link_budget_to_params(d, zeta=SWEEP_ZETA, **SWEEP_BUDGET) for d in distances]
-    sep = solve_p1_links(links, SWEEP_PS, 0.0, SWEEP_SER_TARGET)
-    itg = solve_p2_links(links, SWEEP_PI, 0.0, SWEEP_SER_TARGET)
+    sep = solve_p1(links, SWEEP_PS, 0.0, SWEEP_SER_TARGET)
+    itg = solve_p2(links, SWEEP_PI, 0.0, SWEEP_SER_TARGET)
     return ([plan.to_csv_row(d, "separated") for d, plan in zip(distances, sep)],
             [plan.to_csv_row(d, "integrated") for d, plan in zip(distances, itg)])
 

@@ -194,10 +194,17 @@ def _per_link(n: int, *values) -> list[list[float]]:
     return lists
 
 
-def solve_p1_links(links, p_s, q_req, ser_target) -> list[ModulationPlan]:
-    """solve_p1 for a sequence of links at once, with p_s, q_req and
-    ser_target each a scalar or one value per link; every plan equals the one
-    solve_p1 gives for its link alone, bit for bit."""
+def solve_p1(links, p_s, q_req, ser_target) -> list[ModulationPlan]:
+    """Maximize the separated receiver's QAM rate under SER and net-energy
+    constraints: one plan per link, with p_s, q_req and ser_target each a
+    scalar or one value per link, and each plan bit for bit its link's alone.
+
+    The largest feasible size is a nonincreasing step function of rho with
+    its steps at _qam_thresholds, while the on fraction 1 - alpha rises until
+    it reaches 1 at rho0 = (Q_req + P_S) / (zeta h P).  So the optimum is one
+    of rho = 0, rho0 and the thresholds, each clipped to [0, 1 - 1e-12].
+    Ties break toward the smaller constellation, then the smaller split.
+    """
     n = len(links)
     p_s, q_req, ser_target = _per_link(n, p_s, q_req, ser_target)
     for lp, ps, q, t in zip(links, p_s, q_req, ser_target):
@@ -233,23 +240,11 @@ def solve_p1_links(links, p_s, q_req, ser_target) -> list[ModulationPlan]:
     return plans
 
 
-def solve_p1(lp: LinkParams, p_s: float, q_req: float, ser_target: float) -> ModulationPlan:
-    """Maximize the separated receiver's QAM rate under SER and net-energy
-    constraints.
-
-    The largest feasible size is a nonincreasing step function of rho with
-    its steps at _qam_thresholds, while the on fraction 1 - alpha rises until
-    it reaches 1 at rho0 = (Q_req + P_S) / (zeta h P).  So the optimum is one
-    of rho = 0, rho0 and the thresholds, each clipped to [0, 1 - 1e-12].
-    Ties break toward the smaller constellation, then the smaller split.
-    """
-    return solve_p1_links([lp], p_s, q_req, ser_target)[0]
-
-
-def solve_p2_links(links, p_i, q_req, ser_target) -> list[ModulationPlan]:
-    """solve_p2 for a sequence of links at once, with p_i, q_req and
-    ser_target each a scalar or one value per link; the sizes of all links
-    come from one max_modulation call."""
+def solve_p2(links, p_i, q_req, ser_target) -> list[ModulationPlan]:
+    """Maximize the integrated receiver's PEM rate under SER and net-energy
+    constraints, one plan per link as for solve_p1; the off fraction is
+    closed-form, the split plays no role, and one max_modulation call sizes
+    every link."""
     p_i, q_req, ser_target = _per_link(len(links), p_i, q_req, ser_target)
     for lp, pi, q in zip(links, p_i, q_req):
         check_real("p_i", pi)
@@ -263,12 +258,6 @@ def solve_p2_links(links, p_i, q_req, ser_target) -> list[ModulationPlan]:
         rate = (1.0 - alpha) * math.log2(m) if m else 0.0
         plans.append(ModulationPlan(family=PEM, m=m or None, alpha=alpha, rho=None, rate=rate))
     return plans
-
-
-def solve_p2(lp: LinkParams, p_i: float, q_req: float, ser_target: float) -> ModulationPlan:
-    """Maximize the integrated receiver's PEM rate under SER and net-energy
-    constraints; the off fraction is closed-form and the split plays no role."""
-    return solve_p2_links([lp], p_i, q_req, ser_target)[0]
 
 
 def link_budget_to_params(distance_m: float, tx_power_w: float, antenna_noise_dbm: float,

@@ -328,7 +328,7 @@ def test_criterion_9_capacity_bound_sandwich():
         s2a, s2r = float(ratio), 1.0
         est = cnl_lower_chi2(100.0, s2a, s2r,
                              MonteCarloConfig(n_samples=100_000, seed=900 + i))
-        ub = cnl_upper(100.0, s2a, s2r)
+        ub = cnl_upper(100.0, s2a, s2r)["cnl_upper_bits"]
         slack = ub - (est.value - 3.0 * est.std_error)
         worst = max(worst, -slack)
         sandwich_ok &= slack >= 0.0

@@ -176,13 +176,13 @@ class TestClosedFormBounds:
 
 class TestCnlUpper:
     def test_c1_branch_active_with_dominant_rectifier_noise(self):
-        val = cnl_upper(100.0, 1e-4, 1.0)
+        val = cnl_upper(100.0, 1e-4, 1.0)["cnl_upper_bits"]
         c1, _, _ = c1_upper_optimized(100.0, 1.0)
         assert val == c1
         assert c1 < c2_upper(100.0, 1e-4)
 
     def test_c2_branch_active_with_vanishing_rectifier_noise(self):
-        val = cnl_upper(100.0, 1.0, 1e-8)
+        val = cnl_upper(100.0, 1.0, 1e-8)["cnl_upper_bits"]
         assert val == c2_upper(100.0, 1.0)
 
 
@@ -322,7 +322,7 @@ class TestMiEstimator:
     def test_sandwich_against_upper_bound(self):
         for hp, s2a, s2r in [(100.0, 1e-4, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 25.0)]:
             est = cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
-            ub = cnl_upper(hp, s2a, s2r)
+            ub = cnl_upper(hp, s2a, s2r)["cnl_upper_bits"]
             assert est.value - 3.0 * est.std_error <= ub
 
     def test_intensity_limit_sandwich(self):

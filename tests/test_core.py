@@ -156,7 +156,7 @@ class TestHarvestedEnergy:
         assert rate == 0.0 and energy == pytest.approx(60.0)
         sol = solve_p0(self.LP, 25.0, self.LP.q_max)
         assert (sol.alpha_star, sol.rate) == (1.0, 0.0)
-        assert solve_p1(self.LP, 25.0, self.LP.q_max, 1e-5).alpha == 1.0
+        assert solve_p1([self.LP], 25.0, self.LP.q_max, 1e-5)[0].alpha == 1.0
 
     def test_split_vector_mean(self):
         # splitting half the power harvests half of q_max = 100; QPSK symbols

@@ -22,9 +22,7 @@ from swiptlab.modulation import (
     ser_pem,
     ser_qam,
     solve_p1,
-    solve_p1_links,
     solve_p2,
-    solve_p2_links,
 )
 
 SER_TARGET = 1e-5
@@ -163,17 +161,17 @@ class TestMaxModulation:
 class TestSolveP1:
     def test_full_energy_requirement(self):
         lp = fig11_params(2.0)
-        plan = solve_p1(lp, FIG11_PS, lp.q_max, SER_TARGET)
+        (plan,) = solve_p1([lp], FIG11_PS, lp.q_max, SER_TARGET)
         assert plan.alpha == 1.0 and plan.rate == 0.0
 
     def test_infeasible_requirement(self):
         lp = fig11_params(2.0)
         with pytest.raises(InfeasibleTarget):
-            solve_p1(lp, FIG11_PS, lp.q_max * 1.01, SER_TARGET)
+            solve_p1([lp], FIG11_PS, lp.q_max * 1.01, SER_TARGET)
 
     def test_fig11_close_distance(self):
         lp = fig11_params(1.0)
-        plan = solve_p1(lp, FIG11_PS, 0.0, SER_TARGET)
+        (plan,) = solve_p1([lp], FIG11_PS, 0.0, SER_TARGET)
         assert plan.m == 1024
         assert plan.rate == pytest.approx(10.0, abs=1e-12)
         oracle = p1_brute_force(lp, FIG11_PS, 0.0, SER_TARGET)
@@ -182,7 +180,7 @@ class TestSolveP1:
     @pytest.mark.parametrize("log_d", [0.3, 0.7, 1.0, 1.3])
     def test_against_brute_force(self, log_d):
         lp = fig11_params(10.0 ** log_d)
-        plan = solve_p1(lp, FIG11_PS, 0.0, SER_TARGET)
+        (plan,) = solve_p1([lp], FIG11_PS, 0.0, SER_TARGET)
         oracle = p1_brute_force(lp, FIG11_PS, 0.0, SER_TARGET)
         assert plan.rate == pytest.approx(oracle, abs=1e-6)
 
@@ -191,17 +189,17 @@ class TestSolveP1:
         # to (zeta h P)/P_S and the rate stays positive
         lp = LinkParams(h=1.0, p=1e-3, zeta=0.6, sigma2_a=1e-14, sigma2_cov=1e-10)
         p_s = 100.0 * lp.q_max
-        plan = solve_p1(lp, p_s, 0.0, SER_TARGET)
+        (plan,) = solve_p1([lp], p_s, 0.0, SER_TARGET)
         assert plan.m == 1024
         assert plan.rate == pytest.approx(lp.q_max / p_s * 10.0, rel=1e-2)
         assert plan.rate > 0
 
     def test_rate_nonincreasing_in_q_req_and_circuit_power(self):
         lp = fig11_params(4.0)
-        rates_q = [solve_p1(lp, FIG11_PS, q, SER_TARGET).rate
+        rates_q = [solve_p1([lp], FIG11_PS, q, SER_TARGET)[0].rate
                    for q in np.linspace(0.0, lp.q_max, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(rates_q, rates_q[1:]))
-        rates_ps = [solve_p1(lp, ps, 0.0, SER_TARGET).rate
+        rates_ps = [solve_p1([lp], ps, 0.0, SER_TARGET)[0].rate
                     for ps in (1e-4, 3e-4, 1e-3, 3e-3)]
         assert all(a >= b - 1e-12 for a, b in zip(rates_ps, rates_ps[1:]))
 
@@ -211,7 +209,7 @@ class TestSolveP1:
     def test_never_below_brute_force(self, log_d, q_frac, p_s):
         lp = fig11_params(10.0 ** log_d)
         q_req = q_frac * lp.q_max
-        plan = solve_p1(lp, p_s, q_req, SER_TARGET)
+        (plan,) = solve_p1([lp], p_s, q_req, SER_TARGET)
         assert plan.rate >= p1_brute_force(lp, p_s, q_req, SER_TARGET) - 1e-12
 
     @pytest.mark.parametrize("log_d,q_frac", [(0.0, 0.0), (0.5, 0.3), (1.0, 0.0),
@@ -225,7 +223,7 @@ class TestSolveP1:
                             lambda family, snr, target: shapes.append(np.shape(snr))
                             or real(family, snr, target))
         links = [fig11_params(10.0 ** log_d)] + [fig11_params(d) for d in sweep_distances()]
-        solve_p1_links(links, FIG11_PS, [q_frac * lp.q_max for lp in links], SER_TARGET)
+        solve_p1(links, FIG11_PS, [q_frac * lp.q_max for lp in links], SER_TARGET)
         (shape,) = shapes
         assert shape[0] == len(links) and shape[1] <= MAX_BITS + 2
 
@@ -233,9 +231,9 @@ class TestSolveP1:
     def test_rejects_non_finite_inputs(self, bad):
         lp = fig11_params(2.0)
         with pytest.raises(InvalidParams):
-            solve_p1(lp, bad, 0.0, SER_TARGET)
+            solve_p1([lp], bad, 0.0, SER_TARGET)
         with pytest.raises(InvalidParams):
-            solve_p1(lp, FIG11_PS, bad, SER_TARGET)
+            solve_p1([lp], FIG11_PS, bad, SER_TARGET)
 
     def test_off_fraction_identity_when_interior(self):
         # 1 - alpha = (zeta h P - Q_req)/((1-rho) zeta h P + P_S) off the clamp
@@ -273,13 +271,14 @@ class TestSolveP1Links:
         # about a quarter of these links' thresholds step down from their
         # closed form, so the step-down loop is exercised too
         problems = random_p1_problems(np.random.default_rng(17), 3000)
-        plans = solve_p1_links(*map(list, zip(*problems)))
+        plans = solve_p1(*map(list, zip(*problems)))
         for plan, problem in zip(plans, problems):
             assert repr(plan) == repr(p1_scalar_reference(*problem))
+        assert solve_p1([], FIG11_PS, 0.0, SER_TARGET) == []
 
     def test_distance_sweep_equals_scalar_reference(self):
         links = [fig11_params(d) for d in sweep_distances()]
-        plans = solve_p1_links(links, FIG11_PS, 0.0, SER_TARGET)
+        plans = solve_p1(links, FIG11_PS, 0.0, SER_TARGET)
         assert [repr(p) for p in plans] == \
             [repr(p1_scalar_reference(lp, FIG11_PS, 0.0, SER_TARGET)) for lp in links]
 
@@ -289,44 +288,38 @@ class TestSolveP1Links:
         lp = LinkParams(h=1.0285403703290288, p=1603.638428659761, zeta=0.27242381213834693,
                         sigma2_a=0.19271045712038753, sigma2_cov=20.55514754287926)
         args = (lp, 4.65707065021984, 321.48339122296863, 2.5874348525661815e-07)
-        plan = solve_p1(*args)
+        (plan,) = solve_p1([lp], *args[1:])
         assert plan.rho == 0.6682827014146117
         assert repr(plan) == repr(p1_scalar_reference(*args))
-
-    def test_one_link_is_solve_p1(self):
-        lp = fig11_params(3.0)
-        assert solve_p1_links([lp], FIG11_PS, 0.0, SER_TARGET) == \
-            [solve_p1(lp, FIG11_PS, 0.0, SER_TARGET)]
-        assert solve_p1_links([], FIG11_PS, 0.0, SER_TARGET) == []
 
     def test_rejects_any_bad_link_input(self):
         links = [fig11_params(2.0), fig11_params(3.0)]
         with pytest.raises(InvalidParams):
-            solve_p1_links(links, [FIG11_PS, math.nan], 0.0, SER_TARGET)
+            solve_p1(links, [FIG11_PS, math.nan], 0.0, SER_TARGET)
         with pytest.raises(InfeasibleTarget):
-            solve_p1_links(links, FIG11_PS, [0.0, 2.0 * links[1].q_max], SER_TARGET)
+            solve_p1(links, FIG11_PS, [0.0, 2.0 * links[1].q_max], SER_TARGET)
         with pytest.raises(InvalidParams):
-            solve_p1_links(links, FIG11_PS, 0.0, [SER_TARGET, 1.0])
+            solve_p1(links, FIG11_PS, 0.0, [SER_TARGET, 1.0])
         with pytest.raises(InvalidParams):
-            solve_p1_links(links, [FIG11_PS], 0.0, SER_TARGET)
+            solve_p1(links, [FIG11_PS], 0.0, SER_TARGET)
 
 
 class TestSolveP2:
     def test_no_off_time_when_harvest_covers_draw(self):
         lp = fig11_params(1.0)
-        plan = solve_p2(lp, FIG11_PI, 0.0, SER_TARGET)
+        (plan,) = solve_p2([lp], FIG11_PI, 0.0, SER_TARGET)
         assert plan.alpha == 0.0
         assert plan.m == 1024
         assert plan.rate == 10.0
 
     def test_full_energy_requirement(self):
         lp = fig11_params(1.0)
-        plan = solve_p2(lp, FIG11_PI, lp.q_max, SER_TARGET)
+        (plan,) = solve_p2([lp], FIG11_PI, lp.q_max, SER_TARGET)
         assert plan.alpha == 1.0 and plan.rate == 0.0
 
     def test_fig11_distance_ten(self):
         lp = fig11_params(10.0)
-        plan = solve_p2(lp, FIG11_PI, 0.0, SER_TARGET)
+        (plan,) = solve_p2([lp], FIG11_PI, 0.0, SER_TARGET)
         assert plan.m == 16
         assert plan.alpha == pytest.approx(0.997, abs=1e-9)
         assert plan.rate == pytest.approx(0.012, abs=1e-9)
@@ -338,20 +331,20 @@ class TestSolveP2:
 
     def test_zero_rate_at_extreme_distance(self):
         lp = fig11_params(10.0 ** 1.5)
-        plan = solve_p2(lp, FIG11_PI, 0.0, SER_TARGET)
+        (plan,) = solve_p2([lp], FIG11_PI, 0.0, SER_TARGET)
         assert plan.m is None and plan.rate == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_inputs(self, bad):
         lp = fig11_params(2.0)
         with pytest.raises(InvalidParams):
-            solve_p2(lp, bad, 0.0, SER_TARGET)
+            solve_p2([lp], bad, 0.0, SER_TARGET)
         with pytest.raises(InvalidParams):
-            solve_p2(lp, FIG11_PI, bad, SER_TARGET)
+            solve_p2([lp], FIG11_PI, bad, SER_TARGET)
 
     def test_rate_nonincreasing_in_q_req(self):
         lp = fig11_params(5.0)
-        rates = [solve_p2(lp, FIG11_PI, q, SER_TARGET).rate
+        rates = [solve_p2([lp], FIG11_PI, q, SER_TARGET)[0].rate
                  for q in np.linspace(0.0, lp.q_max, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
@@ -363,9 +356,9 @@ class TestSolveP2:
         p_i = rng.uniform(0.0, 2e-3, len(links)).tolist()
         q_req = [float(rng.uniform(0.0, 1.0) * lp.q_max) for lp in links]
         targets = (10.0 ** rng.uniform(-12, -1, len(links))).tolist()
-        assert solve_p2_links(links, p_i, q_req, targets) == \
-            [solve_p2(*args) for args in zip(links, p_i, q_req, targets)]
-        assert solve_p2_links([], FIG11_PI, 0.0, SER_TARGET) == []
+        assert solve_p2(links, p_i, q_req, targets) == \
+            [solve_p2([lp], *args)[0] for lp, *args in zip(links, p_i, q_req, targets)]
+        assert solve_p2([], FIG11_PI, 0.0, SER_TARGET) == []
 
 
 class TestAlphaOrdering:
@@ -375,7 +368,7 @@ class TestAlphaOrdering:
 
     @staticmethod
     def plans(lp, p_s, p_i, q_req):
-        return solve_p1(lp, p_s, q_req, SER_TARGET), solve_p2(lp, p_i, q_req, SER_TARGET)
+        return solve_p1([lp], p_s, q_req, SER_TARGET) + solve_p2([lp], p_i, q_req, SER_TARGET)
 
     def test_randomized_ordering(self):
         rng = np.random.default_rng(31)

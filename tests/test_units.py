@@ -139,8 +139,8 @@ def test_planners(c, lp, power_frac, q_frac, ser_target):
     power, q_req = power_frac * lp.q_max, q_frac * lp.q_max
     lp_c = scaled(lp, c)
     for solver in (solve_p1, solve_p2):
-        want = solver(lp, power, q_req, ser_target)
-        got = solver(lp_c, power * c, q_req * c, ser_target)
+        (want,) = solver([lp], power, q_req, ser_target)
+        (got,) = solver([lp_c], power * c, q_req * c, ser_target)
         assert (got.family, got.m) == (want.family, want.m)
         assert got.rate == pytest.approx(want.rate, rel=TOL, abs=0.0)
         assert got.alpha == pytest.approx(want.alpha, rel=0.0, abs=TOL)
