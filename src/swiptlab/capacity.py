@@ -95,10 +95,10 @@ def _c1_upper_bits(hp, sigma_rec, beta, delta):
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     term1 = np.log2(beta * edr + sqrt_2pi * sigma_rec * q_dr)
     term2 = (0.5 * q_dr + (delta + hp + sigma_rec * edr / sqrt_2pi) / beta) * LOG2E
-    term3 = (
-        delta * edr / (2.0 * sqrt_2pi * sigma_rec)
-        + 0.5 * dr * dr * (1.0 - q_function((delta + hp) / sigma_rec))
-    ) * LOG2E
+    with np.errstate(over="ignore"):   # (delta + hP)/sigma_rec may overflow; Q(inf) = 0
+        q_top = q_function((delta + hp) / sigma_rec)
+    term3 = (delta * edr / (2.0 * sqrt_2pi * sigma_rec)
+             + 0.5 * dr * dr * (1.0 - q_top)) * LOG2E
     term4 = -0.5 * math.log2(2.0 * math.pi * math.e * sigma_rec * sigma_rec)
     return term1 + term2 + term3 + term4
 

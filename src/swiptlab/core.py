@@ -171,7 +171,12 @@ def split_snr(rho, lp: LinkParams):
     # noise >= sigma2_cov, so only sigma2_cov = 0 can leave an unsplit share noiseless
     if ((lp.p > 0) & (lp.sigma2_cov <= 0) & (noise <= 0) & (keep > 0)).any():
         raise ZeroNoise("split-path noise is zero; SNR is unbounded")
-    out = keep * lp.received_power / np.where(noise > 0, noise, 1.0)
+    with np.errstate(over="ignore"):   # an SNR beyond the float range is rejected below
+        out = keep * lp.received_power / np.where(noise > 0, noise, 1.0)
+    over = np.isinf(out)
+    if over.any():
+        raise InvalidParams(f"decoder SNR overflows a float at split ratio "
+                            f"{np.broadcast_to(rho, out.shape)[over][0]}")
     return float(out) if out.ndim == 0 else out
 
 

@@ -206,6 +206,10 @@ def solve_p0(lp: LinkParams, p_s: float, q_target) -> P0Solution:
     q_in = qs[inner]
 
     co = rs_coefficients(lp, p_s, q_in)   # checks p_s, for an empty batch too
+    if q_in.size and lp.sigma2_a + lp.sigma2_cov <= 0:
+        # a noiseless decoder path (p > 0, as q_max > 0): split_snr raises its
+        # ZeroNoise here, before the bisection meets dR/ds = 0/0
+        split_snr(0.0, lp)
     # an interval no wider than the endpoint nudge (every one when p_s >> q_max)
     # is far below the bisection tolerance, and dR/ds can be 0/0 inside it: s*
     # is its lower end, where rho = 0 meets the target exactly

@@ -222,8 +222,10 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
         if noise_scale == 1.0:
             errors += int(np.count_nonzero(err))
         else:
-            # likelihood ratio of the true vs inflated complex Gaussian noise
-            mag2 = (noise_i * noise_i + noise_q * noise_q) / (sigma2_eff / 2.0)
+            # likelihood ratio of the true vs inflated complex Gaussian noise; a
+            # square may overflow, and its weight exp(-inf) = 0 is right
+            with np.errstate(over="ignore"):
+                mag2 = (noise_i * noise_i + noise_q * noise_q) / (sigma2_eff / 2.0)
             log_w = math.log(k2) - 0.5 * mag2 * (1.0 - 1.0 / k2)
             weighted = np.where(err, np.exp(log_w), 0.0)
             w_count, w_mean, w_m2 = _merge_moments(w_count, w_mean, w_m2, weighted)

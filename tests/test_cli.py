@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swiptlab.capacity as capacity
+from swiptlab.capacity import cnl_upper
 from swiptlab.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -29,8 +31,17 @@ from swiptlab.cli import (
     write_csv,
 )
 from swiptlab.core import LinkParams, REBoundary
-from swiptlab.figures import FIGURES, PLAN_HEADER
-from swiptlab.modulation import ModulationPlan
+from swiptlab.figures import (
+    FIGURES,
+    PLAN_HEADER,
+    SWEEP_BUDGET,
+    SWEEP_PI,
+    SWEEP_PS,
+    SWEEP_SER_TARGET,
+    SWEEP_ZETA,
+    sweep_distances,
+)
+from swiptlab.modulation import ModulationPlan, link_budget_to_params, solve_p1, solve_p2
 from swiptlab.regions import region_sps
 
 FIG9_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--scov2", "10"]
@@ -159,6 +170,22 @@ class TestCapacityCommand:
         assert up["cnl_upper_bits"] == pytest.approx(
             min(up["c1_upper_bits"], up["c2_upper_bits"]))
 
+    # (sa2, srec2, the bound that is the smaller): rectifier noise dominant,
+    # then antenna noise dominant
+    @pytest.mark.parametrize("sa2,srec2,branch", [(1e-4, 1.0, "c1"), (1.0, 1e-8, "c2")])
+    def test_upper_is_the_cnl_upper_record(self, sa2, srec2, branch, tmp_path,
+                                           monkeypatch, capsys):
+        calls = []
+        real = capacity.c1_upper_optimized
+        monkeypatch.setattr(capacity, "c1_upper_optimized",
+                            lambda *args: calls.append(args) or real(*args))
+        code, _, _ = run(["capacity", "--hp", "100", "--sa2", str(sa2), "--srec2", str(srec2),
+                          "--upper", "--out", "up.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0 and len(calls) == 1
+        up = json.loads((tmp_path / "up.json").read_text())["outputs"]["upper"]
+        assert up == cnl_upper(100.0, sa2, srec2)
+        assert up["cnl_upper_bits"] == up[f"{branch}_upper_bits"]
+
 
 class TestSolveCommand:
     def test_p0_output(self, tmp_path, monkeypatch, capsys):
@@ -248,6 +275,19 @@ class TestFigureCommand:
             tmp_path, monkeypatch, capsys)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_fig11_tables_are_the_batched_plans(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run(["figure", "fig11", "--out-dir", "f11"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        distances = sweep_distances().tolist()
+        links = [link_budget_to_params(d, zeta=SWEEP_ZETA, **SWEEP_BUDGET) for d in distances]
+        for name, receiver, plans in (
+                ("fig11_seprx.csv", "separated",
+                 solve_p1(links, SWEEP_PS, 0.0, SWEEP_SER_TARGET)),
+                ("fig11_intrx.csv", "integrated",
+                 solve_p2(links, SWEEP_PI, 0.0, SWEEP_SER_TARGET))):
+            rows = [plan.to_csv_row(d, receiver) for d, plan in zip(distances, plans)]
+            assert (tmp_path / "f11" / name).read_text() == per_cell_csv(PLAN_HEADER, rows)
 
     def test_unknown_figure_id(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(["figure", "fig99"], tmp_path, monkeypatch, capsys)
@@ -645,6 +685,22 @@ class TestExitCodeContract:
     @example(["region", "--scheme", "ops-circuit", *FIG9_FLAGS, "--ps=1e20"])
     @example(["simulate", "--kind", "pem", "--h=1e-300", "--p=1", "--srec2=1e30",
               "--symbols=100"])
+    # runs that warned before their ZeroNoise record: solve_p0 bisecting dR/ds
+    # (0/0) on a noiseless decoder path
+    @example(["solve", "--problem", "p0", "--p", "1", "--ps", "0.5", "--q", "0.2"])
+    @example(["region", "--scheme", "ops-circuit", "--p", "1", "--ps", "0.5"])
+    # a decoder SNR that overflows: a warning, then an unrelated record
+    @example(["solve", "--problem", "p1", "--scov2", "5e-324"])
+    @example(["region", "--scheme", "sps", "--p", "1e300", "--scov2", "1e-150"])
+    @example(["region", "--scheme", "ts-circuit", "--pi", "1e-12", "--sa2", "5e-324",
+              "--zeta", "1"])
+    # the c1 delta search warning before c2 rejects sigma2_a, and overflows
+    # whose limit inf is right: Q((delta + hP)/sigma_rec) and the QAM
+    # importance-sampling weights
+    @example(["capacity", "--hp", "1e300", "--srec2", "5e-324", "--upper"])
+    @example(["capacity", "--hp", "1e200", "--sa2", "1", "--srec2", "1e-250", "--upper"])
+    @example(["simulate", "--kind", "qam", "--scov2", "1e150", "--rho", "1e-150",
+              "--noise-scale", "1e150", "--symbols", "50"])
     def test_float_flags(self, argv):
         _assert_exit_contract(argv)
 

@@ -134,6 +134,15 @@ class TestSplitSnr:
         with pytest.raises(ZeroNoise):
             split_snr(0.5, LinkParams(h=1, p=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_naming_the_snr(self):
+        # hP / sigma2_cov = 1e450: at rho = 1 the SNR is 0, below it inf
+        lp = LinkParams(h=1, p=1e300, sigma2_cov=1e-150)
+        with pytest.raises(InvalidParams, match="decoder SNR overflows a float at split ratio 0.5"):
+            split_snr(np.array([1.0, 0.5]), lp)
+        with pytest.raises(InvalidParams, match="decoder SNR overflows"):
+            awgn_rate(lp)
+
 
 class TestHarvestedEnergy:
     """What the program reports as harvested energy: a schedule that is off

@@ -13,14 +13,16 @@ JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
 on-off solver collapses, and ``sps-circuit`` at p_s = q_max and above it;
 ``capacity --lower`` without antenna noise and without rectifier noise, the
 two branches of the output densities that the examples miss, and at the unit
-point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6; ``solve`` p0,
-p1 and p2; every ``simulate`` kind (qam plain and importance-sampled, pem,
-and the rectifier with a Gaussian and a constant envelope and at truncation
-order 3); every figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples and
-the others at their defaults; and a fixed set of rejected commands, each of
-which leaves its exit code and stderr record under ``errors/<name>/`` so that
-``diff -r`` shows a changed message.  A run counts as failed when its exit code differs from the
-expected one: 0, or the rejected command's own.
+point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6; ``capacity
+--upper`` alone at (100, 1, 1e-8), where c2 is the smaller bound (README's
+point takes the c1 branch of the min); ``solve`` p0, p1 and p2; every
+``simulate`` kind (qam plain and importance-sampled, pem, and the rectifier
+with a Gaussian and a constant envelope and at truncation order 3); every
+figure, fig7, fig8 and fig10 at 10000 Monte Carlo samples and the others at
+their defaults; and a fixed set of rejected commands, each of which leaves
+its exit code and stderr record under ``errors/<name>/`` so that ``diff -r``
+shows a changed message. A run counts as failed when its exit code differs
+from the expected one: 0, or the rejected command's own.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ CAPACITY_RUNS = {
     # the unit point scaled by 1e-6: the same channel, so the unit point's estimate
     "rescaled": ["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12", "--seed", "0"],
 }
+# the upper bounds where c2 = 3.517 bits is below c1 = 19.33 bits
+CAPACITY_UPPER_C2 = ["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1e-8", "--upper"]
 SOLVE_RUNS = {
     "p0": ["--q", "30", "--ps", "25", *FIG9],
     "p1": ["--qreq", "0", "--ps", "5e-4", "--h", "1e-3", "--p", "1", "--zeta", "0.6",
@@ -126,6 +130,7 @@ def runs() -> list[tuple[str, list[str]]]:
                     ["region", "--scheme", "sps-circuit", *FIG9, "--ps", p_s]))
     for name, flags in CAPACITY_RUNS.items():
         out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
+    out.append(("capacity/upper-c2", CAPACITY_UPPER_C2))
     for problem, flags in SOLVE_RUNS.items():
         out.append((f"solve/{problem}", ["solve", "--problem", problem, *flags]))
     for name, flags in SIMULATE_RUNS.items():
