@@ -331,8 +331,8 @@ def _kronrod_nodes(n=15):
 
 
 def _panel_rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights):
-    """Evaluate the integrand at the nodes u of every listed panel and return, for
-    each weight vector, the per-sample sums of the panel integrals.
+    """Evaluate the integrand at the nodes lower + widths * u of every listed panel
+    and return, for each weight vector, the per-sample sums of the panel integrals.
 
     Panels arrive grouped by sample in knot order, and np.bincount adds them in
     that order, so each sample's sum does not depend on the other samples.
@@ -416,7 +416,49 @@ def _log_phi(z, sigma2, out=None):
 _QUAD_TOL = 1e-10
 
 
-def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None):
+# The Gauss-Hermite pair tried before the panels: its two rule sizes, and the
+# half-width of its window in stds of the bump, which must cover the finer rule's
+# outermost node (7.62 stds for 20 nodes) so that every node lies at t > 0
+_GH_LEVELS = (12, 20)
+_GH_WINDOW = 8.0
+
+
+@functools.cache
+def _hermite_pair():
+    """The nodes xi of the _GH_LEVELS Gauss-Hermite rules merged in ascending
+    order, and for each rule its weights times e^(xi^2) at those nodes (zero at
+    the other rule's), so that sum w f(xi) integrates f itself over the line."""
+    rules = [np.polynomial.hermite.hermgauss(n) for n in _GH_LEVELS]
+    xi = np.concatenate([x for x, _ in rules])
+    order = np.argsort(xi)
+    weights, start = [], 0
+    for x, w in rules:
+        full = np.zeros(xi.size)
+        full[start:start + x.size] = w * np.exp(x * x)
+        weights.append(full[order])
+        start += x.size
+    return xi[order], *weights
+
+
+def _hermite_sums(integrand, centre, width, scratch):
+    """Try the Gauss-Hermite pair on every sample whose window centre -/+
+    _GH_WINDOW width lies in t > 0: both rules at t = centre + sqrt(2) width xi,
+    so a Gaussian bump of that centre and std is integrated exactly by either.
+    A sample is settled when the two sums differ by <= _QUAD_TOL (absolute),
+    the acceptance test of the panel rules.  Returns the settled mask and the
+    finer rule's sums (zero where the pair was not tried)."""
+    settled = np.zeros(centre.shape, dtype=bool)
+    tried = np.flatnonzero(centre - _GH_WINDOW * width > 0.0)
+    with _RULES_LOCK:
+        xi, coarse_w, fine_w = _hermite_pair()
+    coarse, fine = _panel_rule_sums(integrand, centre.size, tried, centre[tried],
+                                    math.sqrt(2.0) * width[tried], scratch, xi,
+                                    coarse_w, fine_w)
+    settled[tried] = np.abs(fine[tried] - coarse[tried]) <= _QUAD_TOL
+    return settled, fine
+
+
+def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None, peak=None):
     """log of the rectifier-noise convolution int N(y - t^2; 0, sigma2_rec) p_T(t) dt
     for each sample, where p_T is a law of T = sqrt(W).
 
@@ -434,6 +476,12 @@ def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None):
     dropped part is at most tail times the factor's sup over the dropped t.  A
     sample whose bound exceeds 2^-52 of its kept integral is recomputed on the
     full window.
+
+    peak, when given, is (mode, var): p_T's mode per sample and the variance of
+    the Gaussian that matches its curvature there.  The Gaussian factor,
+    linearized at sqrt(max(y, 0)), is a Gaussian in t too; the product of the
+    two is the bump on which each sample first tries the Gauss-Hermite pair of
+    _hermite_sums.  The samples it settles take no panel.
     """
     sigma_rec = math.sqrt(sigma2_rec)
     t_lo = np.sqrt(np.maximum(y - 10.0 * sigma_rec, 0.0))
@@ -450,6 +498,18 @@ def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None):
         np.subtract(y[active, None, None], gauss, out=gauss)
         np.exp(_log_phi(gauss, sigma2_rec, out=gauss), out=gauss)
         return np.multiply(dens, gauss, out=dens)
+
+    if peak is not None:
+        mode, var = peak
+        # gain is the Gaussian factor's precision 4 max(y, 0) / sigma2_rec over
+        # the density's 1 / var; a centre that overflows is NaN and is not tried
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = (4.0 * var / sigma2_rec) * (ty * ty)
+            centre = (mode + gain * ty) / (1.0 + gain)
+            width = np.sqrt(var / (1.0 + gain))
+        settled, hermite = _hermite_sums(integrand, centre, width, scratch)
+        # the settled samples' panels collapse to zero width and cost nothing
+        knots = np.where(settled[:, None], knots[:, :1], knots)
 
     if support is None:
         vals = _panelized_integrals(knots, integrand, _QUAD_TOL, scratch)
@@ -470,6 +530,8 @@ def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None):
             # the other samples' panels collapse to zero width and cost nothing
             full = np.where(redo[:, None], knots, knots[:, :1])
             vals = np.where(redo, _panelized_integrals(full, integrand, _QUAD_TOL, scratch), vals)
+    if peak is not None:
+        vals = np.where(settled, hermite, vals)
     return np.log(np.maximum(vals, 5e-324))
 
 
@@ -499,8 +561,10 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, scratch=None):
     # T = |nu + Z2| with |Z2|^2 exponential of mean sigma2_a, and |T - nu| <= |Z2|,
     # so P(|T - nu| > a sig_t) <= exp(-a^2) exactly
     support = (nu - _RICE_WINDOW * sig_t, nu + _RICE_WINDOW * sig_t, math.exp(-_RICE_WINDOW ** 2))
+    # for a large Bessel argument the Rice law is a Gaussian of variance sigma2_a / 2 at nu
     return _log_p_conv(y, sigma2_rec, rice, [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t,
-                                             nu + 6 * sig_t], scratch, support)
+                                             nu + 6 * sig_t], scratch, support,
+                       (nu, 0.5 * sigma2_a))
 
 
 def _log_p_marg(y, hp, sigma2_a, sigma2_rec, scratch=None):
@@ -652,12 +716,17 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     draw and every density are computed in units where sigma_rec = 1.  The
     conditional law of the squared envelope is the scaled noncentral form with
     scale sigma2_a and noncentrality hP*X, evaluated via the exponentially
-    scaled Bessel term (an asymptotic series for panels whose arguments are
+    scaled Bessel term (an asymptotic series for rows whose arguments are
     all >= 50, scipy's i0e elsewhere); its processing-noise convolution is a
-    per-sample 1-D panel quadrature (a 31-point Gauss-Kronrod rule checked
+    per-sample 1-D quadrature to absolute tolerance 1e-10 in those units.  Each
+    sample first tries a 12- and a 20-node Gauss-Hermite rule in t = sqrt(w),
+    centred on the product of the Rice law's Gaussian approximation at
+    sqrt(hP*X) and the processing-noise factor linearized at sqrt(max(Y, 0)),
+    and takes the 20-node sum when the two agree to the tolerance; a sample
+    whose bump lies within 8 of its widths of t = 0, or whose rules
+    disagree, falls back to panels (a 31-point Gauss-Kronrod rule checked
     against its embedded 15-point Gauss rule, escalating to 512 Gauss-Legendre
-    nodes where needed) to absolute tolerance 1e-10 in those units.  The
-    conditional quadrature skips the panels outside sqrt(hP*X) -/+ 7 sigma_a,
+    nodes where needed).  The panels skip those outside sqrt(hP*X) -/+ 7 sigma_a,
     where the envelope's law has mass <= e^-49; a sample whose skipped part is
     not bounded by 2^-52 of its value is recomputed on the full window.  The
     input-averaged marginal p(Y) depends on Y alone, so it is computed once per

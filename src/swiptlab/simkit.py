@@ -12,6 +12,7 @@ so its memory does not grow with n_symbols.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ _CHUNK_SYMBOLS = 2048
 # samples per symbol the waveform oracle accepts: one block array is then at
 # most 2048 x 4096 float64 samples, 64 MiB
 _MAX_SAMPLES_PER_SYMBOL = 4096
+# largest importance-sampling noise scale: the likelihood ratio takes its
+# square, which must stay finite
+_MAX_NOISE_SCALE = math.sqrt(sys.float_info.max)
 
 
 def _binomial_ci(p_hat: float, n: int) -> float:
@@ -188,6 +192,7 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
     m = _check_constellation(m)
     check_real("rho", rho, hi=1.0)
     check_real("noise_scale", noise_scale, lo=1.0)
+    check_real("noise_scale", noise_scale, lo=1.0, hi=_MAX_NOISE_SCALE, hi_open=False)
     if noise_scale > 1.0 and cfg.n_symbols < 2:
         raise InvalidParams(
             f"importance sampling (noise_scale={noise_scale}) needs n_symbols >= 2 "

@@ -639,11 +639,14 @@ class TestDensityOracle:
         nu2 = hp * x[:2]
         mean, std = nu2 + s2a, np.sqrt(2.0 * nu2 * s2a + s2a * s2a + s2r)
         x, y = np.r_[x, x[:2], x[:2]], np.r_[y, mean - 8.0 * std, mean + 8.0 * std]
+        oracle = [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)]
+        assert np.exp(cap._log_p_cond(y, x, hp, s2a, s2r)) == pytest.approx(oracle, rel=1e-8)
+        # the panel path alone: the Gauss-Hermite pair settles some of these samples
+        monkeypatch.setattr(cap, "_GH_WINDOW", math.inf)
         calls = _record_panel_samples(monkeypatch)
         cond = cap._log_p_cond(y, x, hp, s2a, s2r)
         recomputed = {k for call in calls[1:] for k in call}
-        assert np.exp(cond) == pytest.approx(
-            [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y, x)], rel=1e-8)
+        assert np.exp(cond) == pytest.approx(oracle, rel=1e-8)
         # the samples above take the full window; below, only where the window
         # leaves out a panel
         assert {8, 9} <= recomputed <= {6, 7, 8, 9}
@@ -658,8 +661,9 @@ class TestDensityOracle:
         hp, s2r = 10.0 ** log_hp, 1.0
         s2a = s2r * 10.0 ** log_ratio
         x, y = _channel_draws(np.random.default_rng(seed), 256, hp, s2a, s2r)
-        windowed = cap._log_p_cond(y, x, hp, s2a, s2r)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cap, "_GH_WINDOW", math.inf)  # every sample takes the panels
+            windowed = cap._log_p_cond(y, x, hp, s2a, s2r)
             mp.setattr(cap, "_RICE_WINDOW", math.inf)
             full = cap._log_p_cond(y, x, hp, s2a, s2r)
         # 4 ulp in p, plus the rounding of each log
@@ -691,10 +695,11 @@ def _count_marginal_nodes(monkeypatch):
 
 
 class TestConditionalWork:
-    # integrand evaluations per sample before the support window and after:
-    # 270 and 170 at sa2 = 1e-4, where the Rice law is narrow; 154 and 154 at
-    # sa2 = 100, where the window keeps every panel
-    @pytest.mark.parametrize("s2a, most", [(1e-4, 200), (100.0, 160)])
+    # integrand evaluations per sample, the Gauss-Hermite pair's included:
+    # 270 and 170 at sa2 = 1e-4 before the support window and after, 32 with
+    # the pair; 154 and 154 at sa2 = 100, where the window keeps every panel,
+    # 39 with the pair
+    @pytest.mark.parametrize("s2a, most", [(1e-4, 45), (100.0, 50)])
     def test_evaluations_per_sample(self, s2a, most, monkeypatch):
         seen = []
         rule_sums = cap._panel_rule_sums
@@ -708,6 +713,95 @@ class TestConditionalWork:
         monkeypatch.setattr(cap, "_marginal_table", lambda *args: np.zeros_like)
         cnl_lower_chi2(100.0, s2a, 1.0, MonteCarloConfig(n_samples=10_000, seed=3))
         assert 0 < sum(seen) <= most * 10_000
+
+
+def _record_hermite(monkeypatch):
+    """Record, per conditional density call, the samples the Gauss-Hermite pair
+    tries, its nodes t, and the samples it settles.  Its call of the rule sums
+    is the one whose nodes u straddle 0; a panel rule's lie in [0, 1]."""
+    seen = {"tried": [], "t": [], "settled": []}
+    rule_sums, hermite = cap._panel_rule_sums, cap._hermite_sums
+
+    def sums(integrand, n, owner, lower, widths, scratch, u, *weights):
+        if u.min() < 0.0:
+            seen["tried"].append(owner.copy())
+            seen["t"].append(lower[:, None] + widths[:, None] * u)
+        return rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights)
+
+    def settling(*args):
+        settled, vals = hermite(*args)
+        seen["settled"].append(settled.copy())
+        return settled, vals
+
+    monkeypatch.setattr(cap, "_panel_rule_sums", sums)
+    monkeypatch.setattr(cap, "_hermite_sums", settling)
+    return seen
+
+
+class TestHermitePair:
+    """The Gauss-Hermite pair that settles a conditional density before the panels."""
+
+    # criterion 9's ratio 1e-4, fig7's s2r = 1e4 point and the fig10 point
+    @pytest.mark.parametrize("s2a, s2r", [(1e-4, 1.0), (1.0, 1e4), (1e-2, 1e2)])
+    def test_settled_samples_match_oracle(self, s2a, s2r, monkeypatch):
+        hp = 100.0
+        x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a + s2r) + 1), 12,
+                              hp, s2a, s2r)
+        seen = _record_hermite(monkeypatch)
+        p = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r))
+        (settled,) = seen["settled"]
+        assert settled.any()
+        assert p[settled] == pytest.approx(
+            [_p_cond_oracle(yi, xi, hp, s2a, s2r) for yi, xi in zip(y[settled], x[settled])],
+            rel=1e-8)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(log_hp=st.floats(0.0, 3.0), log_ratio=st.floats(-6.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_settled_samples_match_finer_panels(self, log_hp, log_ratio, seed):
+        hp, s2r = 10.0 ** log_hp, 1.0
+        s2a = s2r * 10.0 ** log_ratio
+        x, y = _channel_draws(np.random.default_rng(seed), 256, hp, s2a, s2r)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _record_hermite(mp)
+            p = np.exp(cap._log_p_cond(y, x, hp, s2a, s2r))
+        (settled,) = seen["settled"]
+        # the panel path at a tighter tolerance; where the Rice law is narrowest,
+        # 1e-13 is below the rounding of the panel sums, and 1e-12 serves
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cap, "_GH_WINDOW", math.inf)
+            for tol in (1e-13, 1e-12):
+                mp.setattr(cap, "_QUAD_TOL", tol)
+                try:
+                    ref = np.exp(cap._log_p_cond(y[settled], x[settled], hp, s2a, s2r))
+                    break
+                except QuadratureFailure:
+                    continue
+        # the ladder itself misses 1e-10 by up to 4x at single samples
+        assert np.all(np.abs(p[settled] - ref) <= 5e-10)
+
+    def test_window_clears_the_origin(self, monkeypatch):
+        hp, s2a, s2r = 100.0, 1.0, 1.0
+        x, y = _channel_draws(np.random.default_rng(9), 64, hp, s2a, s2r)
+        # and samples near the origin: small nu, small or negative y
+        x, y = np.r_[x, 1e-6, 1e-3, 1e-3, 0.05, 0.05], np.r_[y, -2.0, 0.3, 3.0, 1.0, 30.0]
+        seen = _record_hermite(monkeypatch)
+        cond = cap._log_p_cond(y, x, hp, s2a, s2r)
+        # the bump: the Rice law's precision at nu times the Gaussian factor's,
+        # linearized at sqrt(y+)
+        nu, ty = np.sqrt(hp * x), np.sqrt(np.maximum(y, 0.0))
+        p1, p2 = 2.0 / s2a, 4.0 * ty * ty / s2r
+        m, s = (p1 * nu + p2 * ty) / (p1 + p2), (p1 + p2) ** -0.5
+        outside = np.flatnonzero(m - cap._GH_WINDOW * s <= 0.0)
+        (tried,), (t,), (settled,) = seen["tried"], seen["t"], seen["settled"]
+        # the first four added samples lie outside, the last one inside
+        assert set(range(64, 68)) <= set(outside) and 68 in tried
+        assert not np.isin(outside, tried).any()
+        assert np.all(t > 0.0)
+        assert not settled[outside].any()
+        # the samples left take the panel path, bit for bit
+        monkeypatch.setattr(cap, "_GH_WINDOW", math.inf)
+        assert np.array_equal(cond[~settled], cap._log_p_cond(y, x, hp, s2a, s2r)[~settled])
 
 
 class TestMarginalTable:

@@ -701,6 +701,9 @@ class TestExitCodeContract:
     @example(["capacity", "--hp", "1e200", "--sa2", "1", "--srec2", "1e-250", "--upper"])
     @example(["simulate", "--kind", "qam", "--scov2", "1e150", "--rho", "1e-150",
               "--noise-scale", "1e150", "--symbols", "50"])
+    # an importance-sampling scale whose square overflows: NaN weights, exit 0
+    @example(["simulate", "--kind", "qam", "--noise-scale", "1e200", "--scov2", "1",
+              "--symbols", "50"])
     def test_float_flags(self, argv):
         _assert_exit_contract(argv)
 

@@ -10,7 +10,9 @@ workload, runs ``cnl_lower_chi2`` twice: once as
 is, to time it, and once on one worker with counting wrappers around the
 quadrature's internals.  It prints per channel:
 
-- ``cond/smp``: integrand evaluations per sample in the conditional stage;
+- ``cond/smp``: integrand evaluations per sample in the conditional stage,
+  the Gauss-Hermite pair's included;
+- ``gh``: the share of samples the Gauss-Hermite pair settles;
 - ``table/smp``: integrand evaluations per sample in the marginal table;
 - ``fallback``: samples whose conditional density was recomputed on the full
   window because the support window's bound missed;
@@ -57,14 +59,17 @@ class Counters:
         self.evals = {"cond": 0, "table": 0}
         self.stage = "cond"
         self.fallback = 0
+        self.settled = 0
         self.rows = self.series_rows = 0
         self._conv_calls = 0
 
     def install(self):
-        # a tree without the series kernel has no _i0e_rows; its share reads "-"
+        # a tree without the series kernel has no _i0e_rows, and one without the
+        # Gauss-Hermite pair no _hermite_sums; their shares read "-"
         originals = {name: getattr(cap, name) for name in
                      ("_panel_rule_sums", "_marginal_table", "_log_p_conv",
-                      "_panelized_integrals", "_i0e_rows") if hasattr(cap, name)}
+                      "_panelized_integrals", "_i0e_rows", "_hermite_sums")
+                     if hasattr(cap, name)}
 
         def panel_rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights):
             self.evals[self.stage] += owner.size * u.size
@@ -87,6 +92,12 @@ class Counters:
                 self.fallback += int(np.count_nonzero((np.diff(knots, axis=1) > 0).any(axis=1)))
             return originals["_panelized_integrals"](knots, *args, **kwargs)
 
+        def hermite_sums(*args):
+            settled, sums = originals["_hermite_sums"](*args)
+            if self.stage == "cond":
+                self.settled += int(np.count_nonzero(settled))
+            return settled, sums
+
         def i0e_rows(z, *args):
             self.rows += z.shape[0]
             self.series_rows += int(np.count_nonzero(z[:, 0, 0] >= cap._I0E_SERIES_MIN))
@@ -95,7 +106,7 @@ class Counters:
         for name, fn in [("_panel_rule_sums", panel_rule_sums),
                          ("_marginal_table", marginal_table), ("_log_p_conv", log_p_conv),
                          ("_panelized_integrals", panelized_integrals),
-                         ("_i0e_rows", i0e_rows)]:
+                         ("_i0e_rows", i0e_rows), ("_hermite_sums", hermite_sums)]:
             if name in originals:
                 setattr(cap, name, fn)
         # one worker, so that the counters see the calls of one chunk in order
@@ -115,7 +126,7 @@ def main(argv=None):
     cap._special("i0e")
 
     print(f"{'channel':24s} {'hP':>5s} {'sa2':>7s} {'srec2':>9s} {'cond/smp':>9s} "
-          f"{'table/smp':>9s} {'fallback':>8s} {'series':>7s} {'wall_s':>7s}")
+          f"{'gh':>6s} {'table/smp':>9s} {'fallback':>8s} {'series':>7s} {'wall_s':>7s}")
     for name, hp, sa2, srec2 in channels():
         t0 = time.perf_counter()
         cap.cnl_lower_chi2(hp, sa2, srec2, mc)
@@ -130,8 +141,10 @@ def main(argv=None):
                 setattr(cap, attr, fn)
             cap._WORKERS = workers
         share = f"{counters.series_rows / counters.rows:7.3f}" if counters.rows else "-"
+        settled = (f"{counters.settled / args.samples:6.3f}"
+                   if "_hermite_sums" in originals else "-")
         print(f"{name:24s} {hp:5g} {sa2:7.3g} {srec2:9.4g} "
-              f"{counters.evals['cond'] / args.samples:9.1f} "
+              f"{counters.evals['cond'] / args.samples:9.1f} {settled:>6s} "
               f"{counters.evals['table'] / args.samples:9.2f} {counters.fallback:8d} "
               f"{share:>7s} {wall:7.3f}")
 
