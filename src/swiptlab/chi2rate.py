@@ -1,0 +1,365 @@
+"""The chi-square-input rate of the rectified channel, deterministic and
+with a bound on its error, from the closed-form characteristic functions
+(CFs) of its output.
+
+The callers import this module at their first rate, so that the CLI's
+start-up does not compile it.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .capacity import (
+    _kronrod_nodes,
+    _log_density_w_cond,
+    _log_density_w_marg,
+    _marginal_w_variances,
+)
+from .core import LOG2E
+from .errors import InvalidParams, QuadratureFailure, ZeroNoise, check_real
+
+
+@dataclass(frozen=True)
+class RateBound:
+    """A deterministic rate [bits/channel use] and a bound on its error [bits]."""
+
+    value: float
+    error_bound: float
+
+
+# each conditional density's grid resolves its characteristic function (CF)
+# down to this modulus, at a cutoff rounded up to a power of 2^(1/4) so that
+# rows share frequency grids; the marginal's step in units where sigma_rec = 1
+_CF_FLOOR = 1e-18
+_CUTOFF_ROUNDING = 4
+_MARG_STEP = 0.25
+# the largest transform, the points of all conditional grids together, and
+# the points per batch of equal conditional grids
+_MAX_GRID = 2 ** 20
+_MAX_CONDITIONAL_POINTS = 2 ** 25
+_BATCH_POINTS = 2 ** 18
+# mass outside a window: the Rice law beyond nu -/+ 7 sigma_a, a Gaussian
+# beyond -/+ 12 stds, and the marginal power beyond 40 (at sigma2_rec = 0, 45)
+# of its tail scales
+_RICE_TAIL = math.exp(-49.0)
+_GAUSS_TAIL = math.erfc(12.0 / math.sqrt(2.0))
+_MARG_TAIL = math.exp(-40.0)
+_MARG_TAIL_W = math.exp(-45.0)
+# the input rule runs in s = sqrt(x) up to _S_MAX
+_S_MAX = 9.0
+# every density must integrate to 1 within this on its grid or rule
+_MASS_TOL = 1e-12
+# at sigma2_rec = 0: hP / sigma2_a at most this (see cnl_rate_chi2)
+_MAX_SNR_W = 1e6
+
+
+@functools.cache
+def _input_rule():
+    """The input rule for E_X under X = G^2, in s = sqrt(x), whose density
+    sqrt(2/pi) e^(-s^2/2) is smooth: on each panel the 17-node Kronrod rule
+    and its embedded 8-node Gauss rule.  The panels are [0, 1e-4], 11
+    geometric ones up to 0.5, then 0.5 wide up to _S_MAX.  Returns the nodes,
+    both weight vectors (density included) and each node's panel."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 12),
+                            np.arange(1.0, _S_MAX + 0.25, 0.5)])
+    u, wk, wg = _kronrod_nodes(8)
+    width = np.diff(edges)[:, None]
+    s = edges[:-1, None] + width * u
+    dens = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * s * s) * width
+    panel = np.repeat(np.arange(width.size), u.size)
+    return s.ravel(), (dens * wk).ravel(), (dens * wg).ravel(), panel
+
+
+def _input_rule_error(h, variance0, variance1):
+    """Error [nats] of the input rule on E_X[h(. | X)]: each panel's Kronrod
+    sum against its Gauss sum, plus the mass beyond _S_MAX, where
+    0 < h <= the entropy of a Gaussian of the conditional variance
+    variance0 + variance1 s^2, which is concave in s^2 (Jensen's inequality)."""
+    _, wk, wg, panel = _input_rule()
+    q = math.erfc(_S_MAX / math.sqrt(2.0))
+    s2_tail = 1.0 + _S_MAX * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * _S_MAX ** 2) / q
+    return (np.abs(np.bincount(panel, (wk - wg) * h)).sum()
+            + 0.5 * q * math.log(2.0 * math.pi * math.e * (variance0 + variance1 * s2_tail)))
+
+
+def _plogp_error(delta, length):
+    """Bound on the entropy error [nats] over a grid of the given length of
+    a density (at most 1/2) known to delta on average: with f(p) = -p ln p,
+    |f(p) - f(q)| <= f(|p - q|) for |p - q| <= 1/2 (Cover & Thomas, Lemma
+    17.3.3), and f is concave, so the sum is at most length f(delta)."""
+    delta = np.minimum(delta, 0.5)
+    return -length * delta * np.log(np.maximum(delta, 5e-324))
+
+
+def _tail_entropy(mass, variance):
+    """Bound on the share -int p ln p [nats] of the mass outside a window: the
+    outside law has variance at most variance / mass, and no law of that
+    variance has more entropy than the Gaussian."""
+    return mass * (0.5 * np.log(2.0 * math.pi * math.e * variance / mass) - math.log(mass))
+
+
+def _window_error(mass, length, variance):
+    """Entropy error [nats] from the mass outside a density's window: that
+    mass folded onto the periodic grid, and its own share of the entropy."""
+    return _plogp_error(mass / length, length) + _tail_entropy(mass, variance)
+
+
+def _truncation_error(floor, cutoff, length):
+    """Entropy error [nats] on a grid of the given length from truncating,
+    at the cutoff, a CF bounded by floor e^(-(omega^2 - cutoff^2)/2) above
+    it: every density value is then off by at most
+    floor min(1/cutoff, sqrt(pi/2)) / pi."""
+    return _plogp_error(floor * np.minimum(1.0 / cutoff, math.sqrt(0.5 * math.pi)) / math.pi,
+                        length)
+
+
+def _marg_cf_conj(omega, hp, a):
+    """The conjugate CF of Y under the chi-square input, sigma_rec = 1."""
+    return (np.exp(-0.5 * omega * omega) / np.sqrt(1.0 + 1j * omega * a)
+            / np.sqrt(1.0 + 1j * omega * (a + 2.0 * hp)))
+
+
+def _cond_cf_terms(omega, a):
+    """base and slope such that exp(base + nu^2 slope) is the conjugate CF of
+    Y - E[Y | X] given nu^2, phi(omega) e^(-i omega (nu^2 + a)), sigma_rec = 1:
+    with t = a omega and d = 1 + t^2, log phi = -omega^2/2 - ln(d)/2
+    - i (t - arctan t) - nu^2 a omega^2 (1 + i t) / d."""
+    t = a * omega
+    d = 1.0 + t * t
+    base = -0.5 * omega * omega - 0.5 * np.log(d) + 1j * (t - np.arctan(t))
+    return base, (-a * omega * omega / d) * (1.0 - 1j * t)
+
+
+def _grid_density(coef, n, step):
+    """Densities from their CFs: each row of coef is the conjugate of a CF at
+    the multiples of 2 pi / (n step) up to the Nyquist frequency pi / step,
+    so one inverse real FFT gives the density at the n points j step, folded
+    onto a period of n steps."""
+    p = np.fft.irfft(coef, n, axis=1)
+    p *= 1.0 / step
+    return p
+
+
+def _grid_entropies(coef, n, step, work):
+    """Entropies [nats] of the _grid_density rows: Riemann sums of -p ln p
+    over one period, which need no window offset.
+
+    Returns, per row, the entropy, an estimate of its Riemann sum's error
+    (the Nyquist coefficient of p ln p on the grid, which dominates that
+    error where the spectrum of p ln p decays) and the density's mass,
+    negative values taken as zero."""
+    p = np.maximum(_grid_density(coef, n, step), 0.0)
+    plogp = np.log(np.maximum(p, 5e-324))
+    plogp *= p
+    work["transforms"] += 1
+    return (-step * plogp.sum(axis=1),
+            step * np.abs(plogp[:, ::2].sum(axis=1) - plogp[:, 1::2].sum(axis=1)),
+            step * p.sum(axis=1))
+
+
+def _cond_cutoff(nu2, a):
+    """For each nu^2, the frequency above which |phi(omega)| <= _CF_FLOOR:
+    the root of omega^2/2 + omega^2 a nu^2/(1 + omega^2 a^2)
+    + ln(1 + omega^2 a^2)/2 = ln(1/_CF_FLOOR).  Its left side is increasing,
+    and is -ln of a bound on |phi| that decreases in omega.  Bisection on all
+    of them at once; the upper end is returned, so the bound holds there."""
+    target = -math.log(_CF_FLOOR)
+    lo, hi = np.zeros_like(nu2), np.full_like(nu2, math.sqrt(2.0 * target))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        w2 = mid * mid
+        over = 0.5 * w2 + w2 * a * nu2 / (1.0 + w2 * a * a) + 0.5 * np.log1p(w2 * a * a) > target
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    return hi
+
+
+def _grid_size(points, what):
+    """The powers of two (at least 8) that hold the given grid points; the
+    largest may not exceed _MAX_GRID."""
+    worst = np.max(points)
+    if not worst <= _MAX_GRID:
+        raise InvalidParams(f"channel past the grid limit: the {what} needs {worst:.4g} "
+                            f"grid points, more than {_MAX_GRID}")
+    return np.exp2(np.maximum(np.ceil(np.log2(points)), 3.0)).astype(np.int64)
+
+
+def _rate_fft(hp, a, work):
+    """The rate [nats], its error bound and the worst density mass defect,
+    in units where sigma_rec = 1, for hP > 0."""
+    v1, v2 = _marginal_w_variances(hp, a)
+    # the marginal: from -12 to its mean plus 40 tail scales 2 v1, plus 12
+    marg_n = int(_grid_size((hp + a + 80.0 * v1 + 24.0) / _MARG_STEP, "marginal density"))
+    if a > 0.0:
+        s, wk, _, _ = _input_rule()
+        nu2 = hp * s * s
+        cutoff = np.exp2(np.ceil(_CUTOFF_ROUNDING * np.log2(_cond_cutoff(nu2, a)))
+                         / _CUTOFF_ROUNDING)
+        nu, sa = np.sqrt(nu2), math.sqrt(a)
+        points = ((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0) \
+            * cutoff / math.pi
+        n = _grid_size(points, "widest conditional density")
+        if not n.sum() <= _MAX_CONDITIONAL_POINTS:
+            raise InvalidParams(f"channel past the grid limit: the conditional densities "
+                                f"need {n.sum()} grid points in all, more than "
+                                f"{_MAX_CONDITIONAL_POINTS}")
+
+    omega = np.arange(marg_n // 2 + 1) * (2.0 * math.pi / (marg_n * _MARG_STEP))
+    (h_y,), (riemann,), (mass,) = _grid_entropies(_marg_cf_conj(omega, hp, a)[None], marg_n,
+                                                  _MARG_STEP, work)
+    work["marginal_points"] += marg_n
+    period = marg_n * _MARG_STEP
+    cut = math.pi / _MARG_STEP
+    error = (riemann + _truncation_error(math.exp(-0.5 * cut * cut), cut, period)
+             + _window_error(_MARG_TAIL + _GAUSS_TAIL, period,
+                             1.0 + 2.0 * v1 * v1 + 2.0 * v2 * v2))
+    defect = abs(mass - 1.0)
+    if a == 0.0:
+        # h(Y | X) is the entropy of the unit Gaussian
+        return h_y - 0.5 * math.log(2.0 * math.pi * math.e), error, defect
+
+    h_cond, cond_error = np.empty_like(s), np.empty_like(s)
+    for size in np.unique(n):
+        for cut in np.unique(cutoff[n == size]):
+            rows = np.flatnonzero((n == size) & (cutoff == cut))
+            base, slope = _cond_cf_terms(np.arange(size // 2 + 1) * (2.0 * cut / size), a)
+            step = math.pi / cut
+            for batch in np.array_split(rows, -(-rows.size // max(1, _BATCH_POINTS // size))):
+                coef = np.multiply.outer(nu2[batch], slope)
+                coef += base
+                h, riemann, mass = _grid_entropies(np.exp(coef, out=coef), size, step, work)
+                period = size * step
+                h_cond[batch] = h
+                cond_error[batch] = (riemann + _truncation_error(_CF_FLOOR, cut, period)
+                                     + _window_error(_RICE_TAIL + _GAUSS_TAIL, period,
+                                                     1.0 + a * a + 2.0 * a * nu2[batch]))
+                defect = max(defect, float(np.abs(mass - 1.0).max()))
+    work["input_nodes"] += s.size
+    work["conditional_points"] += int(n.sum())
+    error += wk @ cond_error + _input_rule_error(h_cond, 1.0 + a * a, 2.0 * a * hp)
+    return h_y - wk @ h_cond, error, defect
+
+
+def _panel_entropies(edges, log_density):
+    """-int p ln p dw and int p dw in t = sqrt(w), on the panels between the
+    edges (..., k + 1) with the Kronrod pair: the Kronrod sums, and the sum
+    of each panel's |Kronrod - Gauss| for the entropy."""
+    u, wk, wg = _kronrod_nodes(8)
+    width = np.diff(edges)[..., None]
+    t = edges[..., :-1, None] + width * u
+    log_p = log_density(t * t)
+    dens = np.exp(log_p) * (2.0 * t) * width
+    f = -dens * log_p
+    h = f @ wk
+    return h.sum(axis=-1), np.abs(h - f @ wg).sum(axis=-1), (dens @ wk).sum(axis=-1)
+
+
+def _rate_w(g, work):
+    """The rate [nats], its error bound and the worst density mass defect at
+    sigma2_rec = 0, in units where sigma2_a = 1 (g = hP / sigma2_a): the
+    closed-form densities of W integrated in t = sqrt(w).  Each conditional
+    takes 28 equal panels over nu -/+ 7; the marginal 0.5-wide panels up to
+    t = 8, then geometric ones (ratio at most 1.15) up to sqrt(90 v1)."""
+    s, wk, _, _ = _input_rule()
+    nu = math.sqrt(g) * s
+    lo, hi = np.maximum(nu - 7.0, 0.0), nu + 7.0
+    edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 29)
+    h_cond, cond_error, mass = _panel_entropies(
+        edges, lambda w: _log_density_w_cond(w, nu[:, None, None], 1.0))
+    cond_error += _tail_entropy(_RICE_TAIL, 1.0 + 2.0 * g * s * s)
+    defect = float(np.abs(mass - 1.0).max())
+
+    v1, v2 = _marginal_w_variances(g, 1.0)
+    t_max = math.sqrt(90.0 * v1)
+    edges = np.linspace(0.0, min(8.0, t_max), 17)
+    if t_max > 8.0:
+        edges = np.append(edges, np.geomspace(8.0, t_max, 1 + math.ceil(
+            math.log(t_max / 8.0) / math.log(1.15)))[1:])
+    h_y, error, mass = _panel_entropies(edges, lambda w: _log_density_w_marg(w, g, 1.0))
+    work["input_nodes"] += s.size
+    error += (wk @ cond_error + _tail_entropy(_MARG_TAIL_W, 2.0 * v1 * v1 + 2.0 * v2 * v2)
+              + _input_rule_error(h_cond, 1.0, 2.0 * g))
+    return h_y - wk @ h_cond, error, max(defect, abs(mass - 1.0))
+
+
+def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> RateBound:
+    """The chi-square-input rate of the rectified channel, deterministic and
+    with a bound on its error.
+
+    I(X;Y) = h(Y) - E_X[h(Y | X)] for X = G^2 (G standard normal), in units
+    where sigma_rec = 1 (the rate does not change when hP and sigma2_a scale
+    by c and sigma2_rec by c^2).  With a = sigma2_a and nu^2 = hP x, Y given
+    X = x has the CF phi(omega) = exp(-omega^2/2 + i omega nu^2/(1 - i omega a))
+    / (1 - i omega a), and Y the CF exp(-omega^2/2) (1 - i omega a)^(-1/2)
+    (1 - i omega (a + 2 hP))^(-1/2).  Each density is one inverse real FFT on
+    a uniform grid, and each entropy a Riemann sum on that grid:
+
+    - a conditional density's step is pi / omega_N, where omega_N is the
+      frequency from which a bound on |phi| stays below 1e-18, rounded up to
+      a power of 2^(1/4); its grid spans ((nu -/+ 7 sqrt(a))+)^2 -/+ 12,
+      rounded up to a power of two points.  Grids of equal length and step
+      run as one 2-D transform, in batches of at most 2^18 points;
+    - the marginal's step is 1/4, and its grid runs from -12 to
+      hP + a + 80 (hP + a/2) + 12;
+    - E_X is a composite rule in s = sqrt(x): the 17-node Kronrod rule on the
+      panels [0, 1e-4], 11 geometric ones up to 0.5, and 0.5-wide ones up to
+      s = 9, 493 conditionals in all.
+
+    The error bound sums, in bits: the CF truncation at each cutoff; the mass
+    outside each window, folded onto the periodic grid and missing from the
+    entropy; each Riemann sum's error, estimated by the Nyquist coefficient
+    of p ln p; and the input rule, as the gap between each panel's Kronrod
+    sum and that of its embedded 8-node Gauss rule, plus the input mass
+    beyond s = 9.  It does not count floating-point rounding.  Every density
+    must integrate to 1 within 1e-12 on its grid, or QuadratureFailure is
+    raised.
+
+    The grid limit: no transform may exceed 2^20 points, and the conditional
+    grids together 2^25 points.  The marginal's grid needs
+    4 (81 hP + 41 sigma2_a) / sigma_rec + 96 points, so hP may reach about
+    3236 sigma_rec; the conditional grids grow with sigma2_a / sigma_rec, which
+    may reach about 248 at hP = 100 sigma_rec and 391 at hP = sigma_rec.  A
+    channel past the limit raises InvalidParams before any grid is built.
+
+    Branches: at hP = 0 the rate is 0; at sigma2_a = 0, h(Y | X) is the unit
+    Gaussian's; at sigma2_rec = 0 the CF decays too slowly for a grid, and the
+    closed-form densities of W = |nu + Z2|^2 are integrated in t = sqrt(w)
+    with the same Kronrod pair on panels, in units where sigma2_a = 1; there
+    hP / sigma2_a may be at most 1e6.  Both noises zero raise ZeroNoise.
+
+    work, when a dict, gains the counters "input_nodes", "conditional_points",
+    "marginal_points" and "transforms".
+    """
+    check_real("hp", hp)
+    check_real("sigma2_a", sigma2_a)
+    check_real("sigma2_rec", sigma2_rec)
+    if sigma2_a == 0 and sigma2_rec == 0:
+        raise ZeroNoise("noiseless rectified channel has unbounded rate")
+    if hp == 0:
+        return RateBound(0.0, 0.0)
+    counts = dict.fromkeys(("input_nodes", "conditional_points", "marginal_points",
+                            "transforms"), 0)
+    at = f"hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}"
+    try:
+        if sigma2_rec > 0:
+            c = 1.0 / math.sqrt(sigma2_rec)
+            value, error, defect = _rate_fft(c * hp, c * sigma2_a, counts)
+        else:
+            if not hp / sigma2_a <= _MAX_SNR_W:
+                raise InvalidParams(f"channel past the grid limit: hP / sigma2_a = "
+                                    f"{hp / sigma2_a:.4g} exceeds {_MAX_SNR_W:g}")
+            value, error, defect = _rate_w(hp / sigma2_a, counts)
+    except InvalidParams as exc:
+        raise InvalidParams(f"{exc} at {at}") from exc
+    if not defect <= _MASS_TOL:
+        raise QuadratureFailure(f"an output density at {at} integrates to 1 only within "
+                                f"{defect:.3g}, beyond {_MASS_TOL:g}")
+    if work is not None:
+        for key, count in counts.items():
+            work[key] = work.get(key, 0) + count
+    return RateBound(max(0.0, float(value) * LOG2E), float(error) * LOG2E)

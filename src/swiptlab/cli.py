@@ -23,6 +23,7 @@ from .figures import build_figure
 from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
+    int_rate,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -92,15 +93,10 @@ def _link_params(ns) -> LinkParams:
                       sigma2_adc=ns.sadc2)
 
 
-def _mc_config(ns) -> MonteCarloConfig:
-    return MonteCarloConfig(n_samples=ns.samples, seed=ns.seed)
-
-
 def _resolve_cap(ns, lp: LinkParams) -> float:
     if ns.cap is not None:
         return ns.cap
-    est = cnl_lower_chi2(lp.received_power, lp.sigma2_a, lp.sigma2_rec, _mc_config(ns))
-    return est.value
+    return int_rate(lp, lp.sigma2_rec).value
 
 
 # scheme name -> boundary builder; the keys are the --scheme choices
@@ -112,8 +108,7 @@ REGION_SCHEMES = {
     "ts-circuit": lambda ns, lp: region_ts_circuit(lp, ns.ps, ns.points),
     "sps-circuit": lambda ns, lp: region_sps_circuit(lp, ns.ps, ns.points),
     "int-ideal": lambda ns, lp: region_int_ideal(lp, _resolve_cap(ns, lp), ns.points),
-    "int-adc": lambda ns, lp: region_int_adc(lp, ns.points,
-                                             int_adc_cap_fn(lp, _mc_config(ns))),
+    "int-adc": lambda ns, lp: region_int_adc(lp, ns.points, int_adc_cap_fn(lp)),
     "int-circuit": lambda ns, lp: region_int_circuit(lp, ns.pi, _resolve_cap(ns, lp),
                                                      ns.points),
 }
@@ -140,7 +135,8 @@ def cmd_capacity(ns) -> int:
     if ns.upper:
         outputs["upper"] = cnl_upper(ns.hp, ns.sa2, ns.srec2)
     if ns.lower:
-        est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2, _mc_config(ns))
+        est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2,
+                             MonteCarloConfig(n_samples=ns.samples, seed=ns.seed))
         outputs["lower"] = est.to_json_dict()
     inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2, "samples": ns.samples}
     write_json(ns.out, inputs=inputs, outputs=outputs, seed=ns.seed)
@@ -191,14 +187,14 @@ def cmd_simulate(ns) -> int:
         res = simulate_rectifier_waveform(lp, diode, cfg,
                                           constant_envelope=ns.constant_envelope)
     inputs = {"kind": ns.kind, "m": ns.m, "rho": ns.rho, "symbols": ns.symbols,
-              **lp.to_json_dict()}
+              "noise_scale": ns.noise_scale, **lp.to_json_dict()}
     write_json(ns.out, inputs=inputs, outputs=res.to_json_dict(), seed=ns.seed)
     print(ns.out)
     return 0
 
 
 def cmd_figure(ns) -> int:
-    artifacts = build_figure(ns.figure_id, n_points=ns.points, samples=ns.samples)
+    artifacts = build_figure(ns.figure_id, n_points=ns.points)
     os.makedirs(ns.out_dir, exist_ok=True)
     written = []
     for filename, payload in artifacts:
@@ -227,10 +223,6 @@ _LINK_OPTIONS = (
     ("srec2", float, 0.0, "rectifier noise variance [W^2]"),
     ("sadc2", float, 0.0, "ADC noise power [W]"),
 )
-_MC_OPTIONS = (
-    ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
-    ("seed", int, 0, "Monte Carlo seed"),
-)
 
 # command -> (handler, help, required selector as (name, choices), options)
 COMMANDS = {
@@ -239,9 +231,10 @@ COMMANDS = {
         *_LINK_OPTIONS,
         ("ps", float, 0.0, "separated decoder power [W]"),
         ("pi", float, 0.0, "integrated decoder power [W]"),
-        ("cap", float, None, "integrated-receiver rate [bits]; estimated if omitted"),
+        ("cap", float, None, "integrated-receiver rate [bits]; computed if omitted"),
         ("points", int, 512, "boundary points"),
-        *_MC_OPTIONS,
+        ("samples", int, 100_000, "accepted and not read: the int-* rate is deterministic"),
+        ("seed", int, 0, "accepted and not read: the int-* rate is deterministic"),
         ("out", str, None, "output file [region_<scheme>.<format>]"),
         ("format", ("csv", "json"), "csv", "output format"),
     )),
@@ -251,7 +244,8 @@ COMMANDS = {
         ("srec2", float, 0.0, "rectifier noise variance [W^2]"),
         ("lower", bool, False, "estimate the chi-square-input lower bound"),
         ("upper", bool, False, "evaluate the upper bounds (the default)"),
-        *_MC_OPTIONS,
+        ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
+        ("seed", int, 0, "Monte Carlo seed"),
         ("out", str, "capacity.json", "output file"),
     )),
     "solve": (cmd_solve, "run one of the boundary/rate maximizers",
@@ -292,7 +286,6 @@ COMMANDS = {
     "figure": (cmd_figure, "emit a canned benchmark scenario as CSV files",
                ("figure_id", None), (
         ("points", int, 512, "boundary points"),
-        ("samples", int, 100_000, "Monte Carlo samples per MI estimate"),
         ("out_dir", str, ".", "output directory"),
     )),
 }

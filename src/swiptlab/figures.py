@@ -1,20 +1,21 @@
 """Canonical parameter setups behind the `figure` CLI command.
 
 Each builder returns (filename, payload) pairs, where a payload is either an
-REBoundary or a (header, rows) table for the distance sweeps.  Monte Carlo
-seeds are fixed per curve so regenerated files are bit-identical.
+REBoundary or a (header, rows) table for the distance sweeps.  The
+integrated-receiver rates are deterministic, so regenerated files are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .capacity import MonteCarloConfig, cnl_lower_chi2
 from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams
 from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
+    int_rate,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -40,11 +41,7 @@ SWEEP_PI = 0.2e-3
 SWEEP_SER_TARGET = 1e-5
 
 
-def _mc(seed: int, samples: int) -> MonteCarloConfig:
-    return MonteCarloConfig(n_samples=samples, seed=seed)
-
-
-def fig5(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig5(n_points: int) -> list[tuple[str, object]]:
     """Separated receiver, ideal circuits: TS vs SPS under two conversion
     noise levels, against the outer-bound box."""
     base = dict(h=1.0, p=100.0, zeta=1.0, sigma2_a=1.0)
@@ -57,37 +54,35 @@ def fig5(n_points: int, samples: int) -> list[tuple[str, object]]:
     return out
 
 
-def fig7(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig7(n_points: int) -> list[tuple[str, object]]:
     """Separated vs integrated receivers, matched processing noise levels,
     no quantization noise."""
     out = []
-    for proc_noise, seed in ((1.0, 70), (100.0, 71)):
+    for proc_noise in (1.0, 100.0):
         sep = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_cov=proc_noise)
         out.append((f"fig7_seprx_proc{proc_noise:g}.csv", region_sps(sep, n_points)))
         itg = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_rec=proc_noise ** 2)
-        cap = cnl_lower_chi2(itg.received_power, itg.sigma2_a, itg.sigma2_rec,
-                             _mc(seed, samples)).value
+        cap = int_rate(itg, itg.sigma2_rec).value
         out.append((f"fig7_intrx_proc{proc_noise:g}.csv",
                     region_int_ideal(itg, cap, n_points)))
     return out
 
 
-def fig8(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig8(n_points: int) -> list[tuple[str, object]]:
     """Same comparison with quantization noise: integrated-receiver regions
-    are no longer boxes.  The rho sweep runs one MI estimate per point, so
-    n_points here controls that sweep (defaults are deliberately modest)."""
+    are no longer boxes.  The rho sweep evaluates the rate once per point,
+    on at most 33 points."""
     sweep_points = min(n_points, 33)
     out = []
-    for proc_noise, seed in ((1.0, 80), (100.0, 81)):
+    for proc_noise in (1.0, 100.0):
         sep = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_cov=proc_noise + 1.0)  # ADC noise folded in
         out.append((f"fig8_seprx_proc{proc_noise:g}.csv", region_sps(sep, n_points)))
         itg = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_rec=proc_noise ** 2, sigma2_adc=1.0)
         out.append((f"fig8_intrx_proc{proc_noise:g}.csv",
-                    region_int_adc(itg, sweep_points,
-                                   int_adc_cap_fn(itg, _mc(seed, samples)))))
+                    region_int_adc(itg, sweep_points, int_adc_cap_fn(itg))))
     return out
 
 
@@ -95,7 +90,7 @@ FIG9_LP = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_cov=10.0)
 FIG9_PS = 25.0
 
 
-def fig9(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig9(n_points: int) -> list[tuple[str, object]]:
     """Separated receiver with decoding circuit power: net-energy regions for
     the three schedules, plus the total-energy references (the no-circuit
     sweeps)."""
@@ -113,14 +108,13 @@ FIG10_INT = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=0.01, sigma2_rec=100.0
 FIG10_POWERS = {"low": (25.0, 10.0), "high": (200.0, 80.0)}
 
 
-def fig10_cap(samples: int, seed: int = 100):
-    return cnl_lower_chi2(FIG10_INT.received_power, FIG10_INT.sigma2_a,
-                          FIG10_INT.sigma2_rec, _mc(seed, samples))
+def fig10_cap():
+    return int_rate(FIG10_INT, FIG10_INT.sigma2_rec)
 
 
-def fig10(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig10(n_points: int) -> list[tuple[str, object]]:
     """Both architectures with circuit power, low and high draw."""
-    cap = fig10_cap(samples).value
+    cap = fig10_cap().value
     out = []
     for label, (p_s, p_i) in FIG10_POWERS.items():
         out.append((f"fig10_seprx_{label}.csv",
@@ -144,18 +138,18 @@ def distance_sweep_rows() -> tuple[list[tuple], list[tuple]]:
             [plan.to_csv_row(d, "integrated") for d, plan in zip(distances, itg)])
 
 
-def fig11(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig11(n_points: int) -> list[tuple[str, object]]:
     """Maximum achievable rate vs distance for the practical setup."""
     sep_rows, int_rows = distance_sweep_rows()
     return [("fig11_seprx.csv", (PLAN_HEADER, sep_rows)),
             ("fig11_intrx.csv", (PLAN_HEADER, int_rows))]
 
 
-def fig12(n_points: int, samples: int) -> list[tuple[str, object]]:
+def fig12(n_points: int) -> list[tuple[str, object]]:
     """Constellation size and off-time fraction vs distance: fig11's tables,
     from which the figure reads m and alpha instead of the rate."""
     return [(name.replace("fig11", "fig12"), table)
-            for name, table in fig11(n_points, samples)]
+            for name, table in fig11(n_points)]
 
 
 FIGURES = {
@@ -169,9 +163,8 @@ FIGURES = {
 }
 
 
-def build_figure(figure_id: str, n_points: int = 512,
-                 samples: int = 100_000) -> list[tuple[str, object]]:
+def build_figure(figure_id: str, n_points: int = 512) -> list[tuple[str, object]]:
     if figure_id not in FIGURES:
         raise InvalidParams(
             f"unknown figure id {figure_id!r}; choose from {sorted(FIGURES)}")
-    return FIGURES[figure_id](n_points, samples)
+    return FIGURES[figure_id](n_points)

@@ -16,11 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import (
-    MonteCarloConfig,
-    cnl_lower_chi2,
-    effective_proc_noise,
-)
+from .capacity import effective_proc_noise
 from .core import LinkParams, REBoundary, awgn_rate, box_boundary, split_snr
 from .errors import (
     DegenerateCircuitPower,
@@ -133,12 +129,21 @@ def region_int_adc(lp: LinkParams, n_points: int,
     return _boundary(rates[keep], rhos[keep] * lp.q_max, "int-adc", "integrated")
 
 
-def int_adc_cap_fn(lp: LinkParams, mc: MonteCarloConfig) -> Callable[[float], float]:
-    """The rate region_int_adc sweeps: the chi-square-input MI at split ratio
-    rho, with the ADC noise folded into the effective processing noise."""
+def int_rate(lp: LinkParams, sigma2_rec: float):
+    """The chi-square-input rate of lp's integrated receiver at processing
+    noise sigma2_rec, as a chi2rate.RateBound.  chi2rate is imported here,
+    at the first rate, so that the CLI's start-up does not compile it."""
+    from .chi2rate import cnl_rate_chi2
+    return cnl_rate_chi2(lp.received_power, lp.sigma2_a, sigma2_rec)
+
+
+def int_adc_cap_fn(lp: LinkParams) -> Callable[[float], float]:
+    """The rate region_int_adc sweeps: the chi-square-input rate at split
+    ratio rho, with the ADC noise folded into the effective processing
+    noise.  More noise cannot raise the rate, so it falls strictly in rho
+    wherever the ADC noise is positive."""
     def cap_fn(rho: float) -> float:
-        eff = effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)
-        return cnl_lower_chi2(lp.received_power, lp.sigma2_a, eff, mc).value
+        return int_rate(lp, effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)).value
     return cap_fn
 
 

@@ -23,6 +23,7 @@ from swiptlab.capacity import (
     cnl_lower_chi2,
     cnl_upper,
 )
+from swiptlab.chi2rate import cnl_rate_chi2
 from swiptlab.core import LinkParams, split_snr, upper_bound_region
 from swiptlab.figures import (
     FIG9_LP,
@@ -198,8 +199,8 @@ def test_criterion_4_fig9_circuit_regions():
 
 def test_criterion_5_fig10_crossover():
     t0 = time.time()
-    cap_est = fig10_cap(samples=100_000)
-    cap = cap_est.value
+    cap_rate = fig10_cap()
+    cap = cap_rate.value
     p_s_low, p_i_low = FIG10_POWERS["low"]
 
     def sep_rate(q):
@@ -224,8 +225,8 @@ def test_criterion_5_fig10_crossover():
     int_dominates = bool(np.all(int_high.rate_at(grid) >= sep_high - 1e-9))
 
     checks = [
-        (f"chi-square-input rate {cap:.3f} +- {cap_est.std_error:.3f} bits "
-         f"(n={cap_est.n_samples})", cap_est.n_samples >= 100_000),
+        (f"chi-square-input rate {cap:.6f} bits, certified to "
+         f"{cap_rate.error_bound:.1e} <= 1e-10", cap_rate.error_bound <= 1e-10),
         (f"low-circuit-power crossover {crossover:.2f} in [34, 40]",
          34.0 <= crossover <= 40.0),
         ("high circuit power: integrated dominates at every sampled energy",
@@ -321,7 +322,7 @@ def test_criterion_8_rectifier_waveform():
 
 def test_criterion_9_capacity_bound_sandwich():
     t0 = time.time()
-    sandwich_ok = True
+    sandwich_ok = certified_ok = True
     worst = -math.inf
     ratios = np.logspace(-4, 2, 10)
     for i, ratio in enumerate(ratios):
@@ -332,12 +333,17 @@ def test_criterion_9_capacity_bound_sandwich():
         slack = ub - (est.value - 3.0 * est.std_error)
         worst = max(worst, -slack)
         sandwich_ok &= slack >= 0.0
+        # the deterministic rate needs no slack: its lowest value is below the bound
+        rate = cnl_rate_chi2(100.0, s2a, s2r)
+        certified_ok &= rate.error_bound <= 1e-10 and rate.value - rate.error_bound <= ub
     branch_ok = True
     for hp in (1.0, 10.0, 100.0):
         c1, _, _ = c1_upper_optimized(hp, 1.0)
         branch_ok &= c1 < c2_upper(hp, 1e-4)
     checks = [
         ("lower - 3*stderr <= upper at 10 noise ratios in [1e-4, 1e2]", sandwich_ok),
+        ("deterministic rate, certified to 1e-10 bits, <= upper at the same ratios",
+         certified_ok),
         ("intensity-channel branch is the active minimum with dominant rectifier noise",
          branch_ok),
     ]

@@ -1,4 +1,5 @@
-"""Tests for the nonlinear-channel capacity bounds and the MI estimator."""
+"""Tests for the nonlinear-channel capacity bounds, the MI estimator and the
+deterministic chi-square-input rate."""
 
 import itertools
 import math
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import erf, i0e
+from scipy.special import erf, erfc, i0e
 
 import swiptlab.capacity as cap
+import swiptlab.chi2rate as chi2rate
 from swiptlab.capacity import (
     MonteCarloConfig,
     c1_asymptotic,
@@ -854,3 +856,195 @@ class TestMarginalTable:
         assert msg.startswith("conditional density at hP=1e+12, sigma2_a=1e-20, "
                               "sigma2_rec=1e-20: ")
         assert "output-density integrals missed tol=1e-10" in msg
+
+
+# --- the deterministic chi-square-input rate ----------------------------------
+
+# the mi_points channels (criterion 9's ratios 1e-4, 1e-2, 1 and 1e2, fig7's
+# srec2 = 1e4 point, the fig10 point and the unit point scaled by 1e-6) and
+# the eight effective noises of the adc_sweep links
+BENCHMARK_CHANNELS = (
+    [(100.0, float(r), 1.0) for r in np.logspace(-4, 2, 10)[::3]]
+    + [(100.0, 1.0, 1e4), (100.0, 0.01, 100.0), (1e-4, 1e-6, 1e-12)]
+    + [(100.0, 1.0, effective_proc_noise(s2r, 1.0, float(rho)))
+       for s2r in (1.0, 1e4) for rho in np.linspace(0.0, 1.0 - 1e-3, 4)])
+
+
+def _rate_by_dblquad(hp, s2a, s2r):
+    """I(X;Y) = h(Y) - E_X[h(Y | X)] in bits from QUADPACK: E_X[h(Y | X)] as
+    one dblquad over s = sqrt(x) and the output, h(Y) as one quad.  With
+    s2r > 0 the densities are the sampler's quadrature (_log_p_cond and
+    _log_p_marg); at s2r = 0 they are the closed forms of W = |nu + Z2|^2,
+    integrated in t = sqrt(w)."""
+    sa = math.sqrt(s2a)
+    weight = math.sqrt(2.0 / math.pi)
+    opts = dict(epsabs=1e-9, epsrel=0.0)
+    if s2r > 0:
+        def f_cond(y, s):
+            lp = cap._log_p_cond(np.array([y]), np.array([s * s]), hp, s2a, s2r)[0]
+            return -weight * math.exp(-0.5 * s * s + lp) * lp
+
+        def f_marg(y):
+            lp = cap._log_p_marg(np.array([y]), hp, s2a, s2r)[0]
+            return -math.exp(lp) * lp
+
+        srec = math.sqrt(s2r)
+        lo = lambda s: max(math.sqrt(hp) * s - 7.0 * sa, 0.0) ** 2 - 12.0 * srec
+        hi = lambda s: (math.sqrt(hp) * s + 7.0 * sa) ** 2 + 12.0 * srec
+        y_hi = hp + s2a + 80.0 * (hp + 0.5 * s2a) + 12.0 * srec
+        h_y, _ = integrate.quad(f_marg, -12.0 * srec, y_hi, limit=200, **opts)
+    else:
+        def f_cond(t, s):
+            nu = math.sqrt(hp) * s
+            # the Rice law of T = |nu + Z2| and log p_W(t^2)
+            lp = -(t - nu) ** 2 / s2a + math.log(i0e(2.0 * t * nu / s2a) / s2a)
+            return -weight * math.exp(-0.5 * s * s + lp) * lp * 2.0 * t
+
+        va, vb = hp + 0.5 * s2a, 0.5 * s2a
+
+        def f_marg(t):
+            w = t * t
+            lp = (-w / (2.0 * va) + math.log(i0e(w * (va - vb) / (4.0 * va * vb)))
+                  - math.log(2.0 * math.sqrt(va * vb)))
+            return -math.exp(lp) * lp * 2.0 * t
+
+        lo = lambda s: max(math.sqrt(hp) * s - 7.0 * sa, 0.0)
+        hi = lambda s: math.sqrt(hp) * s + 7.0 * sa
+        h_y, _ = integrate.quad(f_marg, 0.0, math.sqrt(90.0 * va), limit=200, **opts)
+    h_cond, _ = integrate.dblquad(f_cond, 0.0, 9.0, lo, hi, **opts)
+    return (h_y - h_cond) * LOG2E
+
+
+class TestChiSquareRate:
+    @pytest.mark.parametrize("hp, s2a, s2r", [(100.0, 1.0, 1.0), (100.0, 1e-4, 1.0),
+                                              (100.0, 1.0, 1e4), (100.0, 0.01, 100.0),
+                                              (100.0, 1.0, 0.0)])
+    def test_agrees_with_sampler(self, hp, s2a, s2r):
+        rate = chi2rate.cnl_rate_chi2(hp, s2a, s2r)
+        est = cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+        assert abs(rate.value - est.value) <= 4.0 * est.std_error
+
+    def test_densities_match_quadrature_at_unit_point(self, monkeypatch):
+        # the sampler's quadrature at its tolerance 1e-10 is off by up to
+        # 4.7e-14 here, at 1e-13 by 1.7e-15; at x = 0, W is exponential and
+        # Y exponentially modified Gaussian, a closed form
+        monkeypatch.setattr(cap, "_QUAD_TOL", 1e-13)
+        hp, s2a = 100.0, 1.0
+        for x in (0.0, 0.02, 0.7, 4.0):
+            nu2 = hp * x
+            cut = float(chi2rate._cond_cutoff(np.array([nu2]), s2a)[0])
+            n, step = 1024, math.pi / cut
+            base, slope = chi2rate._cond_cf_terms(np.arange(n // 2 + 1) * (2.0 * cut / n), s2a)
+            p = chi2rate._grid_density(np.exp(base + nu2 * slope)[None], n, step)[0]
+            # the density of Y - E[Y | X] folded onto the period: index j is
+            # j step, or j step - n step in the upper half
+            y = np.arange(n) * step
+            y[n // 2:] -= n * step
+            y += nu2 + s2a
+            if x == 0.0:
+                ref = np.exp(0.5 - y) * 0.5 * erfc((1.0 - y) / math.sqrt(2.0))
+            else:
+                ref = np.exp(cap._log_p_cond(y, np.full(n, x), hp, s2a, 1.0))
+            assert np.max(np.abs(p - ref)) <= 1e-14
+        n, step = 32768, chi2rate._MARG_STEP
+        omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * step))
+        p = chi2rate._grid_density(chi2rate._marg_cf_conj(omega, hp, s2a)[None], n, step)[0]
+        y = np.arange(n) * step
+        y[y > n * step - 12.5] -= n * step
+        every = slice(0, n, 37)
+        ref = np.exp(cap._log_p_marg(y[every], hp, s2a, 1.0))
+        assert np.max(np.abs(p[every] - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("hp, s2a, s2r", [(1.0, 1.0, 1.0), (100.0, 1.0, 0.0),
+                                              (10.0, 0.5, 0.0)])
+    def test_matches_dblquad(self, hp, s2a, s2r):
+        assert chi2rate.cnl_rate_chi2(hp, s2a, s2r).value == pytest.approx(
+            _rate_by_dblquad(hp, s2a, s2r), abs=1e-8)
+
+    def test_no_antenna_noise(self):
+        # h(Y | X) is the processing noise's; h(Y) from the independent
+        # marginal oracle, which integrates the chi-square law's w^-1/2 endpoint
+        hp, s2r = 4.0, 1.0
+
+        def f(y):
+            p = _p_marg_oracle(y, hp, 0.0, s2r)
+            return -p * math.log(p) if p > 0 else 0.0
+
+        h_y, _ = integrate.quad(f, -12.0, 12.0 + 81.0 * hp, epsabs=1e-11, epsrel=0.0,
+                                limit=400, points=[0.0, hp])
+        want = (h_y - 0.5 * math.log(2.0 * math.pi * math.e * s2r)) * LOG2E
+        assert chi2rate.cnl_rate_chi2(hp, 0.0, s2r).value == pytest.approx(want, abs=1e-8)
+
+    def test_branches_without_signal_or_noise(self):
+        assert chi2rate.cnl_rate_chi2(0.0, 1.0, 1.0) == chi2rate.RateBound(0.0, 0.0)
+        assert chi2rate.cnl_rate_chi2(0.0, 0.0, 1.0) == chi2rate.RateBound(0.0, 0.0)
+        with pytest.raises(ZeroNoise):
+            chi2rate.cnl_rate_chi2(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("position", range(3))
+    def test_bad_inputs_rejected(self, bad, position):
+        args = [10.0, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(InvalidParams):
+            chi2rate.cnl_rate_chi2(*args)
+
+    @pytest.mark.parametrize("hp, s2a, s2r, what", [
+        (1e4, 1.0, 1.0, "marginal density"),
+        (100.0, 1e4, 1.0, "marginal density"),
+        (100.0, 300.0, 1.0, "conditional densities need"),
+        (1e300, 1.0, 1e-300, "marginal density"),
+        (1e7, 1.0, 0.0, "hP / sigma2_a"),
+    ])
+    def test_grid_limit_rejected_before_any_grid(self, hp, s2a, s2r, what, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(chi2rate, "_grid_entropies", no_grid)
+        monkeypatch.setattr(chi2rate, "_panel_entropies", no_grid)
+        with pytest.raises(InvalidParams, match="past the grid limit") as info:
+            chi2rate.cnl_rate_chi2(hp, s2a, s2r)
+        assert what in str(info.value)
+
+    def test_limit_admits_its_stated_reach(self):
+        # the largest hP / sigma_rec the limit states; criterion 9's largest
+        # ratio sa2 / srec2 = 100 is a benchmark channel below
+        assert chi2rate.cnl_rate_chi2(3236.0, 0.0, 1.0).error_bound <= 1e-10
+
+    @pytest.mark.parametrize("step", [0.5, 0.6, 0.7, 0.8])
+    def test_grid_error_terms_cover_a_coarse_grid(self, step):
+        # the unit Gaussian on grids too coarse for it: the Riemann estimate
+        # alone covers the entropy's error, and with the truncation term by 5x
+        n = 256
+        omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * step))
+        (h,), (riemann,), _ = chi2rate._grid_entropies(np.exp(-0.5 * omega * omega)[None], n, step,
+                                                  {"transforms": 0})
+        error = abs(h - 0.5 * math.log(2.0 * math.pi * math.e))
+        cut = math.pi / step
+        assert error <= riemann
+        assert 5.0 * error <= riemann + chi2rate._truncation_error(math.exp(-0.5 * cut * cut), cut,
+                                                             n * step)
+
+    def test_coarse_grid_fails_mass_check(self, monkeypatch):
+        monkeypatch.setattr(chi2rate, "_MARG_STEP", 0.5)
+        with pytest.raises(QuadratureFailure, match="integrates to 1 only within"):
+            chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("hp, s2a, s2r", BENCHMARK_CHANNELS)
+    def test_benchmark_channels_certified(self, hp, s2a, s2r):
+        rate = chi2rate.cnl_rate_chi2(hp, s2a, s2r)
+        assert 0.0 < rate.error_bound <= 1e-10
+        assert 0.0 < rate.value <= cnl_upper(hp, s2a, s2r)["cnl_upper_bits"]
+
+    def test_falls_with_the_processing_noise(self):
+        rates = [chi2rate.cnl_rate_chi2(100.0, 1.0, s2r).value
+                 for s2r in (1.0, 2.0, 4.0, 1e2, 1e4, 1e6)]
+        assert all(b < a for a, b in zip(rates, rates[1:]))
+
+    def test_work_counters(self):
+        work = {"transforms": 5}
+        chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0, work)
+        assert work["input_nodes"] == 29 * 17
+        assert work["marginal_points"] == 32768
+        assert work["conditional_points"] >= 29 * 17 * 8
+        assert work["transforms"] > 6

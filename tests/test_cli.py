@@ -137,6 +137,27 @@ class TestRegionCommand:
             == from_csv.points.tolist()
         assert (from_csv.scheme, from_csv.receiver) == (outputs["scheme"], outputs["receiver"])
 
+    def test_int_adc_reads_no_sampling_option(self, tmp_path, monkeypatch, capsys):
+        # --samples and --seed are still accepted; the int-* rate is deterministic
+        link = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--srec2", "1",
+                "--sadc2", "1", "--points", "4"]
+        for name, extra in (("a.csv", []), ("b.csv", ["--samples", "10000", "--seed", "4"])):
+            code, _, _ = run(["region", "--scheme", "int-adc", *link, *extra, "--out", name],
+                             tmp_path, monkeypatch, capsys)
+            assert code == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert read_boundary(tmp_path / "a.csv").points.shape == (4, 2)
+
+    @pytest.mark.parametrize("scheme", ["int-ideal", "int-adc", "int-circuit"])
+    def test_channel_past_grid_limit_exit_2(self, scheme, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["region", "--scheme", scheme, "--h", "1", "--p", "1e4",
+                            "--sa2", "1", "--srec2", "1", "--sadc2", "1", "--pi", "1",
+                            "--points", "4"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "past the grid limit" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_int_circuit_with_explicit_cap(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "int-circuit", "--h", "1", "--p", "100",
                           "--zeta", "0.6", "--sa2", "1", "--srec2", "100",
@@ -249,6 +270,18 @@ class TestSimulateCommand:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         out = json.loads((tmp_path / "a.json").read_text())["outputs"]
         assert 0 <= out["ser_hat"] <= 1 and out["n_symbols"] == 20000
+
+    def test_importance_sampling_recorded(self, tmp_path, monkeypatch, capsys):
+        # the same QPSK link plain and importance-sampled: only the scale
+        # tells the two artifacts' inputs apart
+        args = ["simulate", "--kind", "qam", "--m", "4", "--rho", "0", "--h", "1", "--p", "25",
+                "--sa2", "0.5", "--scov2", "0.5", "--symbols", "2000", "--seed", "6"]
+        run(args + ["--out", "plain.json"], tmp_path, monkeypatch, capsys)
+        run(args + ["--noise-scale", "2.2", "--out", "is.json"], tmp_path, monkeypatch, capsys)
+        plain, sampled = (json.loads((tmp_path / name).read_text())["inputs"]
+                          for name in ("plain.json", "is.json"))
+        assert plain["noise_scale"] == 1.0 and sampled["noise_scale"] == 2.2
+        assert {**plain, "noise_scale": 2.2} == sampled
 
     # y/hP overflows; every decision clips to an outer level as before
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -597,14 +630,15 @@ class TestErrorHandling:
 FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e-12", "0.5", "1", "3", "100",
                "1e12", "1e300")
 # each command with its selector and a feasible base: every count is small and
-# fixed, the integrated schemes take --cap so that none estimates the MI, and
-# capacity runs --upper only
+# fixed, the integrated schemes take --cap but one, which computes the
+# deterministic rate, and capacity runs --upper only
 _FUZZ_LINK = ["--h=1", "--p=100", "--zeta=0.6", "--sa2=1", "--scov2=10", "--srec2=1"]
 FUZZ_CASES = (
     *(["region", "--scheme", scheme, *_FUZZ_LINK, "--ps=25", "--pi=10", "--cap=3",
        "--points=8"]
       for scheme in ("ub", "ts", "sps", "ops-circuit", "ts-circuit", "sps-circuit",
                      "int-ideal", "int-circuit")),
+    ["region", "--scheme", "int-ideal", *_FUZZ_LINK, "--points=8"],
     *(["solve", "--problem", problem, *_FUZZ_LINK, "--ps=25", "--pi=10", "--q=30",
        "--qreq=10"] for problem in ("p0", "p1", "p2")),
     ["link"],
@@ -719,9 +753,11 @@ class TestExitCodeContract:
             _assert_exit_contract([*argv, "--config", path])
 
 
-# One argv per command kind that needs no scipy: the closed-form regions
-# (int-ideal and int-circuit given --cap), solve p0, link, the three
-# oracles and the fixed-link figures.  Every other kind imports scipy.special.
+# One argv per command kind that needs no scipy: the closed-form regions,
+# the int-* schemes with and without --cap (the rate's characteristic
+# functions need numpy alone), solve p0, link, the three oracles, the
+# fixed-link figures and figs 7, 8 and 10.  Every other kind imports
+# scipy.special.
 _INT_FLAGS = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "0.01", "--srec2", "100"]
 SCIPY_FREE_ARGVS = (
     *(["region", "--scheme", scheme, *FIG9_FLAGS, "--ps", "25", "--points", "8",
@@ -731,12 +767,18 @@ SCIPY_FREE_ARGVS = (
      "--out", "int-ideal.csv"],
     ["region", "--scheme", "int-circuit", *_INT_FLAGS, "--pi", "10", "--cap", "2",
      "--points", "8", "--out", "int-circuit.csv"],
+    ["region", "--scheme", "int-ideal", *_INT_FLAGS, "--points", "8", "--out", "ideal-rate.csv"],
+    ["region", "--scheme", "int-circuit", *_INT_FLAGS, "--pi", "10", "--points", "8",
+     "--out", "circuit-rate.csv"],
+    ["region", "--scheme", "int-adc", *_INT_FLAGS, "--sadc2", "1", "--points", "4",
+     "--out", "int-adc.csv"],
     ["solve", "--problem", "p0", "--q", "30", *FIG9_FLAGS, "--ps", "25"],
     ["link", "--distance", "3"],
     *(["simulate", "--kind", kind, *FIG9_FLAGS, "--srec2", "1", "--symbols", "64",
        "--out", f"{kind}.json"] for kind in ("qam", "pem", "rectifier")),
     ["figure", "fig5", "--points", "8", "--out-dir", "fig5"],
     ["figure", "fig9", "--points", "8", "--out-dir", "fig9"],
+    *(["figure", fig, "--points", "8", "--out-dir", fig] for fig in ("fig7", "fig8", "fig10")),
 )
 
 
@@ -892,9 +934,9 @@ PARSER_PIN = {
         truncation_order=2, constant_envelope=False, out="simulate.json")),
     "figure": ({
         "figure_id": ("figure_id", str, None, True),
-        "--points": ("points", int, None, False), "--samples": ("samples", int, None, False),
+        "--points": ("points", int, None, False),
         "--out-dir": ("out_dir", str, None, False), "--config": ("config", str, None, False),
-    }, ["fig5"], dict(figure_id="fig5", points=512, samples=100_000, out_dir=".")),
+    }, ["fig5"], dict(figure_id="fig5", points=512, out_dir=".")),
 }
 
 

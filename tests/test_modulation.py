@@ -264,7 +264,7 @@ def random_p1_problems(rng, n):
     return problems
 
 
-class TestSolveP1Links:
+class TestSolveP1Batch:
     """The batched planner against the one-link scalar planner it replaced."""
 
     def test_equals_scalar_reference_bit_for_bit(self):

@@ -17,6 +17,7 @@ from helpers import (
 from swiptlab.core import LinkParams, split_snr, upper_bound_region
 from swiptlab.errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
 from swiptlab.regions import (
+    int_adc_cap_fn,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -437,6 +438,16 @@ class TestIntegratedRegions:
         assert np.all(np.diff(bnd.energies()) > 0)
         assert np.all(np.diff(bnd.rates()) < 0)
         assert bnd.rate_at(0.0) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("sigma2_rec", [1.0, 1e4])
+    def test_adc_sweep_keeps_every_point(self, sigma2_rec):
+        # the fig8 links: the deterministic rate falls strictly as the
+        # effective processing noise grows with rho, so no point is dominated
+        lp = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_rec=sigma2_rec,
+                        sigma2_adc=1.0)
+        bnd = region_int_adc(lp, 33, int_adc_cap_fn(lp))
+        assert bnd.points.shape == (33, 2)
+        assert np.all(np.diff(bnd.rates()) < 0)
 
     def test_int_circuit_vertex(self):
         bnd = region_int_circuit(self.LP, 10.0, 2.0, 65)

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swiptlab.capacity import MonteCarloConfig, cnl_lower_chi2
+from swiptlab.chi2rate import cnl_rate_chi2
 from swiptlab.core import LinkParams, awgn_rate
 from swiptlab.modulation import solve_p1, solve_p2
 from swiptlab.regions import (
@@ -111,6 +112,18 @@ def test_mutual_information(hp, sigma2_a, sigma2_rec):
         got = cnl_lower_chi2(hp * c, sigma2_a * c, sigma2_rec * c * c, mc)
         assert abs(got.value - want.value) <= TOL
         assert abs(got.std_error - want.std_error) <= TOL
+
+
+# the deterministic rate at the unit point, the fig7 and fig10 points and
+# criterion 9's smallest ratio: its grids and rules scale with sigma_rec
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([(100.0, 1.0, 1.0), (100.0, 1.0, 1e4), (100.0, 0.01, 100.0),
+                        (100.0, 1e-4, 1.0)]), st.floats(-8.0, 8.0))
+def test_chi_square_rate(channel, log_c):
+    hp, sigma2_a, sigma2_rec = channel
+    c = 10.0 ** log_c
+    want = cnl_rate_chi2(hp, sigma2_a, sigma2_rec).value
+    assert abs(cnl_rate_chi2(hp * c, sigma2_a * c, sigma2_rec * c * c).value - want) <= 1e-12
 
 
 @pytest.mark.parametrize("c", SCALES)
