@@ -3,7 +3,9 @@
 Library layout:
     core        shared types, rates, SNRs, the outer-bound box, dBm to watts
     errors      error classes, their CLI exit codes and the input range checks
-    capacity    nonlinear-channel capacity bounds and the chi-square-input rate
+    capacity    nonlinear-channel capacity upper bounds and the sampled (Monte
+                Carlo) estimate of the chi-square-input rate
+    chi2rate    the chi-square-input rate without sampling, with its error bound
     regions     rate-energy region boundaries and the circuit-power solver
     modulation  QAM/PEM symbol error rates, constrained rate maximizers and the
                 distance-law link budget

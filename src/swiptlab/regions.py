@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import effective_proc_noise
 from .core import LinkParams, REBoundary, awgn_rate, box_boundary, split_snr
 from .errors import (
     DegenerateCircuitPower,
@@ -141,7 +140,10 @@ def int_adc_cap_fn(lp: LinkParams) -> Callable[[float], float]:
     """The rate region_int_adc sweeps: the chi-square-input rate at split
     ratio rho, with the ADC noise folded into the effective processing
     noise.  More noise cannot raise the rate, so it falls strictly in rho
-    wherever the ADC noise is positive."""
+    wherever the ADC noise is positive.  capacity is imported here, once per
+    sweep, as the rate itself loads it."""
+    from .capacity import effective_proc_noise
+
     def cap_fn(rho: float) -> float:
         return int_rate(lp, effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)).value
     return cap_fn

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -137,6 +138,13 @@ class TestRegionCommand:
             == from_csv.points.tolist()
         assert (from_csv.scheme, from_csv.receiver) == (outputs["scheme"], outputs["receiver"])
 
+    def test_json_names_no_seed(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run(["region", "--scheme", "sps", *FIG9_FLAGS, "--points", "8",
+                          "--format", "json", "--seed", "5", "--out", "sps.json"],
+                         tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "sps.json").read_text())["provenance"]["seed"] is None
+
     def test_int_adc_reads_no_sampling_option(self, tmp_path, monkeypatch, capsys):
         # --samples and --seed are still accepted; the int-* rate is deterministic
         link = ["--h", "1", "--p", "100", "--zeta", "0.6", "--sa2", "1", "--srec2", "1",
@@ -190,6 +198,13 @@ class TestCapacityCommand:
         up = doc["outputs"]["upper"]
         assert up["cnl_upper_bits"] == pytest.approx(
             min(up["c1_upper_bits"], up["c2_upper_bits"]))
+
+    def test_upper_alone_names_no_seed(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run(["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--upper",
+                          "--seed", "5", "--out", "up.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        doc = json.loads((tmp_path / "up.json").read_text())
+        assert doc["provenance"]["seed"] is None and "lower" not in doc["outputs"]
 
     # (sa2, srec2, the bound that is the smaller): rectifier noise dominant,
     # then antenna noise dominant
@@ -567,7 +582,7 @@ class TestErrorHandling:
         assert not list(tmp_path.iterdir())
 
     def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
-        def exhausted(ns, lp):
+        def exhausted(regions, ns, lp):
             raise MemoryError("Unable to allocate 745. GiB for an array")
         monkeypatch.setitem(REGION_SCHEMES, "ts", exhausted)
         code, _, err = run(["region", "--scheme", "ts", "--sa2", "1"], tmp_path, monkeypatch,
@@ -782,10 +797,11 @@ SCIPY_FREE_ARGVS = (
 )
 
 
-def scipy_after(argvs, cwd) -> list:
+def loaded_after(argvs, cwd) -> list:
     """Run each argv through cli.main in one fresh interpreter, after building
-    the parser; return the scipy modules loaded before the first call, the
-    exit codes, and the scipy modules loaded at the end."""
+    the parser; return the modules loaded before the first call, the exit
+    codes, and the modules loaded at the end.  Each set of modules maps
+    "scipy" and "swiptlab" to the sorted names of that package's modules."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -793,31 +809,117 @@ def scipy_after(argvs, cwd) -> list:
         "import json, sys\n"
         "from swiptlab.cli import build_parser, main\n"
         "build_parser()\n"
-        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "before = scipy()\n"
+        "def loaded(): return {p: sorted(m for m in sys.modules if m.split('.')[0] == p)\n"
+        "                      for p in ('scipy', 'swiptlab')}\n"
+        "before = loaded()\n"
         f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
-        "print(json.dumps([before, codes, scipy()]))\n"
+        "print(json.dumps([before, codes, loaded()]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# what building the parser loads of swiptlab
+STARTUP_MODULES = ["swiptlab", "swiptlab.cli", "swiptlab.core", "swiptlab.errors"]
+# (argv, the library modules it adds to STARTUP_MODULES): one per command kind
+COMMAND_MODULES = (
+    (["region", "--scheme", "ts", *FIG9_FLAGS, "--points", "8"], ["regions"]),
+    (["region", "--scheme", "int-ideal", *_INT_FLAGS, "--cap", "2", "--points", "8"],
+     ["regions"]),
+    (["region", "--scheme", "int-adc", *_INT_FLAGS, "--sadc2", "1", "--points", "4"],
+     ["capacity", "chi2rate", "regions"]),
+    (["solve", "--problem", "p0", "--q", "30", *FIG9_FLAGS, "--ps", "25"], ["regions"]),
+    (["solve", "--problem", "p1", "--qreq", "10", "--ps", "1", *FIG9_FLAGS], ["modulation"]),
+    (["link", "--distance", "3"], ["modulation"]),
+    (["simulate", "--kind", "pem", *FIG9_FLAGS, "--srec2", "1", "--symbols", "64"],
+     ["modulation", "simkit"]),
+    (["figure", "fig5", "--points", "8"], ["figures", "modulation", "regions"]),
+    (["figure", "fig7", "--points", "8"],
+     ["capacity", "chi2rate", "figures", "modulation", "regions"]),
+    (["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--upper"], ["capacity"]),
+)
+
+
 class TestStartup:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_parser_loads_core_and_errors_alone(self, tmp_path):
+        before, codes, after = loaded_after([], tmp_path)
+        assert before == after == {"scipy": [], "swiptlab": STARTUP_MODULES}
+
+    @pytest.mark.parametrize("argv,modules", COMMAND_MODULES,
+                             ids=[" ".join(argv[:3]) for argv, _ in COMMAND_MODULES])
+    def test_command_loads_its_modules(self, argv, modules, tmp_path):
+        before, codes, after = loaded_after([argv], tmp_path)
+        assert before["swiptlab"] == STARTUP_MODULES and codes == [0]
+        assert after["swiptlab"] == sorted(STARTUP_MODULES + [f"swiptlab.{m}" for m in modules])
+
     def test_closed_form_commands_leave_out_scipy(self, tmp_path):
-        before, codes, after = scipy_after(SCIPY_FREE_ARGVS, tmp_path)
-        assert before == []
+        before, codes, after = loaded_after(SCIPY_FREE_ARGVS, tmp_path)
+        assert before["scipy"] == []
         assert codes == [0] * len(SCIPY_FREE_ARGVS)
-        assert after == []
+        assert after["scipy"] == []
 
     def test_capacity_imports_scipy_special(self, tmp_path):
-        before, codes, after = scipy_after(
+        before, codes, after = loaded_after(
             [["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1"]], tmp_path)
-        assert before == [] and codes == [0]
-        assert "scipy.special" in after
+        assert before["scipy"] == [] and codes == [0]
+        assert "scipy.special" in after["scipy"]
+
+
+# (module, function, an argv that calls it once): a command reads each
+# library function from its module when it runs, so rebinding the module's
+# attribute (as perfbench/tracing.py does) reaches the call
+CALL_TIME_LOOKUPS = (
+    ("regions", "region_ts", ["region", "--scheme", "ts", *FIG9_FLAGS, "--points", "8"]),
+    ("regions", "solve_p0", ["solve", "--problem", "p0", "--q", "30", *FIG9_FLAGS,
+                             "--ps", "25"]),
+    ("capacity", "cnl_upper", ["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1"]),
+    ("modulation", "solve_p1", ["solve", "--problem", "p1", "--qreq", "10", "--ps", "1",
+                                *FIG9_FLAGS]),
+    ("modulation", "link_budget_to_params", ["link", "--distance", "3"]),
+    ("simkit", "simulate_pem_integrated", ["simulate", "--kind", "pem", *FIG9_FLAGS,
+                                           "--srec2", "1", "--symbols", "64"]),
+    ("figures", "build_figure", ["figure", "fig5", "--points", "8"]),
+)
+
+
+def swiptlab_namespaces() -> list:
+    return [(name, vars(mod)) for name, mod in sorted(sys.modules.items())
+            if mod is not None and name.split(".")[0] == "swiptlab"]
+
+
+class TestCallTimeLookup:
+    @pytest.mark.parametrize("module,name,argv", CALL_TIME_LOOKUPS,
+                             ids=[f"{m}.{n}" for m, n, _ in CALL_TIME_LOOKUPS])
+    def test_rebound_function_runs(self, module, name, argv, tmp_path, monkeypatch, capsys):
+        mod = importlib.import_module(f"swiptlab.{module}")
+        real, calls = getattr(mod, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mod, name, counting)
+            code, _, _ = run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0 and len(calls) == 1
+        holders = [f"{m}.{k}" for m, space in swiptlab_namespaces()
+                   for k, v in space.items() if v is counting]
+        assert holders == []
+
+    def test_cli_build_figure_is_read_from_figures(self, monkeypatch):
+        import swiptlab.cli
+        import swiptlab.figures
+
+        def stand_in(*args, **kwargs):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(swiptlab.figures, "build_figure", stand_in)
+        assert swiptlab.cli.build_figure is stand_in
+        assert "build_figure" not in vars(swiptlab.cli)
 
 
 class TestArtifactMode:
