@@ -10,6 +10,7 @@ conditional/marginal output densities.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -33,6 +34,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         check_count("n_samples", self.n_samples, 10_000)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -273,12 +275,13 @@ def _density_t_marg(t, hp, sigma2_a):
 
 
 class _Scratch:
-    """Float buffers that one worker reuses from chunk to chunk.
+    """Float buffers that one worker thread reuses from chunk to chunk of a map.
 
-    The quadrature's (panels, 1, nodes) node arrays take about 1 MB each per
-    512-sample chunk.  As fresh temporaries, malloc hands them back to the OS
-    after every chunk and the next chunk faults them in again, which costs
-    more than the arithmetic on them whenever page faults are slow.
+    The quadrature's (panels, 1, nodes) node arrays take 0.2-0.6 MB each per
+    1024-sample chunk at the benchmark channels.  As fresh temporaries, malloc
+    hands them back to the OS after every chunk and the next chunk faults them
+    in again, which costs more than the arithmetic on them whenever page
+    faults are slow.
     """
 
     def __init__(self):
@@ -594,10 +597,13 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, scratch=None):
 # chunks run on one thread per CPU the process may use (see taskset)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# samples per chunk: a chunk's (panels, 1, 31) node arrays are about 1 MB each,
-# so a worker's scratch buffers stay small, and a 10k-sample estimate splits
-# into 20 chunks, which keep both threads busy when one CPU is slowed
-_CHUNK = 512
+# samples per chunk.  On one CPU a _log_p_cond chunk costs a fixed 0.1-0.4 ms
+# of Python-level work, which the threads run one at a time under the GIL, plus
+# 1.2-3.7 us per sample; at 1024 samples the fixed part is at most a quarter of
+# a chunk (512: up to 38%), and a 10k-sample estimate still splits into 10
+# chunks for the threads to share.  2048 was a little faster again, but raised
+# the benchmark's peak memory by a tenth
+_CHUNK = 1024
 
 # Piecewise Chebyshev table of log p(y) in s = asinh(y / sigma_rec): panels are
 # sigma_rec wide near y = 0 and grow geometrically in y.  Each panel holds the 17
@@ -613,32 +619,43 @@ _TABLE_MAX_PANELS = 256
 _TABLE_REL_TOL = 1e-10
 
 
-def _map_chunks(fn, n):
-    """fn(sl, scratch) over the consecutive _CHUNK-sample slices sl of range(n),
-    run on _WORKERS threads (numpy and scipy release the GIL in their loops),
-    with the results concatenated in slice order.  scratch is the _Scratch of
-    the worker running the slice, so a worker's buffers serve all its slices.
+@contextlib.contextmanager
+def _chunk_map():
+    """Yield map_chunks(fn, n), which runs fn(sl, scratch) over the consecutive
+    _CHUNK-sample slices sl of range(n) and concatenates the results in slice
+    order.  Every map_chunks call of one context runs on the context's one
+    pool of _WORKERS threads (numpy and scipy release the GIL in their loops);
+    a single worker, or a single slice, runs in the calling thread.  scratch is
+    the _Scratch of the thread running the slice, for this map only: held
+    from one map to the next, a thread's buffers would add to the next stage's
+    arrays and raise the peak memory.
 
-    The first slice in order whose fn raises raises here: later slices not yet
-    started are cancelled, those running finish and are discarded, and every
-    worker has exited before this returns or raises.  A single worker, or a
-    single slice, runs in the calling thread.
+    The first slice in order whose fn raises raises from map_chunks: later
+    slices not yet started are cancelled, those running finish and are
+    discarded.  Every thread has exited before the context is left, whether
+    it returns or raises.
     """
-    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    if _WORKERS == 1 or len(slices) == 1:
-        scratch = _Scratch()
-        return np.concatenate([fn(sl, scratch) for sl in slices])
+    def map_chunks(fn, n, pool=None):
+        slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+        if pool is None or len(slices) == 1:
+            scratch = _Scratch()
+            return np.concatenate([fn(sl, scratch) for sl in slices])
+        local = threading.local()
+
+        def run(sl):
+            if not hasattr(local, "scratch"):
+                local.scratch = _Scratch()
+            return fn(sl, local.scratch)
+
+        return np.concatenate(list(pool.map(run, slices)))
+
+    if _WORKERS == 1:
+        yield map_chunks
+        return
     from concurrent.futures import ThreadPoolExecutor  # not loaded by `import swiptlab`
 
-    local = threading.local()
-
-    def run(sl):
-        if not hasattr(local, "scratch"):
-            local.scratch = _Scratch()
-        return fn(sl, local.scratch)
-
     with ThreadPoolExecutor(_WORKERS) as pool:
-        return np.concatenate(list(pool.map(run, slices)))
+        yield functools.partial(map_chunks, pool=pool)
 
 
 def _barycentric(s, nodes, values):
@@ -650,9 +667,10 @@ def _barycentric(s, nodes, values):
                     (q * values).sum(axis=-1) / q.sum(axis=-1))
 
 
-def _marginal_table(y, hp, sigma2_a, sigma2_rec):
+def _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks):
     """log p(.) as a function of y over [min y, max y]: the closed form where
-    one exists, else a piecewise Chebyshev interpolant of the quadrature.
+    one exists, else a piecewise Chebyshev interpolant of the quadrature, whose
+    batches run on map_chunks (a _chunk_map).
 
     Starting from equal panels in s = asinh(y / sigma_rec), a panel is accepted
     when the interpolant meets |p_hat - p| <= _QUAD_TOL + 1e-10 p against direct
@@ -667,7 +685,7 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec):
 
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
-        return _map_chunks(
+        return map_chunks(
             lambda sl, scratch: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, scratch),
             s.size)
 
@@ -740,10 +758,12 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     The message names the stage (conditional density or marginal table), the
     channel and the drawn y in the caller's units: for a conditional failure
     the worst sample's index in the draw and its (y, x), for the table the
-    range of y.  The per-sample work runs in chunks on one thread per CPU of
-    the process's affinity mask, so `taskset -c 0` limits it to one.  Results
-    are bit-reproducible for a fixed seed and independent of internal chunking
-    and of the thread count.
+    range of y.  The per-sample work (the conditional densities, the table's
+    quadrature batches and the final log-ratios) runs in 1024-sample chunks on
+    one pool per call, with one thread per CPU of the process's affinity mask,
+    so `taskset -c 0` limits it to the calling thread.  Results are
+    bit-reproducible for a fixed seed and independent of internal chunking and
+    of the thread count.
     """
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
@@ -783,22 +803,23 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
             exc.sample += sl.start  # the worst sample's index in the draw
             raise
 
-    try:
-        cond = _map_chunks(log_p_cond, n)
-    except QuadratureFailure as exc:
-        k = exc.sample
-        raise QuadratureFailure(
-            f"conditional density {at}: worst sample {k} of the draw (y={y[k] / c:.6g}, "
-            f"x={x[k]:.6g}): in units where sigma_rec = 1, {exc}") from exc
-    # the table comes second: a channel the quadrature cannot resolve usually
-    # fails in the first conditional chunk, before the table's cost is paid
-    try:
-        log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(
-            f"marginal table {at}: over y in [{y.min() / c:.6g}, {y.max() / c:.6g}]: "
-            f"in units where sigma_rec = 1, {exc}") from exc
-    llr = _map_chunks(lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
+    with _chunk_map() as map_chunks:
+        try:
+            cond = map_chunks(log_p_cond, n)
+        except QuadratureFailure as exc:
+            k = exc.sample
+            raise QuadratureFailure(
+                f"conditional density {at}: worst sample {k} of the draw (y={y[k] / c:.6g}, "
+                f"x={x[k]:.6g}): in units where sigma_rec = 1, {exc}") from exc
+        # the table comes second: a channel the quadrature cannot resolve usually
+        # fails in the first conditional chunk, before the table's cost is paid
+        try:
+            log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks)
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(
+                f"marginal table {at}: over y in [{y.min() / c:.6g}, {y.max() / c:.6g}]: "
+                f"in units where sigma_rec = 1, {exc}") from exc
+        llr = map_chunks(lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))

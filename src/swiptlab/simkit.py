@@ -94,6 +94,7 @@ class SimConfig:
 
     def __post_init__(self):
         check_count("n_symbols", self.n_symbols, 1)
+        check_count("seed", self.seed, 0)
         check_count("oversampling", self.oversampling, 8)
         check_real("carrier_hz", self.carrier_hz, lo_open=True)
         check_real("bandwidth_hz", self.bandwidth_hz, lo_open=True)

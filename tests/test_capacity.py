@@ -1,6 +1,7 @@
 """Tests for the nonlinear-channel capacity bounds, the MI estimator and the
 deterministic chi-square-input rate."""
 
+import concurrent.futures
 import itertools
 import math
 import re
@@ -247,7 +248,9 @@ class TestMiEstimator:
         assert ref == alt
 
     def test_independent_of_worker_count(self, monkeypatch):
-        # (100, 1e-4, 1) escalates to 128 nodes, so the workers share cached rules
+        # (100, 1e-4, 1) escalates to 128 nodes, so the workers share cached
+        # rules; at (100, 1, 1) the Gauss-Hermite pair leaves a quarter of the
+        # samples to the panels, so the chunks differ in the work they do
         threads = set()
         cond = cap._log_p_cond
 
@@ -256,18 +259,34 @@ class TestMiEstimator:
             return cond(*args)
 
         monkeypatch.setattr(cap, "_log_p_cond", recording)
-        runs = {}
-        for workers, chunk in itertools.product((1, 2, 3), (1024, 1111, 4096)):
-            monkeypatch.setattr(cap, "_WORKERS", workers)
-            monkeypatch.setattr(cap, "_CHUNK", chunk)
-            threads.clear()
-            runs[workers, chunk] = cnl_lower_chi2(100.0, 1e-4, 1.0, MC_FAST)
-            if workers == 1:  # one worker is the calling thread
-                assert threads == {threading.get_ident()}
-            else:
-                assert 1 <= len(threads) <= workers
-                assert threading.get_ident() not in threads
-        assert len(set(runs.values())) == 1
+        for channel in ((100.0, 1e-4, 1.0), (100.0, 1.0, 1.0)):
+            runs = {}
+            for workers, chunk in itertools.product((1, 2, 3), (512, 1024, 1111, 4096)):
+                monkeypatch.setattr(cap, "_WORKERS", workers)
+                monkeypatch.setattr(cap, "_CHUNK", chunk)
+                threads.clear()
+                runs[workers, chunk] = cnl_lower_chi2(*channel, MC_FAST)
+                if workers == 1:  # one worker is the calling thread
+                    assert threads == {threading.get_ident()}
+                else:
+                    assert 1 <= len(threads) <= workers
+                    assert threading.get_ident() not in threads
+            assert len(set(runs.values())) == 1, channel
+
+    def test_one_pool_per_call(self, monkeypatch):
+        # the conditional map, the marginal table's batches and the final map
+        # share the call's pool
+        pools = []
+
+        class Counting(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(cap, "_WORKERS", 2)
+        cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        assert len(pools) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_thread_outlives_the_call(self, workers, monkeypatch):
@@ -816,7 +835,8 @@ class TestMarginalTable:
         hp, s2r = 10.0 ** log_hp, 10.0 ** log_s2r
         s2a = 0.0 if log_ratio is None else s2r * 10.0 ** log_ratio
         _, y = _channel_draws(np.random.default_rng(seed), 2000, hp, s2a, s2r)
-        p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r)(y))
+        with cap._chunk_map() as map_chunks:
+            p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r, map_chunks)(y))
         # the reference at a tighter tolerance: at 1e-10 the direct quadrature
         # itself can be off by a few times 1e-10 at single samples
         with pytest.MonkeyPatch.context() as mp:

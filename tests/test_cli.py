@@ -573,6 +573,20 @@ class TestErrorHandling:
         assert doc["type"] == "InvalidParams" and named in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--lower",
+         "--samples", "10000"],
+        ["simulate", "--kind", "qam", "--h", "1", "--p", "100", "--sa2", "1", "--scov2", "1",
+         "--symbols", "100"],
+        ["simulate", "--kind", "pem", "--h", "1", "--p", "100", "--srec2", "1",
+         "--symbols", "100"]])
+    def test_negative_seed_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        code, _, err = run([*argv, "--seed", "-1"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "seed" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag", ["antenna-noise-dbm", "conv-noise-dbm", "rec-noise-dbm"])
     def test_link_level_overflow_exit_2(self, flag, tmp_path, monkeypatch, capsys):
         code, _, err = run(["link", f"--{flag}", "1e12"], tmp_path, monkeypatch, capsys)
