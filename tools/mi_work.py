@@ -119,23 +119,26 @@ def timed_estimate(hp, sa2, srec2):
 def counted_estimate(hp, sa2, srec2):
     """Conditional integrand evaluations and Gauss-Hermite settled samples of
     one estimate on one thread, so that the counters see the chunks in order."""
-    evals, settled = [0], [0]
-    stage = ["cond"]
+    evals = settled = 0
+    in_table = False
     rule_sums, table, hermite = cap._panel_rule_sums, cap._marginal_table, cap._hermite_sums
 
     def counting_sums(integrand, n, owner, lower, widths, scratch, u, *weights):
-        if stage[0] == "cond":
-            evals[0] += owner.size * u.size
+        nonlocal evals
+        if not in_table:
+            evals += owner.size * u.size
         return rule_sums(integrand, n, owner, lower, widths, scratch, u, *weights)
 
     def marginal_table(*args):
-        stage[0] = "table"
+        nonlocal in_table
+        in_table = True
         return table(*args)
 
     def counting_hermite(*args):
+        nonlocal settled
         done, sums = hermite(*args)
-        if stage[0] == "cond":
-            settled[0] += int(np.count_nonzero(done))
+        if not in_table:
+            settled += int(np.count_nonzero(done))
         return done, sums
 
     saved = patched([(cap, "_panel_rule_sums", counting_sums),
@@ -145,7 +148,7 @@ def counted_estimate(hp, sa2, srec2):
         cap.cnl_lower_chi2(hp, sa2, srec2, SAMPLED)
     finally:
         patched(saved)
-    return evals[0], settled[0]
+    return evals, settled
 
 
 def sampled_table():
