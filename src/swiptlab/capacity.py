@@ -461,24 +461,16 @@ def _hermite_sums(integrand, centre, width, scratch):
     return settled, fine
 
 
-def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None, peak=None):
+def _log_p_conv(y, sigma2_rec, density, features, scratch, peak=None):
     """log of the rectifier-noise convolution int N(y - t^2; 0, sigma2_rec) p_T(t) dt
     for each sample, where p_T is a law of T = sqrt(W).
 
-    The full t window maps y -/+ 10 sigma_rec, and its panel knots are the
+    The t window maps y -/+ 10 sigma_rec, and its panel knots are the
     density's own features plus sqrt(y) -/+ 2 and 6 widths of the Gaussian
     factor.  density(t, active, scratch) returns p_T at the (P, 1, nodes) nodes
     t of the samples active, in a scratch buffer other than "t" and "gauss"; it
     may use any buffer except "t" as scratch, since the Gaussian factor is
     evaluated after it.  scratch is the worker's _Scratch, or None for a fresh one.
-
-    support, when given, is (lo, hi, tail): per-sample bounds with
-    P(T outside [lo, hi]) <= tail.  The panels that lie wholly outside [lo, hi]
-    are then dropped, so every panel kept is a panel of the full window.  The
-    Gaussian factor is unimodal in t with its mode at sqrt(max(y, 0)), so the
-    dropped part is at most tail times the factor's sup over the dropped t.  A
-    sample whose bound exceeds 2^-52 of its kept integral is recomputed on the
-    full window.
 
     peak, when given, is (mode, var): p_T's mode per sample and the variance of
     the Gaussian that matches its curvature there.  The Gaussian factor,
@@ -514,41 +506,15 @@ def _log_p_conv(y, sigma2_rec, density, features, scratch, support=None, peak=No
         # the settled samples' panels collapse to zero width and cost nothing
         knots = np.where(settled[:, None], knots[:, :1], knots)
 
-    if support is None:
-        vals = _panelized_integrals(knots, integrand, _QUAD_TOL, scratch)
-    else:
-        lo, hi, tail = support
-        # the last knot at or below lo and the first at or above hi; clipping every
-        # knot to them empties the panels outside, which are never evaluated
-        k_lo = np.where(knots <= lo[:, None], knots, knots[:, :1]).max(axis=1)
-        k_hi = np.where(knots >= hi[:, None], knots, knots[:, -1:]).min(axis=1)
-        vals = _panelized_integrals(np.clip(knots, k_lo[:, None], k_hi[:, None]),
-                                    integrand, _QUAD_TOL, scratch)
-        # the Gaussian factor's sup over each dropped side (0 where none is dropped)
-        sup_lo = np.exp(_log_phi(y - np.minimum(ty, k_lo) ** 2, sigma2_rec))
-        sup_hi = np.exp(_log_phi(y - np.maximum(ty, k_hi) ** 2, sigma2_rec))
-        sup = np.maximum(sup_lo * (k_lo > knots[:, 0]), sup_hi * (k_hi < knots[:, -1]))
-        redo = ~(tail * sup <= 2.0 ** -52 * vals)
-        if redo.any():
-            # the other samples' panels collapse to zero width and cost nothing
-            full = np.where(redo[:, None], knots, knots[:, :1])
-            vals = np.where(redo, _panelized_integrals(full, integrand, _QUAD_TOL, scratch), vals)
+    vals = _panelized_integrals(knots, integrand, _QUAD_TOL, scratch)
     if peak is not None:
         vals = np.where(settled, hermite, vals)
     return np.log(np.maximum(vals, 5e-324))
 
 
-# half-width of the conditional density's support window, in antenna-noise stds:
-# the Rice mass outside is at most e^-49, and with the knots of _log_p_cond no
-# sample of the benchmark channels needs the full window
-_RICE_WINDOW = 7.0
-
-
 def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, scratch=None):
     """log p(y | x) for each sample; the quadrature's node arrays live in scratch
-    (a fresh _Scratch when none is given).  The convolution skips the panels
-    outside nu -/+ _RICE_WINDOW sigma_a, where the Rice law has mass <= e^-49
-    (see _log_p_conv for the bound and the full-window fallback)."""
+    (a fresh _Scratch when none is given)."""
     if sigma2_rec == 0.0:
         return _log_density_w_cond(y, np.sqrt(hp * x), sigma2_a)
     if sigma2_a == 0.0:
@@ -561,12 +527,9 @@ def _log_p_cond(y, x, hp, sigma2_a, sigma2_rec, scratch=None):
                                scratch.take("dens", t.shape), scratch.take("tmp", t.shape),
                                scratch.take("gauss", t.shape))
 
-    # T = |nu + Z2| with |Z2|^2 exponential of mean sigma2_a, and |T - nu| <= |Z2|,
-    # so P(|T - nu| > a sig_t) <= exp(-a^2) exactly
-    support = (nu - _RICE_WINDOW * sig_t, nu + _RICE_WINDOW * sig_t, math.exp(-_RICE_WINDOW ** 2))
     # for a large Bessel argument the Rice law is a Gaussian of variance sigma2_a / 2 at nu
     return _log_p_conv(y, sigma2_rec, rice, [nu - 6 * sig_t, nu - 2 * sig_t, nu + 2 * sig_t,
-                                             nu + 6 * sig_t], scratch, support,
+                                             nu + 6 * sig_t], scratch,
                        (nu, 0.5 * sigma2_a))
 
 
@@ -744,17 +707,14 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     whose bump lies within 8 of its widths of t = 0, or whose rules
     disagree, falls back to panels (a 31-point Gauss-Kronrod rule checked
     against its embedded 15-point Gauss rule, escalating to 512 Gauss-Legendre
-    nodes where needed).  The panels skip those outside sqrt(hP*X) -/+ 7 sigma_a,
-    where the envelope's law has mass <= e^-49; a sample whose skipped part is
-    not bounded by 2^-52 of its value is recomputed on the full window.  The
-    input-averaged marginal p(Y) depends on Y alone, so it is computed once per
-    call: the same quadrature at the nodes of a piecewise Chebyshev table of
-    log p over the range of the drawn Y (in asinh(Y / sigma_rec)), each panel
-    certified to |p_hat - p| <= 1e-10 + 1e-10 p at its check points, and
-    interpolated at every sample.  Raises QuadratureFailure when a density
-    misses its tolerance at every level or the table needs too many panels,
-    and before any quadrature when hP, sigma2_a or a drawn y overflows a float
-    in units where sigma_rec = 1.
+    nodes where needed).  The input-averaged marginal p(Y) depends on Y alone,
+    so it is computed once per call: the same quadrature at the nodes of a
+    piecewise Chebyshev table of log p over the range of the drawn Y (in
+    asinh(Y / sigma_rec)), each panel certified to |p_hat - p| <= 1e-10 +
+    1e-10 p at its check points, and interpolated at every sample.  Raises
+    QuadratureFailure when a density misses its tolerance at every level or
+    the table needs too many panels, and before any quadrature when hP,
+    sigma2_a or a drawn y overflows a float in units where sigma_rec = 1.
     The message names the stage (conditional density or marginal table), the
     channel and the drawn y in the caller's units: for a conditional failure
     the worst sample's index in the draw and its (y, x), for the table the

@@ -140,8 +140,9 @@ def cmd_capacity(ns) -> int:
         est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2,
                              MonteCarloConfig(n_samples=ns.samples, seed=ns.seed))
         outputs["lower"] = est.to_json_dict()
-    inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2, "samples": ns.samples}
-    # only the sampled lower bound reads the seed
+    # only the sampled lower bound reads the sample count and the seed
+    inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2,
+              "samples": ns.samples if ns.lower else None}
     write_json(ns.out, inputs=inputs, outputs=outputs, seed=ns.seed if ns.lower else None)
     print(ns.out)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import LinkParams, upper_bound_region
-from .errors import InvalidParams
+from .errors import InvalidParams, check_count
 from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
     int_adc_cap_fn,
@@ -167,4 +167,4 @@ def build_figure(figure_id: str, n_points: int = 512) -> list[tuple[str, object]
     if figure_id not in FIGURES:
         raise InvalidParams(
             f"unknown figure id {figure_id!r}; choose from {sorted(FIGURES)}")
-    return FIGURES[figure_id](n_points)
+    return FIGURES[figure_id](check_count("n_points", n_points, 2))

@@ -192,7 +192,6 @@ def simulate_qam_separated(lp: LinkParams, rho: float, m: int, cfg: SimConfig,
     """
     m = _check_constellation(m)
     check_real("rho", rho, hi=1.0)
-    check_real("noise_scale", noise_scale, lo=1.0)
     check_real("noise_scale", noise_scale, lo=1.0, hi=_MAX_NOISE_SCALE, hi_open=False)
     if noise_scale > 1.0 and cfg.n_symbols < 2:
         raise InvalidParams(

@@ -614,21 +614,6 @@ def _channel_draws(rng, n, hp, s2a, s2r):
     return x, w + math.sqrt(s2r) * rng.standard_normal(n)
 
 
-def _record_panel_samples(monkeypatch):
-    """Record, per call of the panel quadrature, the samples with a nonempty
-    panel; in one conditional density call, the calls after the first are the
-    full-window recompute."""
-    calls = []
-    integrals = cap._panelized_integrals
-
-    def recording(knots, *args):
-        calls.append(np.flatnonzero((np.diff(knots, axis=1) > 0).any(axis=1)).tolist())
-        return integrals(knots, *args)
-
-    monkeypatch.setattr(cap, "_panelized_integrals", recording)
-    return calls
-
-
 class TestDensityOracle:
     """The panel quadrature against per-sample adaptive QUADPACK integrals of
     textbook laws, in w rather than t = sqrt(w) space."""
@@ -652,11 +637,10 @@ class TestDensityOracle:
 
     # criterion 9's ratio 1e-4, fig7's s2r = 1e4 point and the fig10 point
     @pytest.mark.parametrize("s2a, s2r", [(1e-4, 1.0), (1.0, 1e4), (1e-2, 1e2)])
-    def test_windowed_conditional(self, s2a, s2r, monkeypatch):
+    def test_tail_conditional(self, s2a, s2r, monkeypatch):
         hp = 100.0
         x, y = _channel_draws(np.random.default_rng(int(1e4 * s2a + s2r)), 6, hp, s2a, s2r)
-        # two more x, each with y 8 std below and 8 std above its conditional mean:
-        # from about 5.1 std on, the window's bound exceeds 2^-52 of the kept part
+        # two more x, each with y 8 std below and 8 std above its conditional mean
         nu2 = hp * x[:2]
         mean, std = nu2 + s2a, np.sqrt(2.0 * nu2 * s2a + s2a * s2a + s2r)
         x, y = np.r_[x, x[:2], x[:2]], np.r_[y, mean - 8.0 * std, mean + 8.0 * std]
@@ -664,31 +648,7 @@ class TestDensityOracle:
         assert np.exp(cap._log_p_cond(y, x, hp, s2a, s2r)) == pytest.approx(oracle, rel=1e-8)
         # the panel path alone: the Gauss-Hermite pair settles some of these samples
         monkeypatch.setattr(cap, "_GH_WINDOW", math.inf)
-        calls = _record_panel_samples(monkeypatch)
-        cond = cap._log_p_cond(y, x, hp, s2a, s2r)
-        recomputed = {k for call in calls[1:] for k in call}
-        assert np.exp(cond) == pytest.approx(oracle, rel=1e-8)
-        # the samples above take the full window; below, only where the window
-        # leaves out a panel
-        assert {8, 9} <= recomputed <= {6, 7, 8, 9}
-        monkeypatch.setattr(cap, "_RICE_WINDOW", math.inf)  # keeps every panel
-        full = cap._log_p_cond(y, x, hp, s2a, s2r)
-        assert np.array_equal(cond[6:], full[6:])
-
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(log_hp=st.floats(0.0, 3.0), log_ratio=st.floats(-6.0, 2.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_window_moves_p_by_rounding_only(self, log_hp, log_ratio, seed):
-        hp, s2r = 10.0 ** log_hp, 1.0
-        s2a = s2r * 10.0 ** log_ratio
-        x, y = _channel_draws(np.random.default_rng(seed), 256, hp, s2a, s2r)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cap, "_GH_WINDOW", math.inf)  # every sample takes the panels
-            windowed = cap._log_p_cond(y, x, hp, s2a, s2r)
-            mp.setattr(cap, "_RICE_WINDOW", math.inf)
-            full = cap._log_p_cond(y, x, hp, s2a, s2r)
-        # 4 ulp in p, plus the rounding of each log
-        assert np.all(np.abs(windowed - full) <= 4 * 2.0 ** -52 + 2 * np.spacing(np.abs(full)))
+        assert np.exp(cap._log_p_cond(y, x, hp, s2a, s2r)) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("hp", [1e-2, 10.0, 1e3])
     def test_marginal_without_antenna_noise(self, hp):
@@ -716,10 +676,8 @@ def _count_marginal_nodes(monkeypatch):
 
 
 class TestConditionalWork:
-    # integrand evaluations per sample, the Gauss-Hermite pair's included:
-    # 270 and 170 at sa2 = 1e-4 before the support window and after, 32 with
-    # the pair; 154 and 154 at sa2 = 100, where the window keeps every panel,
-    # 39 with the pair
+    # integrand evaluations per sample, the Gauss-Hermite pair's included,
+    # measured at 32.6 for sa2 = 1e-4 and 38.6 for sa2 = 100
     @pytest.mark.parametrize("s2a, most", [(1e-4, 45), (100.0, 50)])
     def test_evaluations_per_sample(self, s2a, most, monkeypatch):
         seen = []

@@ -188,7 +188,7 @@ class TestCapacityCommand:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["outputs"]["lower"]["seed"] == 7
-        assert doc["provenance"]["seed"] == 7
+        assert doc["provenance"]["seed"] == 7 and doc["inputs"]["samples"] == 10000
 
     def test_upper_bounds_default(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1",
@@ -205,6 +205,13 @@ class TestCapacityCommand:
         assert code == 0
         doc = json.loads((tmp_path / "up.json").read_text())
         assert doc["provenance"]["seed"] is None and "lower" not in doc["outputs"]
+
+    def test_upper_alone_records_no_samples(self, tmp_path, monkeypatch, capsys):
+        # no bound reads the sample count, so even an invalid one is not recorded
+        code, _, _ = run(["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1", "--upper",
+                          "--samples", "-3", "--out", "up.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "up.json").read_text())["inputs"]["samples"] is None
 
     # (sa2, srec2, the bound that is the smaller): rectifier noise dominant,
     # then antenna noise dominant
@@ -341,6 +348,15 @@ class TestFigureCommand:
         code, _, err = run(["figure", "fig99"], tmp_path, monkeypatch, capsys)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InvalidParams"
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURES))
+    def test_negative_points_exit_2(self, figure_id, tmp_path, monkeypatch, capsys):
+        code, _, err = run(["figure", figure_id, "--points", "-5", "--out-dir", "f"],
+                           tmp_path, monkeypatch, capsys)
+        assert code == 2
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "InvalidParams" and "n_points" in doc["message"]
+        assert not list(tmp_path.iterdir())
 
 
 def per_cell_csv(header, rows) -> str:

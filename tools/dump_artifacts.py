@@ -12,8 +12,9 @@ The set: every CLI example in README.md; every region scheme as CSV and as
 JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
 on-off solver collapses, and ``sps-circuit`` at p_s = q_max and above it;
 ``capacity --lower`` without antenna noise and without rectifier noise, the
-two branches of the output densities that the examples miss, and at the unit
-point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6; ``capacity
+two branches of the output densities that the examples miss, at the unit
+point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6, at fig7's
+(100, 1, 1e4) and at criterion 9's ratio 100, (100, 100, 1); ``capacity
 --upper`` alone at (100, 1, 1e-8), where c2 is the smaller bound (README's
 point takes the c1 branch of the min); ``solve`` p0, p1 and p2; every
 ``simulate`` kind (qam plain and importance-sampled, pem, and the rectifier
@@ -70,6 +71,11 @@ CAPACITY_RUNS = {
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
     # the unit point scaled by 1e-6: the same channel, so the unit point's estimate
     "rescaled": ["--hp", "1e-4", "--sa2", "1e-6", "--srec2", "1e-12", "--seed", "0"],
+    # fig7's (100, 1, 1e4), where 41% of the conditional densities take the
+    # panels, the most of the benchmark channels, and criterion 9's ratio 100,
+    # the widest antenna noise relative to the signal
+    "fig7": ["--hp", "100", "--sa2", "1", "--srec2", "1e4", "--seed", "3"],
+    "ratio-100": ["--hp", "100", "--sa2", "100", "--srec2", "1", "--seed", "4"],
 }
 # the upper bounds where c2 = 3.517 bits is below c1 = 19.33 bits
 CAPACITY_UPPER_C2 = ["capacity", "--hp", "100", "--sa2", "1", "--srec2", "1e-8", "--upper"]
