@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LOG2E, _special, q_function
-from .errors import QuadratureFailure, SplitAtUnity, ZeroNoise, check_count, check_real
+from .errors import (
+    InvalidParams,
+    QuadratureFailure,
+    SplitAtUnity,
+    ZeroNoise,
+    check_count,
+    check_real,
+)
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -56,7 +63,8 @@ class MiEstimate:
 
 
 def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> float:
-    """sigma2_rec + sigma2_adc / (1 - rho)^2 for a baseband split ratio rho."""
+    """sigma2_rec + sigma2_adc / (1 - rho)^2 for a baseband split ratio rho;
+    InvalidParams naming sigma2_adc and rho where that sum overflows."""
     check_real("sigma2_rec", sigma2_rec)
     check_real("sigma2_adc", sigma2_adc)
     check_real("rho", rho, hi=1.0, hi_open=False)
@@ -64,7 +72,11 @@ def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> fl
         if sigma2_adc > 0:
             raise SplitAtUnity("rho = 1 makes the effective processing noise unbounded")
         return sigma2_rec
-    return sigma2_rec + sigma2_adc / (1.0 - rho) ** 2
+    noise = sigma2_rec + sigma2_adc / (1.0 - rho) ** 2
+    if not math.isfinite(noise):
+        raise InvalidParams(f"effective processing noise overflows: sigma2_adc={sigma2_adc:g} "
+                            f"/ (1 - rho)^2 at rho={rho:g}")
+    return noise
 
 
 def c1_asymptotic(hp: float, sigma2_rec: float) -> float:

@@ -146,14 +146,16 @@ def _grid_density(coef, n, step):
 
 
 def _grid_entropies(coef, n, step, work):
-    """Entropies [nats] of the _grid_density rows: Riemann sums of -p ln p
-    over one period, which need no window offset.
+    """Entropies [nats] of the _grid_density rows, each with its own step (or
+    one step for all): Riemann sums of -p ln p over one period, which need no
+    window offset.
 
     Returns, per row, the entropy, an estimate of its Riemann sum's error
     (the Nyquist coefficient of p ln p on the grid, which dominates that
     error where the spectrum of p ln p decays) and the density's mass,
     negative values taken as zero."""
-    p = np.maximum(_grid_density(coef, n, step), 0.0)
+    step = np.broadcast_to(step, len(coef))
+    p = np.maximum(_grid_density(coef, n, step[:, None]), 0.0)
     plogp = np.log(np.maximum(p, 5e-324))
     plogp *= p
     work["transforms"] += 1
@@ -162,21 +164,29 @@ def _grid_entropies(coef, n, step, work):
             step * p.sum(axis=1))
 
 
-def _cond_cutoff(nu2, a):
-    """For each nu^2, the frequency above which |phi(omega)| <= _CF_FLOOR:
-    the root of omega^2/2 + omega^2 a nu^2/(1 + omega^2 a^2)
-    + ln(1 + omega^2 a^2)/2 = ln(1/_CF_FLOOR).  Its left side is increasing,
-    and is -ln of a bound on |phi| that decreases in omega.  Bisection on all
-    of them at once; the upper end is returned, so the bound holds there."""
+def _cond_cutoff(nu2, a, work):
+    """For each nu^2, the least level 2^(j/_CUTOFF_ROUNDING), j an integer,
+    at which L(omega) = omega^2/2 + omega^2 a nu^2/(1 + omega^2 a^2)
+    + ln(1 + omega^2 a^2)/2 exceeds ln(1/_CF_FLOOR).  L increases, and is -ln
+    of a bound on |phi| that decreases in omega, so |phi| <= _CF_FLOOR from
+    there on.  A binary search over j on all of them at once, between ends in
+    closed form: L >= omega^2/2 exceeds the target above
+    sqrt(2 ln(1/_CF_FLOOR)), and L <= omega^2 (1/2 + a nu^2 + a^2/2) (as
+    x/(1 + x) <= x and ln(1 + x) <= x) does not below
+    sqrt(ln(1/_CF_FLOOR) / (1/2 + a nu^2 + a^2/2)).  Each step evaluates L at
+    every nu^2; work["cutoff_evals"] counts those evaluations."""
     target = -math.log(_CF_FLOOR)
-    lo, hi = np.zeros_like(nu2), np.full_like(nu2, math.sqrt(2.0 * target))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        w2 = mid * mid
+    # the level indices j of those ends: L exceeds the target at hi, not at lo
+    hi = np.full_like(nu2, math.ceil(0.5 * _CUTOFF_ROUNDING * math.log2(2.0 * target)))
+    lo = np.floor(0.5 * _CUTOFF_ROUNDING * np.log2(target / (0.5 + a * nu2 + 0.5 * a * a)))
+    while np.any(hi - lo > 1.0):
+        mid = np.floor(0.5 * (lo + hi))
+        w2 = np.exp2(2.0 * mid / _CUTOFF_ROUNDING)
         over = 0.5 * w2 + w2 * a * nu2 / (1.0 + w2 * a * a) + 0.5 * np.log1p(w2 * a * a) > target
         hi = np.where(over, mid, hi)
         lo = np.where(over, lo, mid)
-    return hi
+        work["cutoff_evals"] += nu2.size
+    return np.exp2(hi / _CUTOFF_ROUNDING)
 
 
 def _grid_size(points, what):
@@ -198,8 +208,7 @@ def _rate_fft(hp, a, work):
     if a > 0.0:
         s, wk, _, _ = _input_rule()
         nu2 = hp * s * s
-        cutoff = np.exp2(np.ceil(_CUTOFF_ROUNDING * np.log2(_cond_cutoff(nu2, a)))
-                         / _CUTOFF_ROUNDING)
+        cutoff = _cond_cutoff(nu2, a, work)
         nu, sa = np.sqrt(nu2), math.sqrt(a)
         points = ((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0) \
             * cutoff / math.pi
@@ -223,22 +232,25 @@ def _rate_fft(hp, a, work):
         # h(Y | X) is the entropy of the unit Gaussian
         return h_y - 0.5 * math.log(2.0 * math.pi * math.e), error, defect
 
-    h_cond, cond_error = np.empty_like(s), np.empty_like(s)
+    # one transform per grid length: the CF terms of each of its distinct
+    # cutoffs once, gathered per row
+    h_cond, riemann, mass = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    step = math.pi / cutoff
     for size in np.unique(n):
-        for cut in np.unique(cutoff[n == size]):
-            rows = np.flatnonzero((n == size) & (cutoff == cut))
-            base, slope = _cond_cf_terms(np.arange(size // 2 + 1) * (2.0 * cut / size), a)
-            step = math.pi / cut
-            for batch in np.array_split(rows, -(-rows.size // max(1, _BATCH_POINTS // size))):
-                coef = np.multiply.outer(nu2[batch], slope)
-                coef += base
-                h, riemann, mass = _grid_entropies(np.exp(coef, out=coef), size, step, work)
-                period = size * step
-                h_cond[batch] = h
-                cond_error[batch] = (riemann + _truncation_error(_CF_FLOOR, cut, period)
-                                     + _window_error(_RICE_TAIL + _GAUSS_TAIL, period,
-                                                     1.0 + a * a + 2.0 * a * nu2[batch]))
-                defect = max(defect, float(np.abs(mass - 1.0).max()))
+        rows = np.flatnonzero(n == size)
+        cuts, level = np.unique(cutoff[rows], return_inverse=True)
+        base, slope = _cond_cf_terms(np.arange(size // 2 + 1) * (2.0 * cuts[:, None] / size), a)
+        for part in np.array_split(np.arange(rows.size),
+                                   -(-rows.size // max(1, _BATCH_POINTS // size))):
+            batch = rows[part]
+            coef = nu2[batch, None] * slope[level[part]]
+            coef += base[level[part]]
+            h_cond[batch], riemann[batch], mass[batch] = _grid_entropies(
+                np.exp(coef, out=coef), size, step[batch], work)
+    period = n * step
+    cond_error = (riemann + _truncation_error(_CF_FLOOR, cutoff, period)
+                  + _window_error(_RICE_TAIL + _GAUSS_TAIL, period, 1.0 + a * a + 2.0 * a * nu2))
+    defect = max(defect, float(np.abs(mass - 1.0).max()))
     work["input_nodes"] += s.size
     work["conditional_points"] += int(n.sum())
     error += wk @ cond_error + _input_rule_error(h_cond, 1.0 + a * a, 2.0 * a * hp)
@@ -302,8 +314,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     - a conditional density's step is pi / omega_N, where omega_N is the
       frequency from which a bound on |phi| stays below 1e-18, rounded up to
       a power of 2^(1/4); its grid spans ((nu -/+ 7 sqrt(a))+)^2 -/+ 12,
-      rounded up to a power of two points.  Grids of equal length and step
-      run as one 2-D transform, in batches of at most 2^18 points;
+      rounded up to a power of two points.  Grids of equal length run as
+      one 2-D transform, in batches of at most 2^18 points;
     - the marginal's step is 1/4, and its grid runs from -12 to
       hP + a + 80 (hP + a/2) + 12;
     - E_X is a composite rule in s = sqrt(x): the 17-node Kronrod rule on the
@@ -333,7 +345,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     hP / sigma2_a may be at most 1e6.  Both noises zero raise ZeroNoise.
 
     work, when a dict, gains the counters "input_nodes", "conditional_points",
-    "marginal_points" and "transforms".
+    "marginal_points", "transforms" and "cutoff_evals" (evaluations of the CF
+    bound in the search for the conditional cutoffs).
     """
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
@@ -343,7 +356,7 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     if hp == 0:
         return RateBound(0.0, 0.0)
     counts = dict.fromkeys(("input_nodes", "conditional_points", "marginal_points",
-                            "transforms"), 0)
+                            "transforms", "cutoff_evals"), 0)
     at = f"hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}"
     try:
         if sigma2_rec > 0:

@@ -214,6 +214,10 @@ class TestEffectiveProcNoise:
             with pytest.raises(InvalidParams, match="finite"):
                 effective_proc_noise(*args)
 
+    def test_overflow_names_adc_noise_and_rho(self):
+        with pytest.raises(InvalidParams, match=r"overflows: sigma2_adc=1e\+303 .* rho=0\.999"):
+            effective_proc_noise(1.0, 1e303, 0.999)
+
 
 class TestMiEstimator:
     def test_zero_received_power(self):
@@ -848,6 +852,27 @@ BENCHMARK_CHANNELS = (
        for s2r in (1.0, 1e4) for rho in np.linspace(0.0, 1.0 - 1e-3, 4)])
 
 
+def _bisected_cutoff(nu2, a):
+    """Reference for _cond_cutoff: 60 bisection steps on the root of the CF
+    bound's exponent L(omega) = ln(1/_CF_FLOOR), the upper end rounded up to
+    a power of 2^(1/4)."""
+    target = -math.log(chi2rate._CF_FLOOR)
+    lo, hi = np.zeros_like(nu2), np.full_like(nu2, math.sqrt(2.0 * target))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        w2 = mid * mid
+        over = 0.5 * w2 + w2 * a * nu2 / (1.0 + w2 * a * a) + 0.5 * np.log1p(w2 * a * a) > target
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    return np.exp2(np.ceil(4.0 * np.log2(hi)) / 4.0)
+
+
+def _cf_bound_exponent(omega, nu2, a):
+    """-ln of the bound on |phi(omega)| the cutoffs rest on."""
+    x = omega * omega * a * a
+    return 0.5 * omega * omega + omega * omega * a * nu2 / (1.0 + x) + 0.5 * math.log1p(x)
+
+
 def _rate_by_dblquad(hp, s2a, s2r):
     """I(X;Y) = h(Y) - E_X[h(Y | X)] in bits from QUADPACK: E_X[h(Y | X)] as
     one dblquad over s = sqrt(x) and the output, h(Y) as one quad.  With
@@ -910,7 +935,7 @@ class TestChiSquareRate:
         hp, s2a = 100.0, 1.0
         for x in (0.0, 0.02, 0.7, 4.0):
             nu2 = hp * x
-            cut = float(chi2rate._cond_cutoff(np.array([nu2]), s2a)[0])
+            cut = float(chi2rate._cond_cutoff(np.array([nu2]), s2a, {"cutoff_evals": 0})[0])
             n, step = 1024, math.pi / cut
             base, slope = chi2rate._cond_cf_terms(np.arange(n // 2 + 1) * (2.0 * cut / n), s2a)
             p = chi2rate._grid_density(np.exp(base + nu2 * slope)[None], n, step)[0]
@@ -1024,5 +1049,29 @@ class TestChiSquareRate:
         chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0, work)
         assert work["input_nodes"] == 29 * 17
         assert work["marginal_points"] == 32768
-        assert work["conditional_points"] >= 29 * 17 * 8
-        assert work["transforms"] > 6
+        assert work["conditional_points"] == 95744
+        # the marginal and one transform per conditional grid length (4 here)
+        assert work["transforms"] == 5 + 5
+        # the search brackets span at most 29 levels here (13 down to -16 at
+        # s = 9), which 5 halvings settle
+        assert work["cutoff_evals"] == 29 * 17 * 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1e-8, 400.0), nu2=st.floats(0.0, 3e5))
+    def test_cutoff_is_least_level_past_the_floor(self, a, nu2):
+        cut = chi2rate._cond_cutoff(np.array([nu2]), a, {"cutoff_evals": 0})[0]
+        j = round(4.0 * math.log2(cut))
+        assert cut == np.exp2(j / 4.0)
+        target = -math.log(chi2rate._CF_FLOOR)
+        assert _cf_bound_exponent(cut, nu2, a) > target
+        assert _cf_bound_exponent(np.exp2((j - 1) / 4.0), nu2, a) <= target
+
+    @pytest.mark.parametrize("hp, s2a, s2r", BENCHMARK_CHANNELS)
+    def test_cutoffs_match_bisection(self, hp, s2a, s2r):
+        c = 1.0 / math.sqrt(s2r)
+        s = chi2rate._input_rule()[0]
+        nu2, a = c * hp * s * s, c * s2a
+        work = {"cutoff_evals": 0}
+        got = chi2rate._cond_cutoff(nu2, a, work)
+        assert np.array_equal(got, _bisected_cutoff(nu2, a))
+        assert work["cutoff_evals"] <= 7 * s.size

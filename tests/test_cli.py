@@ -166,6 +166,19 @@ class TestRegionCommand:
         assert doc["type"] == "InvalidParams" and "past the grid limit" in doc["message"]
         assert not list(tmp_path.iterdir())
 
+    def test_int_adc_noise_overflow_names_adc_noise(self, tmp_path, monkeypatch, capsys):
+        # sigma2_adc / (1 - rho)^2 overflows at the sweep's last rho = 0.999,
+        # although --srec2 is finite
+        code, _, err = run(["region", "--scheme", "int-adc", "--h", "1", "--p", "100",
+                            "--sa2", "1", "--sadc2", "1e303", "--srec2", "1", "--points", "4"],
+                           tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": {
+            "type": "InvalidParams", "exit_code": 2,
+            "message": "effective processing noise overflows: sigma2_adc=1e+303 "
+                       "/ (1 - rho)^2 at rho=0.999"}}
+        assert not list(tmp_path.iterdir())
+
     def test_int_circuit_with_explicit_cap(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "int-circuit", "--h", "1", "--p", "100",
                           "--zeta", "0.6", "--sa2", "1", "--srec2", "100",

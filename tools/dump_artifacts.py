@@ -115,6 +115,10 @@ ERROR_RUNS = {
     # hP = 1e4 sigma_rec: the rate's marginal grid would pass 2^20 points
     "rate-grid-limit": (["region", "--scheme", "int-ideal", "--p", "1e4", "--sa2", "1",
                          "--srec2", "1"], 2),
+    # sigma2_adc / (1 - rho)^2 overflows at the sweep's last rho
+    "adc-noise-overflow": (["region", "--scheme", "int-adc", "--h", "1", "--p", "100",
+                            "--sa2", "1", "--sadc2", "1e303", "--srec2", "1", "--points", "4"],
+                           2),
 }
 
 

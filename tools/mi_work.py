@@ -12,7 +12,9 @@ cached input rule and once timed, and prints per channel:
 - ``nodes``: input nodes, one conditional density each;
 - ``cond_pts``: grid points of all conditional densities together;
 - ``marg_pts``: grid points of the marginal density;
-- ``ffts``: inverse FFT calls, each over a batch of equal grids;
+- ``ffts``: inverse FFT calls, each over a batch of equal-length grids;
+- ``cut_evals``: evaluations of the CF bound in the search for the
+  conditional cutoffs;
 - ``rate`` and ``bound``: the rate and its error bound, in bits;
 - ``wall_s``: the timed call's wall time.
 
@@ -68,8 +70,8 @@ def channels():
 
 def rate_table():
     print(f"{'channel':24s} {'hP':>7s} {'sa2':>7s} {'srec2':>9s} {'nodes':>5s} "
-          f"{'cond_pts':>9s} {'marg_pts':>8s} {'ffts':>5s} {'rate':>15s} {'bound':>8s} "
-          f"{'wall_s':>7s}")
+          f"{'cond_pts':>9s} {'marg_pts':>8s} {'ffts':>5s} {'cut_evals':>9s} {'rate':>15s} "
+          f"{'bound':>8s} {'wall_s':>7s}")
     for name, hp, sa2, srec2 in channels():
         cnl_rate_chi2(hp, sa2, srec2)
         work = {}
@@ -78,8 +80,8 @@ def rate_table():
         wall = time.perf_counter() - t0
         print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} {work['input_nodes']:5d} "
               f"{work['conditional_points']:9d} {work['marginal_points']:8d} "
-              f"{work['transforms']:5d} {rate.value:15.12f} {rate.error_bound:8.1e} "
-              f"{wall:7.3f}")
+              f"{work['transforms']:5d} {work['cutoff_evals']:9d} {rate.value:15.12f} "
+              f"{rate.error_bound:8.1e} {wall:7.3f}")
 
 
 def patched(pairs):
