@@ -56,6 +56,17 @@ _S_MAX = 9.0
 _MASS_TOL = 1e-12
 # at sigma2_rec = 0: hP / sigma2_a at most this (see cnl_rate_chi2)
 _MAX_SNR_W = 1e6
+# h(Y | X = x) is interpolated in s = sqrt(x) on panels that start from these
+# edges.  Each panel holds the 24 Chebyshev-Lobatto points (ascending) with
+# their barycentric weights and is checked at the 4 angle midpoints nearest its
+# ends; a panel whose interpolant misses a check by more than _PANEL_TOL [nats]
+# is bisected
+_PANEL_EDGES = (0.0, 0.1, 0.3, 1.0, 3.0, _S_MAX)
+_PANEL_NODES = -np.cos(np.pi * np.arange(24) / 23)
+_PANEL_WEIGHTS = np.where(np.arange(24) % 2, -1.0, 1.0) * np.r_[0.5, np.ones(22), 0.5]
+_PANEL_CHECKS = -np.cos(np.pi * (np.array([0, 1, 21, 22]) + 0.5) / 23)
+_PANEL_TOL = 1e-11
+_MAX_PANELS = 64
 
 
 @functools.cache
@@ -199,6 +210,104 @@ def _grid_size(points, what):
     return np.exp2(np.maximum(np.ceil(np.log2(points)), 3.0)).astype(np.int64)
 
 
+def _cond_grid(nu2, a, work):
+    """Each conditional density's cutoff and grid length: its window
+    ((nu -/+ 7 sqrt(a))+)^2 -/+ 12 at the step pi / cutoff."""
+    cutoff = _cond_cutoff(nu2, a, work)
+    nu, sa = np.sqrt(nu2), math.sqrt(a)
+    points = ((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0) \
+        * cutoff / math.pi
+    return cutoff, _grid_size(points, "widest conditional density")
+
+
+def _cond_entropies(hp, a, s, work):
+    """h(Y | X = s^2) [nats] at each s, in units where sigma_rec = 1, for
+    a > 0.  Returns per s the entropy, its error term (the Riemann estimate,
+    the CF truncation and the mass outside the window) and the density's
+    mass.
+
+    One transform per grid length: the CF terms of each of its distinct
+    cutoffs once, gathered per row."""
+    nu2 = hp * s * s
+    cutoff, n = _cond_grid(nu2, a, work)
+    h, riemann, mass = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    step = math.pi / cutoff
+    for size in np.unique(n):
+        rows = np.flatnonzero(n == size)
+        cuts, level = np.unique(cutoff[rows], return_inverse=True)
+        base, slope = _cond_cf_terms(np.arange(size // 2 + 1) * (2.0 * cuts[:, None] / size), a)
+        for part in np.array_split(np.arange(rows.size),
+                                   -(-rows.size // max(1, _BATCH_POINTS // size))):
+            batch = rows[part]
+            coef = nu2[batch, None] * slope[level[part]]
+            coef += base[level[part]]
+            h[batch], riemann[batch], mass[batch] = _grid_entropies(
+                np.exp(coef, out=coef), size, step[batch], work)
+    period = n * step
+    work["conditionals"] += s.size
+    work["conditional_points"] += int(n.sum())
+    return (h, riemann + _truncation_error(_CF_FLOOR, cutoff, period)
+            + _window_error(_RICE_TAIL + _GAUSS_TAIL, period, 1.0 + a * a + 2.0 * a * nu2),
+            mass)
+
+
+def _lagrange_basis(u):
+    """The Lagrange basis of _PANEL_NODES at each u in [-1, 1], in barycentric
+    form: rows (..., _PANEL_NODES.size)."""
+    d = u[..., None] - _PANEL_NODES
+    hit = d == 0.0
+    q = _PANEL_WEIGHTS / np.where(hit, 1.0, d)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, q / q.sum(axis=-1, keepdims=True))
+
+
+@functools.cache
+def _lebesgue_constant():
+    """Lambda = max over [-1, 1] of sum_k |l_k|: node values each off by at
+    most e put the interpolant off by at most Lambda e.  Sampled at 64 points
+    per node gap in angle."""
+    u = -np.cos(np.linspace(0.0, math.pi, 64 * (_PANEL_NODES.size - 1) + 1))
+    return float(np.abs(_lagrange_basis(u)).sum(axis=-1).max())
+
+
+def _cond_interpolated(hp, a, s, work):
+    """h(Y | X = s^2) [nats] at the input nodes s, in units where
+    sigma_rec = 1, for a > 0, from a piecewise Chebyshev interpolant in s.
+    Returns the values, each node's error bound (that of its panel) and the
+    worst mass defect of the conditionals computed.
+
+    The panels start at _PANEL_EDGES.  Each round computes the nodes and
+    checks of every open panel in one _cond_entropies call; a panel passes
+    when its interpolant meets every check within _PANEL_TOL, and is
+    bisected otherwise.  More than _MAX_PANELS panels in all raise
+    QuadratureFailure.  A panel's bound is its largest check gap plus the
+    Lebesgue constant times the largest error term of its conditionals."""
+    lo, hi = np.array(_PANEL_EDGES[:-1]), np.array(_PANEL_EDGES[1:])
+    check_basis = _lagrange_basis(_PANEL_CHECKS)
+    k = _PANEL_NODES.size
+    accepted, opened, defect = [], 0, 0.0
+    while lo.size:
+        opened += lo.size
+        if opened > _MAX_PANELS:
+            raise QuadratureFailure(f"h(Y | X) needs more than {_MAX_PANELS} interpolation "
+                                    f"panels to meet {_PANEL_TOL:g} nats")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        at = mid[:, None] + half[:, None] * np.concatenate([_PANEL_NODES, _PANEL_CHECKS])
+        h, err, mass = _cond_entropies(hp, a, at.ravel(), work)
+        h, err = h.reshape(at.shape), err.reshape(at.shape)
+        defect = max(defect, float(np.abs(mass - 1.0).max()))
+        gap = np.abs(h[:, :k] @ check_basis.T - h[:, k:]).max(axis=1)
+        ok = gap <= _PANEL_TOL
+        accepted.append((lo[ok], mid[ok], half[ok], h[ok, :k],
+                         gap[ok] + _lebesgue_constant() * err[ok].max(axis=1)))
+        lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
+    work["panels"] += opened
+    lo, mid, half, vals, bound = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.argsort(lo)
+    panel = order[np.searchsorted(lo[order], s, side="right") - 1]
+    h = (_lagrange_basis((s - mid[panel]) / half[panel]) * vals[panel]).sum(axis=-1)
+    return h, bound[panel], defect
+
+
 def _rate_fft(hp, a, work):
     """The rate [nats], its error bound and the worst density mass defect,
     in units where sigma_rec = 1, for hP > 0."""
@@ -206,13 +315,9 @@ def _rate_fft(hp, a, work):
     # the marginal: from -12 to its mean plus 40 tail scales 2 v1, plus 12
     marg_n = int(_grid_size((hp + a + 80.0 * v1 + 24.0) / _MARG_STEP, "marginal density"))
     if a > 0.0:
+        # the conditionals' limit holds at the input nodes
         s, wk, _, _ = _input_rule()
-        nu2 = hp * s * s
-        cutoff = _cond_cutoff(nu2, a, work)
-        nu, sa = np.sqrt(nu2), math.sqrt(a)
-        points = ((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0) \
-            * cutoff / math.pi
-        n = _grid_size(points, "widest conditional density")
+        _, n = _cond_grid(hp * s * s, a, work)
         if not n.sum() <= _MAX_CONDITIONAL_POINTS:
             raise InvalidParams(f"channel past the grid limit: the conditional densities "
                                 f"need {n.sum()} grid points in all, more than "
@@ -232,29 +337,10 @@ def _rate_fft(hp, a, work):
         # h(Y | X) is the entropy of the unit Gaussian
         return h_y - 0.5 * math.log(2.0 * math.pi * math.e), error, defect
 
-    # one transform per grid length: the CF terms of each of its distinct
-    # cutoffs once, gathered per row
-    h_cond, riemann, mass = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    step = math.pi / cutoff
-    for size in np.unique(n):
-        rows = np.flatnonzero(n == size)
-        cuts, level = np.unique(cutoff[rows], return_inverse=True)
-        base, slope = _cond_cf_terms(np.arange(size // 2 + 1) * (2.0 * cuts[:, None] / size), a)
-        for part in np.array_split(np.arange(rows.size),
-                                   -(-rows.size // max(1, _BATCH_POINTS // size))):
-            batch = rows[part]
-            coef = nu2[batch, None] * slope[level[part]]
-            coef += base[level[part]]
-            h_cond[batch], riemann[batch], mass[batch] = _grid_entropies(
-                np.exp(coef, out=coef), size, step[batch], work)
-    period = n * step
-    cond_error = (riemann + _truncation_error(_CF_FLOOR, cutoff, period)
-                  + _window_error(_RICE_TAIL + _GAUSS_TAIL, period, 1.0 + a * a + 2.0 * a * nu2))
-    defect = max(defect, float(np.abs(mass - 1.0).max()))
+    h_cond, cond_error, cond_defect = _cond_interpolated(hp, a, s, work)
     work["input_nodes"] += s.size
-    work["conditional_points"] += int(n.sum())
     error += wk @ cond_error + _input_rule_error(h_cond, 1.0 + a * a, 2.0 * a * hp)
-    return h_y - wk @ h_cond, error, defect
+    return h_y - wk @ h_cond, error, max(defect, cond_defect)
 
 
 def _panel_entropies(edges, log_density):
@@ -294,6 +380,7 @@ def _rate_w(g, work):
             math.log(t_max / 8.0) / math.log(1.15)))[1:])
     h_y, error, mass = _panel_entropies(edges, lambda w: _log_density_w_marg(w, g, 1.0))
     work["input_nodes"] += s.size
+    work["conditionals"] += s.size
     error += (wk @ cond_error + _tail_entropy(_MARG_TAIL_W, 2.0 * v1 * v1 + 2.0 * v2 * v2)
               + _input_rule_error(h_cond, 1.0, 2.0 * g))
     return h_y - wk @ h_cond, error, max(defect, abs(mass - 1.0))
@@ -320,19 +407,29 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
       hP + a + 80 (hP + a/2) + 12;
     - E_X is a composite rule in s = sqrt(x): the 17-node Kronrod rule on the
       panels [0, 1e-4], 11 geometric ones up to 0.5, and 0.5-wide ones up to
-      s = 9, 493 conditionals in all.
+      s = 9, 493 input nodes in all;
+    - h(Y | X = s^2) is smooth in s, so it is not computed at those nodes but
+      interpolated there, piecewise: on panels in s that start from the
+      edges 0, 0.1, 0.3, 1, 3 and 9, each with 24 Chebyshev-Lobatto nodes.
+      Each panel is checked at the 4 angle midpoints between its nodes
+      nearest its ends, and bisected while its interpolant misses a check by
+      more than 1e-11 nats; more than 64 panels in all raise
+      QuadratureFailure.  Five panels, 140 conditional densities, serve most
+      channels.
 
     The error bound sums, in bits: the CF truncation at each cutoff; the mass
     outside each window, folded onto the periodic grid and missing from the
     entropy; each Riemann sum's error, estimated by the Nyquist coefficient
-    of p ln p; and the input rule, as the gap between each panel's Kronrod
-    sum and that of its embedded 8-node Gauss rule, plus the input mass
-    beyond s = 9.  It does not count floating-point rounding.  Every density
-    must integrate to 1 within 1e-12 on its grid, or QuadratureFailure is
-    raised.
+    of p ln p; the interpolant, per panel its largest check gap plus its
+    nodes' largest error term (the three before) times the nodes' Lebesgue
+    constant (about 2.96), weighted by the panel's share of the input rule;
+    and the input rule, as the gap between each panel's Kronrod sum and that
+    of its embedded 8-node Gauss rule, plus the input mass beyond s = 9.  It
+    does not count floating-point rounding.  Every density computed must
+    integrate to 1 within 1e-12 on its grid, or QuadratureFailure is raised.
 
     The grid limit: no transform may exceed 2^20 points, and the conditional
-    grids together 2^25 points.  The marginal's grid needs
+    grids at the 493 input nodes together 2^25 points.  The marginal's grid needs
     4 (81 hP + 41 sigma2_a) / sigma_rec + 96 points, so hP may reach about
     3236 sigma_rec; the conditional grids grow with sigma2_a / sigma_rec, which
     may reach about 248 at hP = 100 sigma_rec and 391 at hP = sigma_rec.  A
@@ -344,9 +441,12 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     with the same Kronrod pair on panels, in units where sigma2_a = 1; there
     hP / sigma2_a may be at most 1e6.  Both noises zero raise ZeroNoise.
 
-    work, when a dict, gains the counters "input_nodes", "conditional_points",
+    work, when a dict, gains the counters "input_nodes", "conditionals"
+    (conditional densities computed), "panels" (interpolation panels
+    evaluated, bisected ones included), "conditional_points",
     "marginal_points", "transforms" and "cutoff_evals" (evaluations of the CF
-    bound in the search for the conditional cutoffs).
+    bound in the search for the conditional cutoffs, the grid limit's at the
+    input nodes included).
     """
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
@@ -355,8 +455,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
         raise ZeroNoise("noiseless rectified channel has unbounded rate")
     if hp == 0:
         return RateBound(0.0, 0.0)
-    counts = dict.fromkeys(("input_nodes", "conditional_points", "marginal_points",
-                            "transforms", "cutoff_evals"), 0)
+    counts = dict.fromkeys(("input_nodes", "conditionals", "panels", "conditional_points",
+                            "marginal_points", "transforms", "cutoff_evals"), 0)
     at = f"hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}"
     try:
         if sigma2_rec > 0:

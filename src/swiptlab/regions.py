@@ -113,14 +113,14 @@ def region_int_ideal(lp: LinkParams, cap: float, n_points: int = 512) -> REBound
 
 
 def region_int_adc(lp: LinkParams, n_points: int,
-                   cap_fn: Callable[[float], float]) -> REBoundary:
+                   cap_fn: Callable[[np.ndarray], np.ndarray]) -> REBoundary:
     """Integrated receiver with quantization noise: sweep the common split
     ratio and keep the Pareto frontier (rate falls as the effective processing
-    noise grows with rho).  With zero quantization noise the rate is flat in
-    rho and the frontier collapses to the ideal box corner, up to the sweep
-    resolution."""
+    noise grows with rho).  cap_fn maps the swept split ratios to their rates
+    in one call.  With zero quantization noise the rate is flat in rho and the
+    frontier collapses to the ideal box corner, up to the sweep resolution."""
     rhos = np.linspace(0.0, 1.0 - 1e-3, check_count("n_points", n_points, 2))
-    rates = np.array([cap_fn(float(r)) for r in rhos], dtype=float)
+    rates = np.asarray(cap_fn(rhos), dtype=float)
     # Pareto frontier: keep a point whose rate strictly beats every rate at
     # higher energy
     best_above = np.append(np.fmax.accumulate(rates[:0:-1])[::-1], -math.inf)
@@ -136,16 +136,18 @@ def int_rate(lp: LinkParams, sigma2_rec: float):
     return cnl_rate_chi2(lp.received_power, lp.sigma2_a, sigma2_rec)
 
 
-def int_adc_cap_fn(lp: LinkParams) -> Callable[[float], float]:
-    """The rate region_int_adc sweeps: the chi-square-input rate at split
-    ratio rho, with the ADC noise folded into the effective processing
-    noise.  More noise cannot raise the rate, so it falls strictly in rho
-    wherever the ADC noise is positive.  capacity is imported here, once per
-    sweep, as the rate itself loads it."""
+def int_adc_cap_fn(lp: LinkParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The rates region_int_adc sweeps: the chi-square-input rate at each
+    split ratio rho, with the ADC noise folded into the effective processing
+    noise.  Every rho's noise is checked before the first rate, so a sweep
+    rejected at a later rho computes none.  More noise cannot raise the rate,
+    so it falls strictly in rho wherever the ADC noise is positive.  capacity
+    is imported here, once per sweep, as the rate itself loads it."""
     from .capacity import effective_proc_noise
 
-    def cap_fn(rho: float) -> float:
-        return int_rate(lp, effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, rho)).value
+    def cap_fn(rhos: np.ndarray) -> np.ndarray:
+        noises = [effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, float(r)) for r in rhos]
+        return np.array([int_rate(lp, noise).value for noise in noises])
     return cap_fn
 
 

@@ -852,6 +852,25 @@ BENCHMARK_CHANNELS = (
        for s2r in (1.0, 1e4) for rho in np.linspace(0.0, 1.0 - 1e-3, 4)])
 
 
+# the interpolant's channels: the benchmark channels, every criterion-9 ratio,
+# and two high-power channels whose first panel splits
+INTERPOLANT_CHANNELS = list(dict.fromkeys(
+    BENCHMARK_CHANNELS + [(100.0, float(r), 1.0) for r in np.logspace(-4, 2, 10)]
+    + [(1000.0, 1.0, 1.0), (3000.0, 1.0, 1.0)]))
+
+
+def _rate_at_every_node(hp, s2a, s2r, monkeypatch):
+    """Reference for the interpolated h(Y | X): cnl_rate_chi2 [bits] with a
+    conditional density computed at each of the input rule's nodes."""
+    def every_node(hp, a, s, work):
+        h, error, mass = chi2rate._cond_entropies(hp, a, s, work)
+        return h, error, float(np.abs(mass - 1.0).max())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chi2rate, "_cond_interpolated", every_node)
+        return chi2rate.cnl_rate_chi2(hp, s2a, s2r).value
+
+
 def _bisected_cutoff(nu2, a):
     """Reference for _cond_cutoff: 60 bisection steps on the root of the CF
     bound's exponent L(omega) = ln(1/_CF_FLOOR), the upper end rounded up to
@@ -1048,13 +1067,36 @@ class TestChiSquareRate:
         work = {"transforms": 5}
         chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0, work)
         assert work["input_nodes"] == 29 * 17
+        # five panels of 24 nodes and 4 checks, none bisected
+        assert work["panels"] == 5
+        assert work["conditionals"] == 5 * 28
         assert work["marginal_points"] == 32768
-        assert work["conditional_points"] == 95744
+        assert work["conditional_points"] == 39104
         # the marginal and one transform per conditional grid length (4 here)
         assert work["transforms"] == 5 + 5
         # the search brackets span at most 29 levels here (13 down to -16 at
-        # s = 9), which 5 halvings settle
-        assert work["cutoff_evals"] == 29 * 17 * 5
+        # s = 9), which 5 halvings settle: at the input nodes for the grid
+        # limit, then at the panels' conditionals
+        assert work["cutoff_evals"] == (29 * 17 + 5 * 28) * 5
+
+    @pytest.mark.parametrize("hp, s2a, s2r", INTERPOLANT_CHANNELS)
+    def test_interpolant_matches_every_node(self, hp, s2a, s2r, monkeypatch):
+        rate = chi2rate.cnl_rate_chi2(hp, s2a, s2r)
+        assert abs(rate.value - _rate_at_every_node(hp, s2a, s2r, monkeypatch)) <= 1e-13
+        assert 0.0 < rate.error_bound <= 1e-10
+
+    def test_interpolant_bisects_near_zero(self):
+        # h(Y | X) has a singularity just left of x = 0, closer at higher
+        # hP / sigma_rec: the first panel must split
+        work = {}
+        chi2rate.cnl_rate_chi2(3000.0, 1.0, 1.0, work)
+        assert work["panels"] > 5
+        assert work["conditionals"] == 28 * work["panels"]
+
+    def test_interpolant_past_panel_limit_fails(self, monkeypatch):
+        monkeypatch.setattr(chi2rate, "_PANEL_TOL", 0.0)
+        with pytest.raises(QuadratureFailure, match="more than 64 interpolation panels"):
+            chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(a=st.floats(1e-8, 400.0), nu2=st.floats(0.0, 3e5))

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swiptlab.capacity as capacity
+import swiptlab.regions as regions
 from swiptlab.capacity import cnl_upper
 from swiptlab.cli import (
     COMMANDS,
@@ -168,7 +169,11 @@ class TestRegionCommand:
 
     def test_int_adc_noise_overflow_names_adc_noise(self, tmp_path, monkeypatch, capsys):
         # sigma2_adc / (1 - rho)^2 overflows at the sweep's last rho = 0.999,
-        # although --srec2 is finite
+        # although --srec2 is finite; no rate is computed before that is found
+        rates = []
+        int_rate = regions.int_rate
+        monkeypatch.setattr(regions, "int_rate",
+                            lambda *args: rates.append(args) or int_rate(*args))
         code, _, err = run(["region", "--scheme", "int-adc", "--h", "1", "--p", "100",
                             "--sa2", "1", "--sadc2", "1e303", "--srec2", "1", "--points", "4"],
                            tmp_path, monkeypatch, capsys)
@@ -178,6 +183,7 @@ class TestRegionCommand:
             "message": "effective processing noise overflows: sigma2_adc=1e+303 "
                        "/ (1 - rho)^2 at rho=0.999"}}
         assert not list(tmp_path.iterdir())
+        assert rates == []
 
     def test_int_circuit_with_explicit_cap(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["region", "--scheme", "int-circuit", "--h", "1", "--p", "100",

@@ -425,7 +425,7 @@ class TestIntegratedRegions:
 
     def test_adc_zero_noise_degenerates_to_box(self):
         # constant capacity over rho: the frontier collapses to the box corner
-        bnd = region_int_adc(self.LP, 1001, lambda r: 2.0)
+        bnd = region_int_adc(self.LP, 1001, lambda rhos: np.full(rhos.shape, 2.0))
         ideal = region_int_ideal(self.LP, 2.0, 65)
         grid = np.linspace(0.0, self.LP.q_max * 0.998, 33)
         assert np.allclose(bnd.rate_at(grid), ideal.rate_at(grid), atol=1e-12)
@@ -433,7 +433,7 @@ class TestIntegratedRegions:
 
     def test_adc_sweep_is_pareto(self):
         lp = LinkParams(h=1, p=100, zeta=0.6, sigma2_a=1.0, sigma2_rec=1.0, sigma2_adc=1.0)
-        cap_fn = lambda rho: 3.0 / (1.0 + 1.0 / (1.0 - rho) ** 2)
+        cap_fn = lambda rhos: 3.0 / (1.0 + 1.0 / (1.0 - rhos) ** 2)
         bnd = region_int_adc(lp, 65, cap_fn)
         assert np.all(np.diff(bnd.energies()) > 0)
         assert np.all(np.diff(bnd.rates()) < 0)

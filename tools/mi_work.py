@@ -9,7 +9,10 @@ does the same work as the unit point) and the eight effective-noise channels
 of the ``adc_sweep`` workload. It runs ``cnl_rate_chi2`` once to warm its
 cached input rule and once timed, and prints per channel:
 
-- ``nodes``: input nodes, one conditional density each;
+- ``nodes``: input nodes, at which h(Y|X) is interpolated;
+- ``conds``: conditional densities computed, at the interpolation panels'
+  nodes and checks;
+- ``panels``: interpolation panels evaluated, bisected ones included;
 - ``cond_pts``: grid points of all conditional densities together;
 - ``marg_pts``: grid points of the marginal density;
 - ``ffts``: inverse FFT calls, each over a batch of equal-length grids;
@@ -70,8 +73,8 @@ def channels():
 
 def rate_table():
     print(f"{'channel':24s} {'hP':>7s} {'sa2':>7s} {'srec2':>9s} {'nodes':>5s} "
-          f"{'cond_pts':>9s} {'marg_pts':>8s} {'ffts':>5s} {'cut_evals':>9s} {'rate':>15s} "
-          f"{'bound':>8s} {'wall_s':>7s}")
+          f"{'conds':>5s} {'panels':>6s} {'cond_pts':>9s} {'marg_pts':>8s} {'ffts':>5s} "
+          f"{'cut_evals':>9s} {'rate':>15s} {'bound':>8s} {'wall_s':>7s}")
     for name, hp, sa2, srec2 in channels():
         cnl_rate_chi2(hp, sa2, srec2)
         work = {}
@@ -79,9 +82,9 @@ def rate_table():
         rate = cnl_rate_chi2(hp, sa2, srec2, work)
         wall = time.perf_counter() - t0
         print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} {work['input_nodes']:5d} "
-              f"{work['conditional_points']:9d} {work['marginal_points']:8d} "
-              f"{work['transforms']:5d} {work['cutoff_evals']:9d} {rate.value:15.12f} "
-              f"{rate.error_bound:8.1e} {wall:7.3f}")
+              f"{work['conditionals']:5d} {work['panels']:6d} {work['conditional_points']:9d} "
+              f"{work['marginal_points']:8d} {work['transforms']:5d} {work['cutoff_evals']:9d} "
+              f"{rate.value:15.12f} {rate.error_bound:8.1e} {wall:7.3f}")
 
 
 def patched(pairs):
