@@ -50,7 +50,7 @@ _RICE_TAIL = math.exp(-49.0)
 _GAUSS_TAIL = math.erfc(12.0 / math.sqrt(2.0))
 _MARG_TAIL = math.exp(-40.0)
 _MARG_TAIL_W = math.exp(-45.0)
-# the input rule runs in s = sqrt(x) up to _S_MAX
+# E_X runs in s = sqrt(x) up to _S_MAX
 _S_MAX = 9.0
 # every density must integrate to 1 within this on its grid or rule
 _MASS_TOL = 1e-12
@@ -69,33 +69,13 @@ _PANEL_TOL = 1e-11
 _MAX_PANELS = 64
 
 
-@functools.cache
-def _input_rule():
-    """The input rule for E_X under X = G^2, in s = sqrt(x), whose density
-    sqrt(2/pi) e^(-s^2/2) is smooth: on each panel the 17-node Kronrod rule
-    and its embedded 8-node Gauss rule.  The panels are [0, 1e-4], 11
-    geometric ones up to 0.5, then 0.5 wide up to _S_MAX.  Returns the nodes,
-    both weight vectors (density included) and each node's panel."""
-    edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 12),
-                            np.arange(1.0, _S_MAX + 0.25, 0.5)])
-    u, wk, wg = _kronrod_nodes(8)
-    width = np.diff(edges)[:, None]
-    s = edges[:-1, None] + width * u
-    dens = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * s * s) * width
-    panel = np.repeat(np.arange(width.size), u.size)
-    return s.ravel(), (dens * wk).ravel(), (dens * wg).ravel(), panel
-
-
-def _input_rule_error(h, variance0, variance1):
-    """Error [nats] of the input rule on E_X[h(. | X)]: each panel's Kronrod
-    sum against its Gauss sum, plus the mass beyond _S_MAX, where
+def _input_tail_error(variance0, variance1):
+    """Error [nats] of E_X[h(. | X)] from the input mass beyond _S_MAX, where
     0 < h <= the entropy of a Gaussian of the conditional variance
     variance0 + variance1 s^2, which is concave in s^2 (Jensen's inequality)."""
-    _, wk, wg, panel = _input_rule()
     q = math.erfc(_S_MAX / math.sqrt(2.0))
     s2_tail = 1.0 + _S_MAX * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * _S_MAX ** 2) / q
-    return (np.abs(np.bincount(panel, (wk - wg) * h)).sum()
-            + 0.5 * q * math.log(2.0 * math.pi * math.e * (variance0 + variance1 * s2_tail)))
+    return 0.5 * q * math.log(2.0 * math.pi * math.e * (variance0 + variance1 * s2_tail))
 
 
 def _plogp_error(delta, length):
@@ -210,26 +190,26 @@ def _grid_size(points, what):
     return np.exp2(np.maximum(np.ceil(np.log2(points)), 3.0)).astype(np.int64)
 
 
-def _cond_grid(nu2, a, work):
-    """Each conditional density's cutoff and grid length: its window
-    ((nu -/+ 7 sqrt(a))+)^2 -/+ 12 at the step pi / cutoff."""
-    cutoff = _cond_cutoff(nu2, a, work)
-    nu, sa = np.sqrt(nu2), math.sqrt(a)
-    points = ((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0) \
-        * cutoff / math.pi
-    return cutoff, _grid_size(points, "widest conditional density")
-
-
 def _cond_entropies(hp, a, s, work):
     """h(Y | X = s^2) [nats] at each s, in units where sigma_rec = 1, for
     a > 0.  Returns per s the entropy, its error term (the Riemann estimate,
     the CF truncation and the mass outside the window) and the density's
     mass.
 
-    One transform per grid length: the CF terms of each of its distinct
-    cutoffs once, gathered per row."""
+    Each density's grid spans its window ((nu -/+ 7 sqrt(a))+)^2 -/+ 12 at
+    the step pi / cutoff.  Before any transform, the grid points of this
+    rate's conditionals so far (work["conditional_points"]) and of these may
+    not exceed _MAX_CONDITIONAL_POINTS.  One transform per grid length: the
+    CF terms of each of its distinct cutoffs once, gathered per row."""
     nu2 = hp * s * s
-    cutoff, n = _cond_grid(nu2, a, work)
+    cutoff = _cond_cutoff(nu2, a, work)
+    nu, sa = np.sqrt(nu2), math.sqrt(a)
+    n = _grid_size(((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0)
+                   * cutoff / math.pi, "widest conditional density")
+    total = work["conditional_points"] + int(n.sum())
+    if not total <= _MAX_CONDITIONAL_POINTS:
+        raise InvalidParams(f"channel past the grid limit: the conditional densities need "
+                            f"at least {total} grid points, more than {_MAX_CONDITIONAL_POINTS}")
     h, riemann, mass = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     step = math.pi / cutoff
     for size in np.unique(n):
@@ -269,22 +249,43 @@ def _lebesgue_constant():
     return float(np.abs(_lagrange_basis(u)).sum(axis=-1).max())
 
 
-def _cond_interpolated(hp, a, s, work):
-    """h(Y | X = s^2) [nats] at the input nodes s, in units where
-    sigma_rec = 1, for a > 0, from a piecewise Chebyshev interpolant in s.
-    Returns the values, each node's error bound (that of its panel) and the
-    worst mass defect of the conditionals computed.
+# the Gauss-Legendre nodes on [-1, 1] of orders 40 and 48, each with its
+# weights times the Lagrange basis of _PANEL_NODES there: the first rule gives
+# the _input_weights, its gap to the second their error (32 nodes suffice)
+_WEIGHT_RULES = [(u, w[:, None] * _lagrange_basis(u))
+                 for u, w in map(np.polynomial.legendre.leggauss, (40, 48))]
 
-    The panels start at _PANEL_EDGES.  Each round computes the nodes and
-    checks of every open panel in one _cond_entropies call; a panel passes
-    when its interpolant meets every check within _PANEL_TOL, and is
-    bisected otherwise.  More than _MAX_PANELS panels in all raise
-    QuadratureFailure.  A panel's bound is its largest check gap plus the
-    Lebesgue constant times the largest error term of its conditionals."""
+
+def _input_weights(mid, half):
+    """Per rule of _WEIGHT_RULES, the weights w_k = int l_k(s) sqrt(2/pi)
+    e^(-s^2/2) ds of each panel mid -/+ half's Lagrange basis against the
+    density of s = |G|: rows (panels, _PANEL_NODES.size)."""
+    for u, basis in _WEIGHT_RULES:
+        s = mid[:, None] + half[:, None] * u
+        yield (math.sqrt(2.0 / math.pi) * half[:, None] * np.exp(-0.5 * s * s)) @ basis
+
+
+def _cond_interpolated(cond, work):
+    """E_X[h(Y | X)] [nats] over s = sqrt(x) up to _S_MAX (the mass beyond is
+    _input_tail_error's), from a piecewise Chebyshev interpolant in s of the
+    conditional entropies cond(s, work) -> (h, error term, mass).  Returns
+    the average, its error bound and the worst mass defect of the
+    conditionals computed.
+
+    The panels start at _PANEL_EDGES.  Each round calls cond once at the
+    nodes and checks of every open panel; a panel passes when its
+    interpolant meets every check within _PANEL_TOL, and is bisected
+    otherwise.  More than _MAX_PANELS panels in all raise QuadratureFailure.
+    A passed panel adds sum_k w_k h_k, its interpolant integrated exactly
+    (product integration), and to the bound its input mass times its
+    largest check gap plus the Lebesgue constant times the largest error
+    term of its conditionals, and the gap of that sum to the one with the
+    weights of the second of _WEIGHT_RULES."""
     lo, hi = np.array(_PANEL_EDGES[:-1]), np.array(_PANEL_EDGES[1:])
     check_basis = _lagrange_basis(_PANEL_CHECKS)
     k = _PANEL_NODES.size
-    accepted, opened, defect = [], 0, 0.0
+    value = error = defect = 0.0
+    opened = 0
     while lo.size:
         opened += lo.size
         if opened > _MAX_PANELS:
@@ -292,20 +293,18 @@ def _cond_interpolated(hp, a, s, work):
                                     f"panels to meet {_PANEL_TOL:g} nats")
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         at = mid[:, None] + half[:, None] * np.concatenate([_PANEL_NODES, _PANEL_CHECKS])
-        h, err, mass = _cond_entropies(hp, a, at.ravel(), work)
+        h, err, mass = cond(at.ravel(), work)
         h, err = h.reshape(at.shape), err.reshape(at.shape)
         defect = max(defect, float(np.abs(mass - 1.0).max()))
         gap = np.abs(h[:, :k] @ check_basis.T - h[:, k:]).max(axis=1)
         ok = gap <= _PANEL_TOL
-        accepted.append((lo[ok], mid[ok], half[ok], h[ok, :k],
-                         gap[ok] + _lebesgue_constant() * err[ok].max(axis=1)))
+        w, w_check = _input_weights(mid[ok], half[ok])
+        value += float((w * h[ok, :k]).sum())
+        error += float(w.sum(axis=1) @ (gap[ok] + _lebesgue_constant() * err[ok].max(axis=1))
+                       + np.abs(((w - w_check) * h[ok, :k]).sum(axis=1)).sum())
         lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
     work["panels"] += opened
-    lo, mid, half, vals, bound = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.argsort(lo)
-    panel = order[np.searchsorted(lo[order], s, side="right") - 1]
-    h = (_lagrange_basis((s - mid[panel]) / half[panel]) * vals[panel]).sum(axis=-1)
-    return h, bound[panel], defect
+    return value, error, defect
 
 
 def _rate_fft(hp, a, work):
@@ -315,13 +314,13 @@ def _rate_fft(hp, a, work):
     # the marginal: from -12 to its mean plus 40 tail scales 2 v1, plus 12
     marg_n = int(_grid_size((hp + a + 80.0 * v1 + 24.0) / _MARG_STEP, "marginal density"))
     if a > 0.0:
-        # the conditionals' limit holds at the input nodes
-        s, wk, _, _ = _input_rule()
-        _, n = _cond_grid(hp * s * s, a, work)
-        if not n.sum() <= _MAX_CONDITIONAL_POINTS:
-            raise InvalidParams(f"channel past the grid limit: the conditional densities "
-                                f"need {n.sum()} grid points in all, more than "
-                                f"{_MAX_CONDITIONAL_POINTS}")
+        # before the marginal: a channel past the conditionals' limit fails before any grid
+        h_cond, error, defect = _cond_interpolated(functools.partial(_cond_entropies, hp, a),
+                                                   work)
+        error += _input_tail_error(1.0 + a * a, 2.0 * a * hp)
+    else:
+        # h(Y | X) is the entropy of the unit Gaussian
+        h_cond, error, defect = 0.5 * math.log(2.0 * math.pi * math.e), 0.0, 0.0
 
     omega = np.arange(marg_n // 2 + 1) * (2.0 * math.pi / (marg_n * _MARG_STEP))
     (h_y,), (riemann,), (mass,) = _grid_entropies(_marg_cf_conj(omega, hp, a)[None], marg_n,
@@ -329,18 +328,10 @@ def _rate_fft(hp, a, work):
     work["marginal_points"] += marg_n
     period = marg_n * _MARG_STEP
     cut = math.pi / _MARG_STEP
-    error = (riemann + _truncation_error(math.exp(-0.5 * cut * cut), cut, period)
-             + _window_error(_MARG_TAIL + _GAUSS_TAIL, period,
-                             1.0 + 2.0 * v1 * v1 + 2.0 * v2 * v2))
-    defect = abs(mass - 1.0)
-    if a == 0.0:
-        # h(Y | X) is the entropy of the unit Gaussian
-        return h_y - 0.5 * math.log(2.0 * math.pi * math.e), error, defect
-
-    h_cond, cond_error, cond_defect = _cond_interpolated(hp, a, s, work)
-    work["input_nodes"] += s.size
-    error += wk @ cond_error + _input_rule_error(h_cond, 1.0 + a * a, 2.0 * a * hp)
-    return h_y - wk @ h_cond, error, max(defect, cond_defect)
+    error += (riemann + _truncation_error(math.exp(-0.5 * cut * cut), cut, period)
+              + _window_error(_MARG_TAIL + _GAUSS_TAIL, period,
+                              1.0 + 2.0 * v1 * v1 + 2.0 * v2 * v2))
+    return h_y - h_cond, error, max(defect, abs(mass - 1.0))
 
 
 def _panel_entropies(edges, log_density):
@@ -357,33 +348,38 @@ def _panel_entropies(edges, log_density):
     return h.sum(axis=-1), np.abs(h - f @ wg).sum(axis=-1), (dens @ wk).sum(axis=-1)
 
 
-def _rate_w(g, work):
-    """The rate [nats], its error bound and the worst density mass defect at
-    sigma2_rec = 0, in units where sigma2_a = 1 (g = hP / sigma2_a): the
-    closed-form densities of W integrated in t = sqrt(w).  Each conditional
-    takes 28 equal panels over nu -/+ 7; the marginal 0.5-wide panels up to
-    t = 8, then geometric ones (ratio at most 1.15) up to sqrt(90 v1)."""
-    s, wk, _, _ = _input_rule()
+def _w_cond_entropies(g, s, work):
+    """h(W | X = s^2) [nats] at each s at sigma2_rec = 0, in units where
+    sigma2_a = 1 (g = hP / sigma2_a): the closed-form density on 28 equal
+    panels in t = sqrt(w) over nu -/+ 7.  Returns per s the entropy, its
+    error term (the panels' |Kronrod - Gauss| and the mass beyond the
+    window) and the density's mass."""
     nu = math.sqrt(g) * s
     lo, hi = np.maximum(nu - 7.0, 0.0), nu + 7.0
     edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 29)
-    h_cond, cond_error, mass = _panel_entropies(
+    h, error, mass = _panel_entropies(
         edges, lambda w: _log_density_w_cond(w, nu[:, None, None], 1.0))
-    cond_error += _tail_entropy(_RICE_TAIL, 1.0 + 2.0 * g * s * s)
-    defect = float(np.abs(mass - 1.0).max())
+    work["conditionals"] += s.size
+    return h, error + _tail_entropy(_RICE_TAIL, 1.0 + 2.0 * g * s * s), mass
 
+
+def _rate_w(g, work):
+    """The rate [nats], its error bound and the worst density mass defect at
+    sigma2_rec = 0, in units where sigma2_a = 1 (g = hP / sigma2_a): the
+    closed-form densities of W integrated in t = sqrt(w).  The conditionals
+    are _w_cond_entropies; the marginal takes 0.5-wide panels up to t = 8,
+    then geometric ones (ratio at most 1.15) up to sqrt(90 v1)."""
+    h_cond, error, defect = _cond_interpolated(functools.partial(_w_cond_entropies, g), work)
     v1, v2 = _marginal_w_variances(g, 1.0)
     t_max = math.sqrt(90.0 * v1)
     edges = np.linspace(0.0, min(8.0, t_max), 17)
     if t_max > 8.0:
         edges = np.append(edges, np.geomspace(8.0, t_max, 1 + math.ceil(
             math.log(t_max / 8.0) / math.log(1.15)))[1:])
-    h_y, error, mass = _panel_entropies(edges, lambda w: _log_density_w_marg(w, g, 1.0))
-    work["input_nodes"] += s.size
-    work["conditionals"] += s.size
-    error += (wk @ cond_error + _tail_entropy(_MARG_TAIL_W, 2.0 * v1 * v1 + 2.0 * v2 * v2)
-              + _input_rule_error(h_cond, 1.0, 2.0 * g))
-    return h_y - wk @ h_cond, error, max(defect, abs(mass - 1.0))
+    h_y, marg_error, mass = _panel_entropies(edges, lambda w: _log_density_w_marg(w, g, 1.0))
+    error += (marg_error + _tail_entropy(_MARG_TAIL_W, 2.0 * v1 * v1 + 2.0 * v2 * v2)
+              + _input_tail_error(1.0, 2.0 * g))
+    return h_y - h_cond, error, max(defect, abs(mass - 1.0))
 
 
 def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> RateBound:
@@ -405,48 +401,48 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
       one 2-D transform, in batches of at most 2^18 points;
     - the marginal's step is 1/4, and its grid runs from -12 to
       hP + a + 80 (hP + a/2) + 12;
-    - E_X is a composite rule in s = sqrt(x): the 17-node Kronrod rule on the
-      panels [0, 1e-4], 11 geometric ones up to 0.5, and 0.5-wide ones up to
-      s = 9, 493 input nodes in all;
-    - h(Y | X = s^2) is smooth in s, so it is not computed at those nodes but
-      interpolated there, piecewise: on panels in s that start from the
-      edges 0, 0.1, 0.3, 1, 3 and 9, each with 24 Chebyshev-Lobatto nodes.
-      Each panel is checked at the 4 angle midpoints between its nodes
-      nearest its ends, and bisected while its interpolant misses a check by
-      more than 1e-11 nats; more than 64 panels in all raise
-      QuadratureFailure.  Five panels, 140 conditional densities, serve most
-      channels.
+    - E_X runs in s = sqrt(x) up to s = 9.  h(Y | X = s^2) is smooth in s,
+      so it is computed only at the 24 Chebyshev-Lobatto nodes of panels in s
+      that start from the edges 0, 0.1, 0.3, 1, 3 and 9.  Each panel is
+      checked at the 4 angle midpoints between its nodes nearest its ends,
+      and bisected while its interpolant misses a check by more than 1e-11
+      nats; more than 64 panels in all raise QuadratureFailure.  Five panels,
+      140 conditional densities, serve most channels;
+    - each panel's interpolant is integrated against the density of s = |G|
+      exactly, by weights from a 40-node Gauss-Legendre rule.
 
     The error bound sums, in bits: the CF truncation at each cutoff; the mass
     outside each window, folded onto the periodic grid and missing from the
     entropy; each Riemann sum's error, estimated by the Nyquist coefficient
     of p ln p; the interpolant, per panel its largest check gap plus its
     nodes' largest error term (the three before) times the nodes' Lebesgue
-    constant (about 2.96), weighted by the panel's share of the input rule;
-    and the input rule, as the gap between each panel's Kronrod sum and that
-    of its embedded 8-node Gauss rule, plus the input mass beyond s = 9.  It
-    does not count floating-point rounding.  Every density computed must
-    integrate to 1 within 1e-12 on its grid, or QuadratureFailure is raised.
+    constant (about 2.96), weighted by the panel's input mass; the weights,
+    as the gap of each panel's sum to that with 48-node weights; and the
+    input mass beyond s = 9.  It does not count floating-point rounding.
+    Every density computed must integrate to 1 within 1e-12 on its grid, or
+    QuadratureFailure is raised.
 
     The grid limit: no transform may exceed 2^20 points, and the conditional
-    grids at the 493 input nodes together 2^25 points.  The marginal's grid needs
-    4 (81 hP + 41 sigma2_a) / sigma_rec + 96 points, so hP may reach about
-    3236 sigma_rec; the conditional grids grow with sigma2_a / sigma_rec, which
-    may reach about 248 at hP = 100 sigma_rec and 391 at hP = sigma_rec.  A
-    channel past the limit raises InvalidParams before any grid is built.
+    grids built for one rate together 2^25 points.  The marginal's grid
+    needs 4 (81 hP + 41 sigma2_a) / sigma_rec + 96 points, so hP may reach
+    about 3236 sigma_rec; the conditional grids grow with sigma2_a /
+    sigma_rec, which may reach about 875 at hP = 100 sigma_rec and 880 at
+    hP = sigma_rec.  A channel past the limit in its first round of panels
+    raises InvalidParams before any grid is built; one that passes it only
+    in a later round of bisected panels raises it then.
 
     Branches: at hP = 0 the rate is 0; at sigma2_a = 0, h(Y | X) is the unit
     Gaussian's; at sigma2_rec = 0 the CF decays too slowly for a grid, and the
-    closed-form densities of W = |nu + Z2|^2 are integrated in t = sqrt(w)
-    with the same Kronrod pair on panels, in units where sigma2_a = 1; there
+    closed-form densities of W = |nu + Z2|^2 are integrated in t = sqrt(w) on
+    panels with a 17-node Kronrod rule, in units where sigma2_a = 1; the
+    conditional entropies are interpolated and averaged over s as above, and
     hP / sigma2_a may be at most 1e6.  Both noises zero raise ZeroNoise.
 
-    work, when a dict, gains the counters "input_nodes", "conditionals"
-    (conditional densities computed), "panels" (interpolation panels
-    evaluated, bisected ones included), "conditional_points",
-    "marginal_points", "transforms" and "cutoff_evals" (evaluations of the CF
-    bound in the search for the conditional cutoffs, the grid limit's at the
-    input nodes included).
+    work, when a dict, gains the counters "conditionals" (conditional
+    densities computed), "panels" (interpolation panels evaluated, bisected
+    ones included), "conditional_points", "marginal_points", "transforms" and
+    "cutoff_evals" (evaluations of the CF bound in the search for the
+    conditional cutoffs).
     """
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
@@ -455,8 +451,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
         raise ZeroNoise("noiseless rectified channel has unbounded rate")
     if hp == 0:
         return RateBound(0.0, 0.0)
-    counts = dict.fromkeys(("input_nodes", "conditionals", "panels", "conditional_points",
-                            "marginal_points", "transforms", "cutoff_evals"), 0)
+    counts = dict.fromkeys(("conditionals", "panels", "conditional_points", "marginal_points",
+                            "transforms", "cutoff_evals"), 0)
     at = f"hP={hp:g}, sigma2_a={sigma2_a:g}, sigma2_rec={sigma2_rec:g}"
     try:
         if sigma2_rec > 0:

@@ -1,7 +1,9 @@
 """Tests for the nonlinear-channel capacity bounds, the MI estimator and the
 deterministic chi-square-input rate."""
 
+import collections
 import concurrent.futures
+import functools
 import itertools
 import math
 import re
@@ -857,18 +859,28 @@ BENCHMARK_CHANNELS = (
 INTERPOLANT_CHANNELS = list(dict.fromkeys(
     BENCHMARK_CHANNELS + [(100.0, float(r), 1.0) for r in np.logspace(-4, 2, 10)]
     + [(1000.0, 1.0, 1.0), (3000.0, 1.0, 1.0)]))
+# at sigma2_rec = 0, the interpolant's values of g = hP / sigma2_a
+W_LAW_SNRS = [1e-3, 1.0, 1e3, 1e6]
 
 
-def _rate_at_every_node(hp, s2a, s2r, monkeypatch):
-    """Reference for the interpolated h(Y | X): cnl_rate_chi2 [bits] with a
-    conditional density computed at each of the input rule's nodes."""
-    def every_node(hp, a, s, work):
-        h, error, mass = chi2rate._cond_entropies(hp, a, s, work)
-        return h, error, float(np.abs(mass - 1.0).max())
+def _average_at_every_node(cond):
+    """Reference for _cond_interpolated's E_X[h(Y | X)] [nats]: the
+    conditional entropy cond(s, work) computed at every node of a fixed
+    composite rule in s = sqrt(x), 16 Gauss-Legendre nodes on each of the
+    panels [0, 1e-4], 11 geometric ones up to 0.5 and 0.5-wide ones up to
+    s = 9, weighted by the density of s = |G|."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 12), np.arange(1.0, 9.25, 0.5)])
+    u, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (edges[:-1, None] + half * (u + 1.0)).ravel()
+    weight = (half * w).ravel() * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * s * s)
+    return weight @ cond(s, collections.defaultdict(int))[0]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(chi2rate, "_cond_interpolated", every_node)
-        return chi2rate.cnl_rate_chi2(hp, s2a, s2r).value
+
+def _fft_conditionals(hp, s2a, s2r):
+    """The FFT branch's conditional entropies, in units where sigma_rec = 1."""
+    c = 1.0 / math.sqrt(s2r)
+    return functools.partial(chi2rate._cond_entropies, c * hp, c * s2a)
 
 
 def _bisected_cutoff(nu2, a):
@@ -1014,7 +1026,7 @@ class TestChiSquareRate:
     @pytest.mark.parametrize("hp, s2a, s2r, what", [
         (1e4, 1.0, 1.0, "marginal density"),
         (100.0, 1e4, 1.0, "marginal density"),
-        (100.0, 300.0, 1.0, "conditional densities need"),
+        (100.0, 2000.0, 1.0, "conditional densities need"),
         (1e300, 1.0, 1e-300, "marginal density"),
         (1e7, 1.0, 0.0, "hP / sigma2_a"),
     ])
@@ -1032,6 +1044,10 @@ class TestChiSquareRate:
         # the largest hP / sigma_rec the limit states; criterion 9's largest
         # ratio sa2 / srec2 = 100 is a benchmark channel below
         assert chi2rate.cnl_rate_chi2(3236.0, 0.0, 1.0).error_bound <= 1e-10
+
+    def test_limit_counts_only_the_grids_built(self):
+        # the panels' 140 conditionals take 10.1M grid points here
+        assert chi2rate.cnl_rate_chi2(100.0, 300.0, 1.0).error_bound <= 1e-10
 
     @pytest.mark.parametrize("step", [0.5, 0.6, 0.7, 0.8])
     def test_grid_error_terms_cover_a_coarse_grid(self, step):
@@ -1066,7 +1082,6 @@ class TestChiSquareRate:
     def test_work_counters(self):
         work = {"transforms": 5}
         chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0, work)
-        assert work["input_nodes"] == 29 * 17
         # five panels of 24 nodes and 4 checks, none bisected
         assert work["panels"] == 5
         assert work["conditionals"] == 5 * 28
@@ -1075,15 +1090,22 @@ class TestChiSquareRate:
         # the marginal and one transform per conditional grid length (4 here)
         assert work["transforms"] == 5 + 5
         # the search brackets span at most 29 levels here (13 down to -16 at
-        # s = 9), which 5 halvings settle: at the input nodes for the grid
-        # limit, then at the panels' conditionals
-        assert work["cutoff_evals"] == (29 * 17 + 5 * 28) * 5
+        # s = 9), which 5 halvings settle, at the panels' conditionals
+        assert work["cutoff_evals"] == 5 * 28 * 5
 
     @pytest.mark.parametrize("hp, s2a, s2r", INTERPOLANT_CHANNELS)
-    def test_interpolant_matches_every_node(self, hp, s2a, s2r, monkeypatch):
-        rate = chi2rate.cnl_rate_chi2(hp, s2a, s2r)
-        assert abs(rate.value - _rate_at_every_node(hp, s2a, s2r, monkeypatch)) <= 1e-13
-        assert 0.0 < rate.error_bound <= 1e-10
+    def test_interpolant_matches_every_node(self, hp, s2a, s2r):
+        cond = _fft_conditionals(hp, s2a, s2r)
+        got = chi2rate._cond_interpolated(cond, collections.defaultdict(int))[0]
+        assert abs(got - _average_at_every_node(cond)) <= 1e-13
+        assert 0.0 < chi2rate.cnl_rate_chi2(hp, s2a, s2r).error_bound <= 1e-10
+
+    @pytest.mark.parametrize("g", W_LAW_SNRS)
+    def test_interpolant_matches_every_node_w_law(self, g):
+        cond = functools.partial(chi2rate._w_cond_entropies, g)
+        got = chi2rate._cond_interpolated(cond, collections.defaultdict(int))[0]
+        assert abs(got - _average_at_every_node(cond)) <= 1e-13
+        assert 0.0 < chi2rate.cnl_rate_chi2(g, 1.0, 0.0).error_bound <= 1e-10
 
     def test_interpolant_bisects_near_zero(self):
         # h(Y | X) has a singularity just left of x = 0, closer at higher
@@ -1111,7 +1133,9 @@ class TestChiSquareRate:
     @pytest.mark.parametrize("hp, s2a, s2r", BENCHMARK_CHANNELS)
     def test_cutoffs_match_bisection(self, hp, s2a, s2r):
         c = 1.0 / math.sqrt(s2r)
-        s = chi2rate._input_rule()[0]
+        lo, hi = np.array(chi2rate._PANEL_EDGES[:-1]), np.array(chi2rate._PANEL_EDGES[1:])
+        s = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None]
+             * np.concatenate([chi2rate._PANEL_NODES, chi2rate._PANEL_CHECKS])).ravel()
         nu2, a = c * hp * s * s, c * s2a
         work = {"cutoff_evals": 0}
         got = chi2rate._cond_cutoff(nu2, a, work)

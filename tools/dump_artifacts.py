@@ -10,7 +10,8 @@ tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
 The set: every CLI example in README.md; every region scheme as CSV and as
 JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
-on-off solver collapses, and ``sps-circuit`` at p_s = q_max and above it;
+on-off solver collapses, ``sps-circuit`` at p_s = q_max and above it, and
+``int-ideal`` at sigma2_rec = 0, the rate's closed-form branch;
 ``capacity --lower`` without antenna noise and without rectifier noise, the
 two branches of the output densities that the examples miss, at the unit
 point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6, at fig7's
@@ -66,6 +67,9 @@ OPS_COLLAPSED = ["region", "--scheme", "ops-circuit", *FIG9, "--ps", "1e20",
                  "--format", "json"]
 # p_s at q_max = 60 and above it: every sps-circuit point is (0, 0)
 SPS_CIRCUIT_PS = ("60", "100")
+# no processing noise: the rate integrates the closed-form densities of W
+INT_IDEAL_W = ["region", "--scheme", "int-ideal", "--h", "1", "--p", "100", "--zeta", "0.6",
+               "--sa2", "1", "--srec2", "0", "--format", "json"]
 CAPACITY_RUNS = {
     "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
@@ -115,6 +119,10 @@ ERROR_RUNS = {
     # hP = 1e4 sigma_rec: the rate's marginal grid would pass 2^20 points
     "rate-grid-limit": (["region", "--scheme", "int-ideal", "--p", "1e4", "--sa2", "1",
                          "--srec2", "1"], 2),
+    # sigma2_a = 2000 sigma_rec: the first round of conditional grids would pass
+    # 2^25 points together
+    "rate-conditional-limit": (["region", "--scheme", "int-ideal", "--p", "100",
+                                "--sa2", "2000", "--srec2", "1"], 2),
     # sigma2_adc / (1 - rho)^2 overflows at the sweep's last rho
     "adc-noise-overflow": (["region", "--scheme", "int-adc", "--h", "1", "--p", "100",
                             "--sa2", "1", "--sadc2", "1e303", "--srec2", "1", "--points", "4"],
@@ -142,6 +150,7 @@ def runs() -> list[tuple[str, list[str]]]:
     for p_s in SPS_CIRCUIT_PS:
         out.append((f"region/sps-circuit-ps{p_s}",
                     ["region", "--scheme", "sps-circuit", *FIG9, "--ps", p_s]))
+    out.append(("region/int-ideal-srec2-0", INT_IDEAL_W))
     for name, flags in CAPACITY_RUNS.items():
         out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
     out.append(("capacity/upper-c2", CAPACITY_UPPER_C2))

@@ -6,10 +6,11 @@ Usage:
 The first table covers the seven channels of the ``mi_points`` benchmark
 workload (the last is the unit point with every power scaled by 1e-6, which
 does the same work as the unit point) and the eight effective-noise channels
-of the ``adc_sweep`` workload. It runs ``cnl_rate_chi2`` once to warm its
-cached input rule and once timed, and prints per channel:
+of the ``adc_sweep`` workload, then channels at sigma2_rec = 0 (sigma2_a = 1,
+hP = 1e-3 ... 1e6), whose conditional entropies come from the closed-form
+densities of W and go through the same interpolant. It runs ``cnl_rate_chi2``
+once to warm its caches and once timed, and prints per channel:
 
-- ``nodes``: input nodes, at which h(Y|X) is interpolated;
 - ``conds``: conditional densities computed, at the interpolation panels'
   nodes and checks;
 - ``panels``: interpolation panels evaluated, bisected ones included;
@@ -17,7 +18,8 @@ cached input rule and once timed, and prints per channel:
 - ``marg_pts``: grid points of the marginal density;
 - ``ffts``: inverse FFT calls, each over a batch of equal-length grids;
 - ``cut_evals``: evaluations of the CF bound in the search for the
-  conditional cutoffs;
+  conditional cutoffs (these four read 0 at sigma2_rec = 0, where no grid is
+  built);
 - ``rate`` and ``bound``: the rate and its error bound, in bits;
 - ``wall_s``: the timed call's wall time.
 
@@ -68,11 +70,11 @@ def channels():
         for rho in ADC_RHOS:
             eff = effective_proc_noise(srec2, ADC_SADC2, float(rho))
             pts.append((f"adc_srec{srec2:g}_rho{rho:.3f}", HP, ADC_SA2, eff))
-    return pts
+    return pts + [(f"w_law_g{g:g}", g, 1.0, 0.0) for g in np.logspace(-3, 6, 10)]
 
 
 def rate_table():
-    print(f"{'channel':24s} {'hP':>7s} {'sa2':>7s} {'srec2':>9s} {'nodes':>5s} "
+    print(f"{'channel':24s} {'hP':>7s} {'sa2':>7s} {'srec2':>9s} "
           f"{'conds':>5s} {'panels':>6s} {'cond_pts':>9s} {'marg_pts':>8s} {'ffts':>5s} "
           f"{'cut_evals':>9s} {'rate':>15s} {'bound':>8s} {'wall_s':>7s}")
     for name, hp, sa2, srec2 in channels():
@@ -81,7 +83,7 @@ def rate_table():
         t0 = time.perf_counter()
         rate = cnl_rate_chi2(hp, sa2, srec2, work)
         wall = time.perf_counter() - t0
-        print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} {work['input_nodes']:5d} "
+        print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} "
               f"{work['conditionals']:5d} {work['panels']:6d} {work['conditional_points']:9d} "
               f"{work['marginal_points']:8d} {work['transforms']:5d} {work['cutoff_evals']:9d} "
               f"{rate.value:15.12f} {rate.error_bound:8.1e} {wall:7.3f}")
