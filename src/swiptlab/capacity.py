@@ -33,18 +33,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 
 @dataclass(frozen=True)
-class MonteCarloConfig:
-    """Sampling configuration for the mutual-information estimator."""
-
-    n_samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        check_count("n_samples", self.n_samples, 10_000)
-        check_count("seed", self.seed, 0)
-
-
-@dataclass(frozen=True)
 class MiEstimate:
     """Monte Carlo mutual-information estimate [bits/channel use]."""
 
@@ -86,23 +74,14 @@ def c1_asymptotic(hp: float, sigma2_rec: float) -> float:
     return math.log2(hp / sigma_rec) + 0.5 * math.log2(math.e / (2.0 * math.pi))
 
 
-def c1_upper(hp: float, sigma2_rec: float, beta: float, delta: float) -> float:
-    """Intensity-channel capacity upper bound, valid for any beta > 0 and
-    delta >= 0.
+def _c1_upper_bits(hp, sigma_rec, beta, delta):
+    """Intensity-channel capacity upper bound in the noise std sigma_rec,
+    valid for any beta > 0 and delta >= 0; beta and delta may be
+    broadcasting arrays.
 
     A duality-style bound: an output-measure log term, two moment terms in
     nats, minus the processing-noise differential entropy.
     """
-    check_real("hp", hp, lo_open=True)
-    sigma_rec = math.sqrt(check_real("sigma2_rec", sigma2_rec, lo_open=True))
-    check_real("beta", beta, lo_open=True)
-    check_real("delta", delta)
-    return float(_c1_upper_bits(hp, sigma_rec, beta, delta))
-
-
-def _c1_upper_bits(hp, sigma_rec, beta, delta):
-    """The c1_upper formula in the noise std sigma_rec; beta and delta may be
-    broadcasting arrays."""
     dr = delta / sigma_rec
     edr = np.exp(-0.5 * dr * dr)
     q_dr = q_function(dr)
@@ -118,7 +97,7 @@ def _c1_upper_bits(hp, sigma_rec, beta, delta):
 
 
 def _c1_beta_star(hp, sigma_rec, delta):
-    """The beta minimizing c1_upper at a fixed delta; delta may be an array.
+    """The beta minimizing _c1_upper_bits at a fixed delta; delta may be an array.
 
     With e = exp(-delta^2 / 2 sigma^2), k = sqrt(2 pi) sigma Q(delta/sigma)
     and A = delta + hP + sigma e / sqrt(2 pi), c1 depends on beta through
@@ -136,7 +115,7 @@ _C1_GRID, _C1_ROUNDS = 257, 4  # the delta search: points per grid, zoom rounds
 
 
 def c1_upper_optimized(hp: float, sigma2_rec: float) -> tuple[float, float, float]:
-    """Minimize the free parameters of c1_upper: (bits, beta, delta).
+    """Minimize the free parameters of _c1_upper_bits: (bits, beta, delta).
 
     beta takes its closed-form minimizer at each delta (_c1_beta_star), which
     leaves a search over delta in [0, 10 sigma_rec]: a uniform grid, zoomed to
@@ -409,14 +388,6 @@ def _panelized_integrals(knots, integrand, quad_tol, scratch=None):
     )
 
 
-def _build_knots(t_lo, t_hi, features):
-    """Sorted panel edges from the integration window plus clipped feature knots."""
-    cols = [t_lo] + [np.clip(f, t_lo, t_hi) for f in features] + [t_hi]
-    knots = np.column_stack(cols)
-    knots.sort(axis=1)
-    return knots
-
-
 def _log_phi(z, sigma2, out=None):
     """log N(z; 0, sigma2) for an array z, written into out when given (out may be z)."""
     out = np.multiply(z, z, out=out)
@@ -495,8 +466,10 @@ def _log_p_conv(y, sigma2_rec, density, features, scratch, peak=None):
     t_hi = np.sqrt(np.maximum(y + 10.0 * sigma_rec, 1e-3 * sigma_rec))
     ty = np.sqrt(np.maximum(y, 0.0))
     phi_w = 0.5 * sigma_rec / np.maximum(ty, math.sqrt(sigma_rec))
-    knots = _build_knots(t_lo, t_hi, [*features, ty - 6 * phi_w, ty - 2 * phi_w,
-                                      ty + 2 * phi_w, ty + 6 * phi_w])
+    # the window's ends and every feature clipped to it, sorted per sample
+    knots = np.column_stack([t_lo, *(np.clip(f, t_lo, t_hi) for f in [
+        *features, ty - 6 * phi_w, ty - 2 * phi_w, ty + 2 * phi_w, ty + 6 * phi_w]), t_hi])
+    knots.sort(axis=1)
     scratch = _Scratch() if scratch is None else scratch
 
     def integrand(t, active):
@@ -550,8 +523,6 @@ def _log_p_marg(y, hp, sigma2_a, sigma2_rec, scratch=None):
     if sigma2_rec == 0.0:
         return _log_density_w_marg(y, hp, sigma2_a)
     if sigma2_a == 0.0:
-        if hp == 0.0:
-            return _log_phi(y, sigma2_rec)
         # W = hP X, so T = sqrt(hP) |G| is half-normal with scale sqrt(hP)
         sq = math.sqrt(hp)
 
@@ -654,7 +625,7 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks):
     depends on y only through its range, so no sample's value depends on
     chunking.
     """
-    if sigma2_rec == 0.0 or (sigma2_a == 0.0 and hp == 0.0):
+    if sigma2_rec == 0.0:
         return functools.partial(_log_p_marg, hp=hp, sigma2_a=sigma2_a, sigma2_rec=sigma2_rec)
     sigma_rec = math.sqrt(sigma2_rec)
 
@@ -700,11 +671,13 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks):
 
 
 def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
-                   mc: MonteCarloConfig = MonteCarloConfig()) -> MiEstimate:
+                   n_samples: int = 100_000, seed: int = 0) -> MiEstimate:
     """Achievable rate of the rectified channel with a chi-square power input.
 
-    Draws X = G^2 (G standard normal, so E[X] = 1), pushes each sample through
-    the channel, and averages log2 p(Y|X)/p(Y).  The rate does not change when
+    Draws n_samples (at least 10 000) values X = G^2 (G standard normal, so
+    E[X] = 1) from numpy's default generator seeded with seed, pushes each
+    sample through the channel, and averages log2 p(Y|X)/p(Y); at hP = 0 the
+    estimate is exactly 0 with standard error 0.  The rate does not change when
     hP and sigma2_a scale by c and sigma2_rec by c^2, so for sigma2_rec > 0 the
     draw and every density are computed in units where sigma_rec = 1.  The
     conditional law of the squared envelope is the scaled noncentral form with
@@ -737,6 +710,8 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     bit-reproducible for a fixed seed and independent of internal chunking and
     of the thread count.
     """
+    n = check_count("n_samples", n_samples, 10_000)
+    seed = check_count("seed", seed, 0)
     check_real("hp", hp)
     check_real("sigma2_a", sigma2_a)
     check_real("sigma2_rec", sigma2_rec)
@@ -746,12 +721,13 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     # to units where sigma_rec = 1, in which y is c times the caller's y
     c = 1.0 / math.sqrt(sigma2_rec) if sigma2_rec > 0 else 1.0
     hp, sigma2_a, sigma2_rec = c * hp, c * sigma2_a, 1.0 if sigma2_rec > 0 else 0.0
+    if hp == 0.0:  # no signal (hP may also underflow to 0 in these units)
+        return MiEstimate(0.0, 0.0, n, seed)
     if not (math.isfinite(hp) and math.isfinite(sigma2_a)):
         raise QuadratureFailure(f"channel {at} overflows in units where sigma_rec = 1: "
                                 f"hP={hp:g}, sigma2_a={sigma2_a:g} there")
 
-    n = mc.n_samples
-    rng = np.random.default_rng(mc.seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
     x = g * g
     with np.errstate(over="ignore", invalid="ignore"):
@@ -795,4 +771,4 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))
-    return MiEstimate(value=max(0.0, value), std_error=std_error, n_samples=n, seed=mc.seed)
+    return MiEstimate(value=max(0.0, value), std_error=std_error, n_samples=n, seed=seed)

@@ -54,8 +54,8 @@ _MARG_TAIL_W = math.exp(-45.0)
 _S_MAX = 9.0
 # every density must integrate to 1 within this on its grid or rule
 _MASS_TOL = 1e-12
-# at sigma2_rec = 0: hP / sigma2_a at most this (see cnl_rate_chi2)
-_MAX_SNR_W = 1e6
+# at sigma2_rec = 0, the end of the certified range of hP / sigma2_a
+_MAX_SNR_W = 1e10
 # h(Y | X = x) is interpolated in s = sqrt(x) on panels that start from these
 # edges.  Each panel holds the 24 Chebyshev-Lobatto points (ascending) with
 # their barycentric weights and is checked at the 4 angle midpoints nearest its
@@ -126,27 +126,22 @@ def _cond_cf_terms(omega, a):
     return base, (-a * omega * omega / d) * (1.0 - 1j * t)
 
 
-def _grid_density(coef, n, step):
-    """Densities from their CFs: each row of coef is the conjugate of a CF at
+def _grid_entropies(coef, n, step, work):
+    """Entropies [nats] of densities from their CFs, each row with its own
+    step (or one step for all): each row of coef is the conjugate of a CF at
     the multiples of 2 pi / (n step) up to the Nyquist frequency pi / step,
     so one inverse real FFT gives the density at the n points j step, folded
-    onto a period of n steps."""
-    p = np.fft.irfft(coef, n, axis=1)
-    p *= 1.0 / step
-    return p
-
-
-def _grid_entropies(coef, n, step, work):
-    """Entropies [nats] of the _grid_density rows, each with its own step (or
-    one step for all): Riemann sums of -p ln p over one period, which need no
-    window offset.
+    onto a period of n steps.  Each entropy is a Riemann sum of -p ln p over
+    that period, which needs no window offset.
 
     Returns, per row, the entropy, an estimate of its Riemann sum's error
     (the Nyquist coefficient of p ln p on the grid, which dominates that
     error where the spectrum of p ln p decays) and the density's mass,
     negative values taken as zero."""
     step = np.broadcast_to(step, len(coef))
-    p = np.maximum(_grid_density(coef, n, step[:, None]), 0.0)
+    p = np.fft.irfft(coef, n, axis=1)
+    p *= 1.0 / step[:, None]
+    np.maximum(p, 0.0, out=p)
     plogp = np.log(np.maximum(p, 5e-324))
     plogp *= p
     work["transforms"] += 1
@@ -240,13 +235,11 @@ def _lagrange_basis(u):
     return np.where(hit.any(axis=-1, keepdims=True), hit, q / q.sum(axis=-1, keepdims=True))
 
 
-@functools.cache
-def _lebesgue_constant():
-    """Lambda = max over [-1, 1] of sum_k |l_k|: node values each off by at
-    most e put the interpolant off by at most Lambda e.  Sampled at 64 points
-    per node gap in angle."""
-    u = -np.cos(np.linspace(0.0, math.pi, 64 * (_PANEL_NODES.size - 1) + 1))
-    return float(np.abs(_lagrange_basis(u)).sum(axis=-1).max())
+# (2 / pi) ln n + 1 bounds max over [-1, 1] of sum_k |l_k| for the n
+# Chebyshev-Lobatto points (L. N. Trefethen, Approximation Theory and
+# Approximation Practice, Thm 15.2): node values each off by at most e put
+# the interpolant off by at most _LEBESGUE e
+_LEBESGUE = 2.0 / math.pi * math.log(_PANEL_NODES.size) + 1.0
 
 
 # the Gauss-Legendre nodes on [-1, 1] of orders 40 and 48, each with its
@@ -278,9 +271,9 @@ def _cond_interpolated(cond, work):
     otherwise.  More than _MAX_PANELS panels in all raise QuadratureFailure.
     A passed panel adds sum_k w_k h_k, its interpolant integrated exactly
     (product integration), and to the bound its input mass times its
-    largest check gap plus the Lebesgue constant times the largest error
-    term of its conditionals, and the gap of that sum to the one with the
-    weights of the second of _WEIGHT_RULES."""
+    largest check gap plus _LEBESGUE times the largest error term of its
+    conditionals, and the gap of that sum to the one with the weights of the
+    second of _WEIGHT_RULES."""
     lo, hi = np.array(_PANEL_EDGES[:-1]), np.array(_PANEL_EDGES[1:])
     check_basis = _lagrange_basis(_PANEL_CHECKS)
     k = _PANEL_NODES.size
@@ -300,7 +293,7 @@ def _cond_interpolated(cond, work):
         ok = gap <= _PANEL_TOL
         w, w_check = _input_weights(mid[ok], half[ok])
         value += float((w * h[ok, :k]).sum())
-        error += float(w.sum(axis=1) @ (gap[ok] + _lebesgue_constant() * err[ok].max(axis=1))
+        error += float(w.sum(axis=1) @ (gap[ok] + _LEBESGUE * err[ok].max(axis=1))
                        + np.abs(((w - w_check) * h[ok, :k]).sum(axis=1)).sum())
         lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
     work["panels"] += opened
@@ -416,9 +409,10 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     entropy; each Riemann sum's error, estimated by the Nyquist coefficient
     of p ln p; the interpolant, per panel its largest check gap plus its
     nodes' largest error term (the three before) times the nodes' Lebesgue
-    constant (about 2.96), weighted by the panel's input mass; the weights,
-    as the gap of each panel's sum to that with 48-node weights; and the
-    input mass beyond s = 9.  It does not count floating-point rounding.
+    constant, at most 3.03 (Trefethen, ATAP Thm 15.2), weighted by the
+    panel's input mass; the weights, as the gap of each panel's sum to that
+    with 48-node weights; and the input mass beyond s = 9.  It does not
+    count floating-point rounding.
     Every density computed must integrate to 1 within 1e-12 on its grid, or
     QuadratureFailure is raised.
 
@@ -435,8 +429,10 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
     Gaussian's; at sigma2_rec = 0 the CF decays too slowly for a grid, and the
     closed-form densities of W = |nu + Z2|^2 are integrated in t = sqrt(w) on
     panels with a 17-node Kronrod rule, in units where sigma2_a = 1; the
-    conditional entropies are interpolated and averaged over s as above, and
-    hP / sigma2_a may be at most 1e6.  Both noises zero raise ZeroNoise.
+    conditional entropies are interpolated and averaged over s as above.  Its
+    certified range is hP / sigma2_a <= 1e10, where the bound stays below
+    1e-10 bits; a channel past it raises InvalidParams before any density is
+    evaluated.  Both noises zero raise ZeroNoise.
 
     work, when a dict, gains the counters "conditionals" (conditional
     densities computed), "panels" (interpolation panels evaluated, bisected
@@ -460,8 +456,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
             value, error, defect = _rate_fft(c * hp, c * sigma2_a, counts)
         else:
             if not hp / sigma2_a <= _MAX_SNR_W:
-                raise InvalidParams(f"channel past the grid limit: hP / sigma2_a = "
-                                    f"{hp / sigma2_a:.4g} exceeds {_MAX_SNR_W:g}")
+                raise InvalidParams(f"channel past the certified range: hP / sigma2_a = "
+                                    f"{hp / sigma2_a:.17g} exceeds {_MAX_SNR_W:g}")
             value, error, defect = _rate_w(hp / sigma2_a, counts)
     except InvalidParams as exc:
         raise InvalidParams(f"{exc} at {at}") from exc

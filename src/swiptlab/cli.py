@@ -130,15 +130,14 @@ def cmd_region(ns) -> int:
 
 
 def cmd_capacity(ns) -> int:
-    from .capacity import MonteCarloConfig, cnl_lower_chi2, cnl_upper
+    from .capacity import cnl_lower_chi2, cnl_upper
     outputs = {}
     if not ns.lower and not ns.upper:
         ns.upper = True
     if ns.upper:
         outputs["upper"] = cnl_upper(ns.hp, ns.sa2, ns.srec2)
     if ns.lower:
-        est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2,
-                             MonteCarloConfig(n_samples=ns.samples, seed=ns.seed))
+        est = cnl_lower_chi2(ns.hp, ns.sa2, ns.srec2, n_samples=ns.samples, seed=ns.seed)
         outputs["lower"] = est.to_json_dict()
     # only the sampled lower bound reads the sample count and the seed
     inputs = {"hp": ns.hp, "sa2": ns.sa2, "srec2": ns.srec2,

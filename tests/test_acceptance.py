@@ -16,13 +16,7 @@ from helpers import (
     p0_grid_oracle,
     random_circuit_instance,
 )
-from swiptlab.capacity import (
-    MonteCarloConfig,
-    c1_upper_optimized,
-    c2_upper,
-    cnl_lower_chi2,
-    cnl_upper,
-)
+from swiptlab.capacity import c1_upper_optimized, c2_upper, cnl_lower_chi2, cnl_upper
 from swiptlab.chi2rate import cnl_rate_chi2
 from swiptlab.core import LinkParams, split_snr, upper_bound_region
 from swiptlab.figures import (
@@ -327,8 +321,7 @@ def test_criterion_9_capacity_bound_sandwich():
     ratios = np.logspace(-4, 2, 10)
     for i, ratio in enumerate(ratios):
         s2a, s2r = float(ratio), 1.0
-        est = cnl_lower_chi2(100.0, s2a, s2r,
-                             MonteCarloConfig(n_samples=100_000, seed=900 + i))
+        est = cnl_lower_chi2(100.0, s2a, s2r, n_samples=100_000, seed=900 + i)
         ub = cnl_upper(100.0, s2a, s2r)["cnl_upper_bits"]
         slack = ub - (est.value - 3.0 * est.std_error)
         worst = max(worst, -slack)

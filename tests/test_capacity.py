@@ -19,9 +19,8 @@ from scipy.special import erf, erfc, i0e
 import swiptlab.capacity as cap
 import swiptlab.chi2rate as chi2rate
 from swiptlab.capacity import (
-    MonteCarloConfig,
+    MiEstimate,
     c1_asymptotic,
-    c1_upper,
     c1_upper_optimized,
     c2_asymptotic,
     c2_upper,
@@ -32,7 +31,7 @@ from swiptlab.capacity import (
 from swiptlab.core import LOG2E
 from swiptlab.errors import InvalidParams, QuadratureFailure, SplitAtUnity, ZeroNoise
 
-MC_FAST = MonteCarloConfig(n_samples=10_000, seed=42)
+MC_FAST = dict(n_samples=10_000, seed=42)
 # a channel whose conditional densities miss their tolerance in some samples of
 # every chunk, whatever the units
 UNRESOLVED = (1e6, 1e-10, 1.0)
@@ -48,27 +47,19 @@ def c1_upper_delta0(hp, sigma_rec, beta):
     )
 
 
-# the c1 functions take the rectifier noise variance; these tests pick its std
-# sr and pass sr * sr
+# the c1 bound _c1_upper_bits takes the rectifier noise std sr; the public c1
+# functions take its variance, sr * sr
 class TestC1Upper:
     def test_delta_zero_collapse(self):
         for hp, sr, beta in [(1.0, 1.0, 2.0), (100.0, 1.0, 80.0), (10.0, 3.0, 1.0)]:
-            full = c1_upper(hp, sr * sr, beta, 0.0)
+            full = cap._c1_upper_bits(hp, sr, beta, 0.0)
             assert full == pytest.approx(c1_upper_delta0(hp, sr, beta), rel=1e-14)
 
     def test_scale_invariance(self):
         # jointly scaling (hP, sigma_rec, beta, delta) cannot change the bound
-        a = c1_upper(100.0, 1.0, 50.0, 2.0)
-        b = c1_upper(1000.0, 100.0, 500.0, 20.0)
+        a = cap._c1_upper_bits(100.0, 1.0, 50.0, 2.0)
+        b = cap._c1_upper_bits(1000.0, 10.0, 500.0, 20.0)
         assert a == pytest.approx(b, rel=1e-13)
-
-    def test_invalid_params(self):
-        with pytest.raises(InvalidParams, match="beta"):
-            c1_upper(1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(InvalidParams, match="delta"):
-            c1_upper(1.0, 1.0, 1.0, -0.1)
-        with pytest.raises(InvalidParams, match="sigma2_rec"):
-            c1_upper(1.0, 0.0, 1.0, 1.0)
 
 
 class TestC1UpperOptimized:
@@ -83,7 +74,7 @@ class TestC1UpperOptimized:
 
     def test_reproduces_through_c1_upper(self):
         val, beta, delta = c1_upper_optimized(37.0, 6.25)
-        assert c1_upper(37.0, 6.25, beta, delta) == val
+        assert cap._c1_upper_bits(37.0, 2.5, beta, delta) == val
 
     def test_never_above_grid_points(self):
         rng = np.random.default_rng(5)
@@ -92,7 +83,7 @@ class TestC1UpperOptimized:
         for _ in range(10):
             beta = math.exp(rng.uniform(math.log(1e-3 * sr), math.log(1e3 * (hp + sr))))
             delta = rng.uniform(0.0, 10.0 * sr)
-            assert opt <= c1_upper(hp, sr * sr, beta, delta) + 1e-12
+            assert opt <= cap._c1_upper_bits(hp, sr, beta, delta) + 1e-12
 
     def test_array_grid_equals_scalar_bound(self):
         # the bound on an array grid, as the delta search evaluates it, against
@@ -101,7 +92,7 @@ class TestC1UpperOptimized:
         betas = np.exp(np.linspace(math.log(1e-3 * sr), math.log(1e3 * (hp + sr)), 48))
         deltas = np.linspace(0.0, 10.0 * sr, 25)
         grid = cap._c1_upper_bits(hp, sr, betas[:, None], deltas[None, :])
-        loop = np.array([[c1_upper(hp, sr * sr, b, d) for d in deltas] for b in betas])
+        loop = np.array([[cap._c1_upper_bits(hp, sr, b, d) for d in deltas] for b in betas])
         assert np.array_equal(grid, loop)
 
 
@@ -110,9 +101,9 @@ class TestC1UpperOptimized:
     def test_closed_form_beta_is_the_minimum(self, hp, sr):
         for delta in np.linspace(0.0, 10.0 * sr, 9):
             beta = float(cap._c1_beta_star(hp, sr, delta))
-            at = c1_upper(hp, sr * sr, beta, delta)
+            at = cap._c1_upper_bits(hp, sr, beta, delta)
             for f in (1.0 - 1e-3, 1.0 + 1e-3):
-                assert c1_upper(hp, sr * sr, f * beta, delta) >= at
+                assert cap._c1_upper_bits(hp, sr, f * beta, delta) >= at
 
     # the bound as the earlier coordinate-descent optimizer found it, at the
     # criterion-9 points, the mi_points and adc_sweep benchmark points and the
@@ -223,16 +214,22 @@ class TestEffectiveProcNoise:
 
 class TestMiEstimator:
     def test_zero_received_power(self):
-        est = cnl_lower_chi2(0.0, 1.0, 1.0, MC_FAST)
-        assert est.value == pytest.approx(0.0, abs=1e-9)
+        # exactly 0, with and without antenna noise, as the deterministic rate
+        for s2a in (1.0, 0.0):
+            assert cnl_lower_chi2(0.0, s2a, 1.0, **MC_FAST) == MiEstimate(0.0, 0.0, 10_000, 42)
 
     def test_noiseless_channel_rejected(self):
         with pytest.raises(ZeroNoise):
-            cnl_lower_chi2(1.0, 0.0, 0.0, MC_FAST)
+            cnl_lower_chi2(1.0, 0.0, 0.0, **MC_FAST)
 
     def test_minimum_sample_count_enforced(self):
-        with pytest.raises(InvalidParams):
-            MonteCarloConfig(n_samples=100)
+        with pytest.raises(InvalidParams, match=r"^n_samples must be an integer >= 10000, "
+                                                r"got 9999$"):
+            cnl_lower_chi2(1.0, 1.0, 1.0, n_samples=9_999)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParams, match=r"^seed must be an integer >= 0, got -1$"):
+            cnl_lower_chi2(1.0, 1.0, 1.0, seed=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", range(3))
@@ -240,17 +237,17 @@ class TestMiEstimator:
         args = [10.0, 1.0, 1.0]
         args[position] = bad
         with pytest.raises(InvalidParams, match="finite"):
-            cnl_lower_chi2(*args, MC_FAST)
+            cnl_lower_chi2(*args, **MC_FAST)
 
     def test_bit_reproducible(self):
-        a = cnl_lower_chi2(10.0, 0.5, 1.0, MonteCarloConfig(n_samples=10_000, seed=9))
-        b = cnl_lower_chi2(10.0, 0.5, 1.0, MonteCarloConfig(n_samples=10_000, seed=9))
+        a = cnl_lower_chi2(10.0, 0.5, 1.0, n_samples=10_000, seed=9)
+        b = cnl_lower_chi2(10.0, 0.5, 1.0, n_samples=10_000, seed=9)
         assert a == b
 
     def test_independent_of_chunking(self, monkeypatch):
-        ref = cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        ref = cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
         monkeypatch.setattr(cap, "_CHUNK", 1111)
-        alt = cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        alt = cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
         assert ref == alt
 
     def test_independent_of_worker_count(self, monkeypatch):
@@ -271,7 +268,7 @@ class TestMiEstimator:
                 monkeypatch.setattr(cap, "_WORKERS", workers)
                 monkeypatch.setattr(cap, "_CHUNK", chunk)
                 threads.clear()
-                runs[workers, chunk] = cnl_lower_chi2(*channel, MC_FAST)
+                runs[workers, chunk] = cnl_lower_chi2(*channel, **MC_FAST)
                 if workers == 1:  # one worker is the calling thread
                     assert threads == {threading.get_ident()}
                 else:
@@ -291,17 +288,17 @@ class TestMiEstimator:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
         monkeypatch.setattr(cap, "_WORKERS", 2)
-        cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
         assert len(pools) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_thread_outlives_the_call(self, workers, monkeypatch):
         monkeypatch.setattr(cap, "_WORKERS", workers)
         before = threading.active_count()
-        cnl_lower_chi2(10.0, 0.5, 1.0, MC_FAST)
+        cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
         assert threading.active_count() == before
         with pytest.raises(QuadratureFailure):
-            cnl_lower_chi2(*UNRESOLVED, MC_FAST)
+            cnl_lower_chi2(*UNRESOLVED, **MC_FAST)
         assert threading.active_count() == before
 
     def test_failure_independent_of_worker_count(self, monkeypatch):
@@ -311,7 +308,7 @@ class TestMiEstimator:
         for workers in (1, 2):
             monkeypatch.setattr(cap, "_WORKERS", workers)
             with pytest.raises(QuadratureFailure) as info:
-                cnl_lower_chi2(*UNRESOLVED, MC_FAST)
+                cnl_lower_chi2(*UNRESOLVED, **MC_FAST)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -332,7 +329,7 @@ class TestMiEstimator:
 
             monkeypatch.setattr(cap, "_log_p_cond", third_chunk_on)
             with pytest.raises(QuadratureFailure) as info:
-                cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+                cnl_lower_chi2(hp, s2a, s2r, **MC_FAST)
             msg = str(info.value)
             assert msg.startswith(f"conditional density at hP={hp:g}, sigma2_a={s2a:g}, "
                                   f"sigma2_rec={s2r:g}: ")
@@ -341,26 +338,26 @@ class TestMiEstimator:
             assert found, msg
             k, batch_k = int(found.group(1)), int(found.group(4))
             assert k == 2 * cap._CHUNK + batch_k
-            x, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
+            x, y = _channel_draws(np.random.default_rng(MC_FAST["seed"]), MC_FAST["n_samples"],
                                   hp, s2a, s2r)
             assert float(found.group(2)) == pytest.approx(y[k], rel=1e-5)
             assert float(found.group(3)) == pytest.approx(x[k], rel=1e-5)
 
     def test_sandwich_against_upper_bound(self):
         for hp, s2a, s2r in [(100.0, 1e-4, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 25.0)]:
-            est = cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+            est = cnl_lower_chi2(hp, s2a, s2r, **MC_FAST)
             ub = cnl_upper(hp, s2a, s2r)["cnl_upper_bits"]
             assert est.value - 3.0 * est.std_error <= ub
 
     def test_intensity_limit_sandwich(self):
         # dominant rectifier noise: bounded by the optimized intensity bound
-        est = cnl_lower_chi2(100.0, 1e-6, 1.0, MC_FAST)
+        est = cnl_lower_chi2(100.0, 1e-6, 1.0, **MC_FAST)
         ub, _, _ = c1_upper_optimized(100.0, 1.0)
         assert 0.0 < est.value <= ub
 
     def test_noncoherent_limit_sandwich(self):
         # vanishing rectifier noise: bounded by the noncoherent bounds
-        est = cnl_lower_chi2(100.0, 1.0, 0.0, MC_FAST)
+        est = cnl_lower_chi2(100.0, 1.0, 0.0, **MC_FAST)
         assert est.value <= c2_upper(100.0, 1.0)
         assert est.value >= c2_asymptotic(100.0, 1.0) - 0.5
 
@@ -368,7 +365,7 @@ class TestMiEstimator:
         """Independent check: with no antenna noise, I(X;Y) = h(Y) - h(Z1); h(Y)
         from a histogram plug-in on fresh samples."""
         hp, s2r = 50.0, 16.0
-        est = cnl_lower_chi2(hp, 0.0, s2r, MonteCarloConfig(n_samples=40_000, seed=3))
+        est = cnl_lower_chi2(hp, 0.0, s2r, n_samples=40_000, seed=3)
 
         rng = np.random.default_rng(1234)
         n = 1_000_000
@@ -383,7 +380,7 @@ class TestMiEstimator:
         assert est.value == pytest.approx(mi_oracle, abs=0.05)
 
     def test_serialization_fields(self):
-        est = cnl_lower_chi2(1.0, 1.0, 1.0, MC_FAST)
+        est = cnl_lower_chi2(1.0, 1.0, 1.0, **MC_FAST)
         d = est.to_json_dict()
         assert d["n_samples"] == 10_000
         assert d["seed"] == 42
@@ -512,8 +509,7 @@ class TestPanelQuadrature:
     def test_gaussian_bump_matches_erf(self, lo, span, inner, dup, mu, sigma):
         hi = lo + span
         feats = inner + [inner[dup % len(inner)]]  # a forced duplicate
-        knots = cap._build_knots(np.array([lo]), np.array([hi]),
-                                 [np.array([f]) for f in feats])  # clips to [lo, hi]
+        knots = np.sort(np.clip([[lo, *feats, hi]], lo, hi), axis=1)
 
         def bump(t, owner):
             return np.exp(-0.5 * ((t - mu) / sigma) ** 2)
@@ -696,7 +692,7 @@ class TestConditionalWork:
         monkeypatch.setattr(cap, "_panel_rule_sums", counting)
         # without the marginal table, every evaluation is the conditional stage's
         monkeypatch.setattr(cap, "_marginal_table", lambda *args: np.zeros_like)
-        cnl_lower_chi2(100.0, s2a, 1.0, MonteCarloConfig(n_samples=10_000, seed=3))
+        cnl_lower_chi2(100.0, s2a, 1.0, n_samples=10_000, seed=3)
         assert 0 < sum(seen) <= most * 10_000
 
 
@@ -811,7 +807,7 @@ class TestMarginalTable:
     @pytest.mark.parametrize("n", [10_000, 40_000])
     def test_marginal_work_does_not_grow_with_samples(self, n, monkeypatch):
         seen = _count_marginal_nodes(monkeypatch)
-        cnl_lower_chi2(100.0, 0.01, 100.0, MonteCarloConfig(n_samples=n, seed=7))
+        cnl_lower_chi2(100.0, 0.01, 100.0, n_samples=n, seed=7)
         assert 0 < sum(seen) < 1000  # per-sample quadrature would see n nodes
 
     def test_runaway_refinement_hits_the_cap(self, monkeypatch):
@@ -820,14 +816,14 @@ class TestMarginalTable:
         seen = _count_marginal_nodes(monkeypatch)
         monkeypatch.setattr(cap, "_log_p_cond", lambda y, *args: np.zeros_like(y))
         with pytest.raises(QuadratureFailure) as info:
-            cnl_lower_chi2(1e12, 1e-20, 1e-20, MC_FAST)
+            cnl_lower_chi2(1e12, 1e-20, 1e-20, **MC_FAST)
         msg = str(info.value)
         assert msg.startswith("marginal table at hP=1e+12, sigma2_a=1e-20, sigma2_rec=1e-20: ")
         assert f"more than {cap._TABLE_MAX_PANELS} table panels" in msg
         y_range = re.search(r"over y in \[(\S+), (\S+)\]", msg)
         assert y_range and 0.0 < float(y_range.group(1)) < float(y_range.group(2))
         # in the caller's units, though the table is built where sigma_rec = 1
-        _, y = _channel_draws(np.random.default_rng(MC_FAST.seed), MC_FAST.n_samples,
+        _, y = _channel_draws(np.random.default_rng(MC_FAST["seed"]), MC_FAST["n_samples"],
                               1e12, 1e-20, 1e-20)
         assert float(y_range.group(1)) == pytest.approx(y.min(), rel=1e-5)
         assert float(y_range.group(2)) == pytest.approx(y.max(), rel=1e-5)
@@ -835,7 +831,7 @@ class TestMarginalTable:
 
     def test_conditional_failure_names_stage_and_channel(self):
         with pytest.raises(QuadratureFailure) as info:
-            cnl_lower_chi2(1e12, 1e-20, 1e-20, MC_FAST)
+            cnl_lower_chi2(1e12, 1e-20, 1e-20, **MC_FAST)
         msg = str(info.value)
         assert msg.startswith("conditional density at hP=1e+12, sigma2_a=1e-20, "
                               "sigma2_rec=1e-20: ")
@@ -859,17 +855,20 @@ BENCHMARK_CHANNELS = (
 INTERPOLANT_CHANNELS = list(dict.fromkeys(
     BENCHMARK_CHANNELS + [(100.0, float(r), 1.0) for r in np.logspace(-4, 2, 10)]
     + [(1000.0, 1.0, 1.0), (3000.0, 1.0, 1.0)]))
-# at sigma2_rec = 0, the interpolant's values of g = hP / sigma2_a
-W_LAW_SNRS = [1e-3, 1.0, 1e3, 1e6]
+# at sigma2_rec = 0, the interpolant's values of g = hP / sigma2_a, up to the
+# certified range's end
+W_LAW_SNRS = [1e-3, 1.0, 1e3, 1e6, 1e7, 1e8, 1e9, 1e10]
 
 
 def _average_at_every_node(cond):
     """Reference for _cond_interpolated's E_X[h(Y | X)] [nats]: the
     conditional entropy cond(s, work) computed at every node of a fixed
     composite rule in s = sqrt(x), 16 Gauss-Legendre nodes on each of the
-    panels [0, 1e-4], 11 geometric ones up to 0.5 and 0.5-wide ones up to
-    s = 9, weighted by the density of s = |G|."""
-    edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 12), np.arange(1.0, 9.25, 0.5)])
+    panels [0, 1e-6], 17 geometric ones up to 0.5 and 0.5-wide ones up to
+    s = 9, weighted by the density of s = |G|.  The first panels resolve
+    h(Y | X) where nu = sqrt(hP) s is of order sigma_a, which at sigma2_rec
+    = 0 and hP / sigma2_a = 1e10 is s = 1e-5."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-6, 0.5, 18), np.arange(1.0, 9.25, 0.5)])
     u, w = np.polynomial.legendre.leggauss(16)
     half = 0.5 * np.diff(edges)[:, None]
     s = (edges[:-1, None] + half * (u + 1.0)).ravel()
@@ -950,12 +949,13 @@ def _rate_by_dblquad(hp, s2a, s2r):
 
 
 class TestChiSquareRate:
+    # (1e8, 1, 0) lies past sigma2_rec = 0's former limit hP / sigma2_a = 1e6
     @pytest.mark.parametrize("hp, s2a, s2r", [(100.0, 1.0, 1.0), (100.0, 1e-4, 1.0),
                                               (100.0, 1.0, 1e4), (100.0, 0.01, 100.0),
-                                              (100.0, 1.0, 0.0)])
+                                              (100.0, 1.0, 0.0), (1e8, 1.0, 0.0)])
     def test_agrees_with_sampler(self, hp, s2a, s2r):
         rate = chi2rate.cnl_rate_chi2(hp, s2a, s2r)
-        est = cnl_lower_chi2(hp, s2a, s2r, MC_FAST)
+        est = cnl_lower_chi2(hp, s2a, s2r, **MC_FAST)
         assert abs(rate.value - est.value) <= 4.0 * est.std_error
 
     def test_densities_match_quadrature_at_unit_point(self, monkeypatch):
@@ -969,7 +969,7 @@ class TestChiSquareRate:
             cut = float(chi2rate._cond_cutoff(np.array([nu2]), s2a, {"cutoff_evals": 0})[0])
             n, step = 1024, math.pi / cut
             base, slope = chi2rate._cond_cf_terms(np.arange(n // 2 + 1) * (2.0 * cut / n), s2a)
-            p = chi2rate._grid_density(np.exp(base + nu2 * slope)[None], n, step)[0]
+            p = np.fft.irfft(np.exp(base + nu2 * slope), n) / step
             # the density of Y - E[Y | X] folded onto the period: index j is
             # j step, or j step - n step in the upper half
             y = np.arange(n) * step
@@ -982,7 +982,7 @@ class TestChiSquareRate:
             assert np.max(np.abs(p - ref)) <= 1e-14
         n, step = 32768, chi2rate._MARG_STEP
         omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * step))
-        p = chi2rate._grid_density(chi2rate._marg_cf_conj(omega, hp, s2a)[None], n, step)[0]
+        p = np.fft.irfft(chi2rate._marg_cf_conj(omega, hp, s2a), n) / step
         y = np.arange(n) * step
         y[y > n * step - 12.5] -= n * step
         every = slice(0, n, 37)
@@ -1028,7 +1028,6 @@ class TestChiSquareRate:
         (100.0, 1e4, 1.0, "marginal density"),
         (100.0, 2000.0, 1.0, "conditional densities need"),
         (1e300, 1.0, 1e-300, "marginal density"),
-        (1e7, 1.0, 0.0, "hP / sigma2_a"),
     ])
     def test_grid_limit_rejected_before_any_grid(self, hp, s2a, s2r, what, monkeypatch):
         def no_grid(*args):
@@ -1039,6 +1038,18 @@ class TestChiSquareRate:
         with pytest.raises(InvalidParams, match="past the grid limit") as info:
             chi2rate.cnl_rate_chi2(hp, s2a, s2r)
         assert what in str(info.value)
+
+    def test_past_certified_range_rejected_before_any_density(self, monkeypatch):
+        # at sigma2_rec = 0, hP / sigma2_a 1e-6 above 1e10
+        def no_density(*args):
+            raise AssertionError("a density was evaluated")
+
+        for name in ("_log_density_w_cond", "_log_density_w_marg", "_panel_entropies"):
+            monkeypatch.setattr(chi2rate, name, no_density)
+        with pytest.raises(InvalidParams, match=r"past the certified range: hP / sigma2_a = "
+                                                r"10000010000 exceeds 1e\+10") as info:
+            chi2rate.cnl_rate_chi2(2.000002e10, 2.0, 0.0)
+        assert info.value.exit_code == 2
 
     def test_limit_admits_its_stated_reach(self):
         # the largest hP / sigma_rec the limit states; criterion 9's largest
@@ -1107,6 +1118,13 @@ class TestChiSquareRate:
         assert abs(got - _average_at_every_node(cond)) <= 1e-13
         assert 0.0 < chi2rate.cnl_rate_chi2(g, 1.0, 0.0).error_bound <= 1e-10
 
+    def test_w_law_approaches_c2_asymptote(self):
+        # at sigma2_rec = 0 the rate lies above 0.5 log2(1 + g / 2), by less at
+        # each larger g (measured: 1.3e-4, 4.2e-5, 1.3e-5 and 4.2e-6 bits)
+        gaps = [chi2rate.cnl_rate_chi2(g, 1.0, 0.0).value - c2_asymptotic(g, 1.0)
+                for g in (1e7, 1e8, 1e9, 1e10)]
+        assert 0.0 < gaps[-1] and all(b < a for a, b in zip(gaps, gaps[1:]))
+
     def test_interpolant_bisects_near_zero(self):
         # h(Y | X) has a singularity just left of x = 0, closer at higher
         # hP / sigma_rec: the first panel must split
@@ -1114,6 +1132,13 @@ class TestChiSquareRate:
         chi2rate.cnl_rate_chi2(3000.0, 1.0, 1.0, work)
         assert work["panels"] > 5
         assert work["conditionals"] == 28 * work["panels"]
+
+    def test_lebesgue_bound_covers_the_nodes(self):
+        # the sum of |l_k| over [-1, 1], sampled at 1000 points per node gap
+        # in angle, stays within (2 / pi) ln 24 + 1 for Chebyshev-Lobatto nodes
+        u = -np.cos(np.linspace(0.0, math.pi, 1000 * (chi2rate._PANEL_NODES.size - 1) + 1))
+        lebesgue = np.abs(chi2rate._lagrange_basis(u)).sum(axis=-1).max()
+        assert 2.95 < lebesgue <= chi2rate._LEBESGUE == pytest.approx(3.02321, abs=1e-5)
 
     def test_interpolant_past_panel_limit_fails(self, monkeypatch):
         monkeypatch.setattr(chi2rate, "_PANEL_TOL", 0.0)

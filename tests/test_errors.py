@@ -60,7 +60,7 @@ def test_exit_codes_by_class():
 @pytest.mark.parametrize("call,raises", [
     (lambda: capacity.c2_asymptotic(math.nan, 1.0), InvalidParams),
     (lambda: capacity.c1_asymptotic(math.inf, 1.0), InvalidParams),
-    (lambda: capacity.c1_upper(1.0, 1.0, 1.0, math.nan), InvalidParams),
+    (lambda: capacity.c1_upper_optimized(1.0, math.nan), InvalidParams),
     (lambda: modulation.ser_qam(4, math.nan), InvalidParams),
     (lambda: modulation.ser_pem(4, math.nan), InvalidParams),
     (lambda: modulation.max_modulation(modulation.QAM, math.nan, 1e-5), InvalidParams),
@@ -73,7 +73,7 @@ def test_exit_codes_by_class():
     (lambda: modulation.link_budget_to_params(1.0, math.inf, -104.0, -70.0, -50.0),
      InvalidParams),
     (lambda: core.dbm_to_watts(1e12), InvalidParams),
-    (lambda: capacity.MonteCarloConfig(n_samples=20000.5), InvalidParams),
+    (lambda: capacity.cnl_lower_chi2(1.0, 1.0, 1.0, n_samples=20000.5), InvalidParams),
 ], ids=["c2_asymptotic", "c1_asymptotic", "c1_params", "ser_qam", "ser_pem",
         "max_modulation", "budget_distance_nan", "budget_distance_inf", "budget_power_nan",
         "budget_power_inf", "dbm_to_watts", "mc_samples"])

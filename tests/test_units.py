@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swiptlab.capacity import MonteCarloConfig, cnl_lower_chi2
+from swiptlab.capacity import cnl_lower_chi2
 from swiptlab.chi2rate import cnl_rate_chi2
 from swiptlab.core import LinkParams, awgn_rate
 from swiptlab.modulation import solve_p1, solve_p2
@@ -106,10 +106,10 @@ def test_int_circuit_points(c, pi_frac):
 # sigma_rec = 1, so the same draw and the same densities serve every c
 @pytest.mark.parametrize("hp, sigma2_a, sigma2_rec", [(100.0, 1.0, 1.0), (100.0, 0.01, 100.0)])
 def test_mutual_information(hp, sigma2_a, sigma2_rec):
-    mc = MonteCarloConfig(n_samples=10_000, seed=5)
-    want = cnl_lower_chi2(hp, sigma2_a, sigma2_rec, mc)
+    mc = dict(n_samples=10_000, seed=5)
+    want = cnl_lower_chi2(hp, sigma2_a, sigma2_rec, **mc)
     for c in SCALES:
-        got = cnl_lower_chi2(hp * c, sigma2_a * c, sigma2_rec * c * c, mc)
+        got = cnl_lower_chi2(hp * c, sigma2_a * c, sigma2_rec * c * c, **mc)
         assert abs(got.value - want.value) <= TOL
         assert abs(got.std_error - want.std_error) <= TOL
 

@@ -2,16 +2,30 @@
 
 Usage:
     PYTHONPATH=src python tools/dump_artifacts.py OUT_DIR
+    PYTHONPATH=src python tools/dump_artifacts.py [OUT_DIR] --manifest PATH
 
 Every run goes through ``swiptlab.cli.main`` in this process, from its own
 subdirectory of OUT_DIR, with SOURCE_DATE_EPOCH pinned, so the set is
 byte-reproducible. To see which bytes a change moves, run the script once per
 tree (point PYTHONPATH at each tree's ``src``) and compare with ``diff -r``.
 
+``--manifest PATH`` writes the set's manifest to PATH (into a temporary
+OUT_DIR when none is given); ``tests/golden/manifest.json`` is the one that
+``tests/test_golden.py`` checks every dump against. The manifest holds each
+file's path and SHA-256, the numpy and scipy versions that made it, and, per
+distinct file, the SHA-256 of its text with every number replaced by ``#``
+and its numbers to 12 significant digits. Under the same numpy and scipy
+versions a dump must match it byte for byte; under others, each file's text
+outside its numbers must match and each number must lie within ``REL_TOL``
+of the manifest's (``mismatches``). A change that moves an artifact rewrites
+the manifest and says in CHANGES.md which files moved, by how much and why.
+
 The set: every CLI example in README.md; every region scheme as CSV and as
 JSON, ``ops-circuit`` at p_s = 1e20, where every feasible interval of the
 on-off solver collapses, ``sps-circuit`` at p_s = q_max and above it, and
-``int-ideal`` at sigma2_rec = 0, the rate's closed-form branch;
+``int-ideal`` at sigma2_rec = 0, the rate's closed-form branch, at
+hP / sigma2_a = 100 and at 1e8, near the end of that branch's certified
+range (1e10);
 ``capacity --lower`` without antenna noise and without rectifier noise, the
 two branches of the output densities that the examples miss, at the unit
 point (hP, sigma2_a, sigma2_rec) = (100, 1, 1) scaled by 1e-6, at fig7's
@@ -33,13 +47,20 @@ or a deterministic solver.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
+import json
+import math
 import os
 import re
 import shlex
-import sys
+import tempfile
 from pathlib import Path
+
+import numpy
+import scipy
 
 from swiptlab.cli import REGION_SCHEMES, main
 from swiptlab.figures import FIGURES
@@ -70,6 +91,8 @@ SPS_CIRCUIT_PS = ("60", "100")
 # no processing noise: the rate integrates the closed-form densities of W
 INT_IDEAL_W = ["region", "--scheme", "int-ideal", "--h", "1", "--p", "100", "--zeta", "0.6",
                "--sa2", "1", "--srec2", "0", "--format", "json"]
+INT_IDEAL_W_1E8 = ["region", "--scheme", "int-ideal", "--h", "1", "--p", "1e8", "--zeta", "0.6",
+                   "--sa2", "1", "--srec2", "0", "--points", "8", "--format", "json"]
 CAPACITY_RUNS = {
     "sa2-0": ["--hp", "100", "--sa2", "0", "--srec2", "1", "--seed", "1"],
     "srec2-0": ["--hp", "100", "--sa2", "1", "--srec2", "0", "--seed", "2"],
@@ -151,6 +174,7 @@ def runs() -> list[tuple[str, list[str]]]:
         out.append((f"region/sps-circuit-ps{p_s}",
                     ["region", "--scheme", "sps-circuit", *FIG9, "--ps", p_s]))
     out.append(("region/int-ideal-srec2-0", INT_IDEAL_W))
+    out.append(("region/int-ideal-srec2-0-snr1e8", INT_IDEAL_W_1E8))
     for name, flags in CAPACITY_RUNS.items():
         out.append((f"capacity/{name}", ["capacity", *flags, "--lower", "--samples", "10000"]))
     out.append(("capacity/upper-c2", CAPACITY_UPPER_C2))
@@ -193,7 +217,85 @@ def dump(out_dir: Path) -> int:
     return failed
 
 
+# a number in an artifact's text, and the relative tolerance on each number
+# when the numpy or scipy version differs from the manifest's
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+REL_TOL = 1e-9
+
+
+def versions() -> dict:
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _text_and_numbers(data: bytes) -> tuple[str, list[float]]:
+    """The SHA-256 of the text with every number replaced by '#', and the numbers."""
+    text = data.decode("utf-8")
+    return (_sha256(NUMBER.sub("#", text).encode("utf-8")),
+            [float(m) for m in NUMBER.findall(text)])
+
+
+def _files(out_dir: Path) -> dict[str, Path]:
+    return {p.relative_to(out_dir).as_posix(): p
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def manifest(out_dir: Path) -> dict:
+    """The manifest of the dump in out_dir (see the module docstring)."""
+    files, contents = {}, {}
+    for rel, path in _files(out_dir).items():
+        data = path.read_bytes()
+        files[rel] = key = _sha256(data)
+        if key not in contents:
+            text, numbers = _text_and_numbers(data)
+            contents[key] = {"text_sha256": text,
+                             "numbers": [float(f"{x:.12g}") for x in numbers]}
+    return {**versions(), "files": files, "contents": contents}
+
+
+def mismatches(out_dir: Path, want: dict) -> list[str]:
+    """How the dump in out_dir differs from the manifest want: a missing or
+    new file, and a file whose bytes differ (same numpy and scipy versions)
+    or whose text or numbers differ beyond REL_TOL (other versions)."""
+    files = _files(out_dir)
+    found = [f"missing: {rel}" for rel in sorted(set(want["files"]) - set(files))]
+    found += [f"new: {rel}" for rel in sorted(set(files) - set(want["files"]))]
+    same_versions = versions() == {key: want[key] for key in ("numpy", "scipy")}
+    for rel in sorted(set(files) & set(want["files"])):
+        data = files[rel].read_bytes()
+        if same_versions:
+            if _sha256(data) != want["files"][rel]:
+                found.append(f"bytes differ: {rel}")
+            continue
+        ref = want["contents"][want["files"][rel]]
+        text, numbers = _text_and_numbers(data)
+        if text != ref["text_sha256"] or len(numbers) != len(ref["numbers"]):
+            found.append(f"text differs: {rel}")
+        elif not all(math.isclose(a, b, rel_tol=REL_TOL)
+                     for a, b in zip(numbers, ref["numbers"])):
+            found.append(f"numbers differ by more than {REL_TOL:g}: {rel}")
+    return found
+
+
+def script_main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", type=Path)
+    parser.add_argument("--manifest", type=Path, help="write the dump's manifest here")
+    args = parser.parse_args(argv)
+    if args.out_dir is None and args.manifest is None:
+        parser.error("give OUT_DIR, --manifest PATH or both")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = (args.out_dir or Path(tmp)).resolve()
+        if dump(out_dir):
+            return 1
+        if args.manifest:
+            args.manifest.write_text(json.dumps(manifest(out_dir), indent=1) + "\n",
+                                     encoding="utf-8")
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    sys.exit(1 if dump(Path(sys.argv[1]).resolve()) else 0)
+    raise SystemExit(script_main())

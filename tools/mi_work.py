@@ -6,9 +6,10 @@ Usage:
 The first table covers the seven channels of the ``mi_points`` benchmark
 workload (the last is the unit point with every power scaled by 1e-6, which
 does the same work as the unit point) and the eight effective-noise channels
-of the ``adc_sweep`` workload, then channels at sigma2_rec = 0 (sigma2_a = 1,
-hP = 1e-3 ... 1e6), whose conditional entropies come from the closed-form
-densities of W and go through the same interpolant. It runs ``cnl_rate_chi2``
+of the ``adc_sweep`` workload, both read from ``perfbench/workloads.py``,
+then channels at sigma2_rec = 0 (sigma2_a = 1, hP = 1e-3 ... 1e10, the end
+of that branch's certified range), whose conditional entropies come from the
+closed-form densities of W and go through the same interpolant. It runs ``cnl_rate_chi2``
 once to warm its caches and once timed, and prints per channel:
 
 - ``conds``: conditional densities computed, at the interpolation panels'
@@ -44,33 +45,32 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import swiptlab.capacity as cap
-from swiptlab.capacity import effective_proc_noise
 from swiptlab.chi2rate import cnl_rate_chi2
 
-HP = 100.0
-# mi_points: criterion 9's ratios sa2/srec2 1e-4, 1e-2, 1, 1e2 at srec2 = 1,
-# fig7's srec2 = 1e4 point, the fig10 point and the ratio-1 point scaled by 1e-6
-MI_POINTS = ([(f"c9_ratio{r:.3g}", HP, r, 1.0) for r in np.logspace(-4, 2, 10)[::3]]
-             + [("fig7_proc100", HP, 1.0, 1e4), ("fig10", HP, 0.01, 100.0),
-                ("rescaled_1e-6", HP * 1e-6, 1e-6, 1e-12)])
-# adc_sweep: region --scheme int-adc --points 4 on the fig8 links
-ADC_SA2, ADC_SADC2, ADC_SREC2 = 1.0, 1.0, (1.0, 1e4)
-ADC_RHOS = np.linspace(0.0, 1.0 - 1e-3, 4)
-SAMPLED = cap.MonteCarloConfig(n_samples=10_000, seed=3)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as wl  # noqa: E402
+
+# mi_points: the benchmark's channels, then its unit point scaled by 1e-6
+MI_POINTS = wl.MI_POINTS + [wl.RESCALED_POINT]
+# the sampled estimates' sample count and seed
+N_SAMPLES, SEED = 10_000, 3
 
 
 def channels():
     pts = list(MI_POINTS)
-    for srec2 in ADC_SREC2:
-        for rho in ADC_RHOS:
-            eff = effective_proc_noise(srec2, ADC_SADC2, float(rho))
-            pts.append((f"adc_srec{srec2:g}_rho{rho:.3f}", HP, ADC_SA2, eff))
-    return pts + [(f"w_law_g{g:g}", g, 1.0, 0.0) for g in np.logspace(-3, 6, 10)]
+    hp = wl.ADC_LINK["h"] * wl.ADC_LINK["p"]
+    for srec2 in wl.ADC_SREC2:
+        for rho in wl.adc_rhos():
+            pts.append((f"adc_srec{srec2:g}_rho{rho:.3f}", hp, wl.ADC_LINK["sa2"],
+                        wl.adc_sigma2_eff(srec2, rho)))
+    return pts + [(f"w_law_g{g:g}", g, 1.0, 0.0) for g in np.logspace(-3, 10, 14)]
 
 
 def rate_table():
@@ -116,7 +116,7 @@ def timed_estimate(hp, sa2, srec2):
                      (concurrent.futures, "ThreadPoolExecutor", CountingExecutor)])
     try:
         t0 = time.perf_counter()
-        cap.cnl_lower_chi2(hp, sa2, srec2, SAMPLED)
+        cap.cnl_lower_chi2(hp, sa2, srec2, n_samples=N_SAMPLES, seed=SEED)
         wall = time.perf_counter() - t0
     finally:
         patched(saved)
@@ -152,23 +152,23 @@ def counted_estimate(hp, sa2, srec2):
                      (cap, "_marginal_table", marginal_table),
                      (cap, "_hermite_sums", counting_hermite), (cap, "_WORKERS", 1)])
     try:
-        cap.cnl_lower_chi2(hp, sa2, srec2, SAMPLED)
+        cap.cnl_lower_chi2(hp, sa2, srec2, n_samples=N_SAMPLES, seed=SEED)
     finally:
         patched(saved)
     return evals, settled
 
 
 def sampled_table():
-    n = SAMPLED.n_samples
-    print(f"\ncnl_lower_chi2: {n} samples, seed {SAMPLED.seed}, {cap._WORKERS} worker(s)")
+    print(f"\ncnl_lower_chi2: {N_SAMPLES} samples, seed {SEED}, {cap._WORKERS} worker(s)")
     print(f"{'channel':24s} {'hP':>7s} {'sa2':>7s} {'srec2':>9s} {'cond/smp':>9s} "
           f"{'gh':>6s} {'chunks':>6s} {'pools':>5s} {'wall_s':>7s}")
-    cap.cnl_lower_chi2(*MI_POINTS[0][1:], SAMPLED)  # builds the cached rules
+    # builds the cached rules
+    cap.cnl_lower_chi2(*MI_POINTS[0][1:], n_samples=N_SAMPLES, seed=SEED)
     for name, hp, sa2, srec2 in MI_POINTS:
         wall, chunks, pools = timed_estimate(hp, sa2, srec2)
         evals, settled = counted_estimate(hp, sa2, srec2)
-        print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} {evals / n:9.1f} "
-              f"{settled / n:6.3f} {chunks:6d} {pools:5d} {wall:7.3f}")
+        print(f"{name:24s} {hp:7.3g} {sa2:7.3g} {srec2:9.4g} {evals / N_SAMPLES:9.1f} "
+              f"{settled / N_SAMPLES:6.3f} {chunks:6d} {pools:5d} {wall:7.3f}")
 
 
 def main(argv=None):
