@@ -32,7 +32,6 @@ from .errors import (
     InfeasibleTarget,
     InvalidParams,
     QuadratureFailure,
-    SplitAtUnity,
     SwiptError,
     ZeroNoise,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "LinkParams", "REBoundary",
     "q_function", "awgn_rate", "split_snr", "upper_bound_region",
     "dbm_to_watts",
-    "SwiptError", "InvalidParams", "ZeroNoise", "SplitAtUnity",
+    "SwiptError", "InvalidParams", "ZeroNoise",
     "QuadratureFailure", "InfeasibleTarget", "DegenerateCircuitPower",
     "BadConstellation", "AliasedCarrier",
 ]

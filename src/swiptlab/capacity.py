@@ -21,9 +21,7 @@ import numpy as np
 
 from .core import LOG2E, _special, q_function
 from .errors import (
-    InvalidParams,
     QuadratureFailure,
-    SplitAtUnity,
     ZeroNoise,
     check_count,
     check_real,
@@ -48,23 +46,6 @@ class MiEstimate:
             "n_samples": self.n_samples,
             "seed": self.seed,
         }
-
-
-def effective_proc_noise(sigma2_rec: float, sigma2_adc: float, rho: float) -> float:
-    """sigma2_rec + sigma2_adc / (1 - rho)^2 for a baseband split ratio rho;
-    InvalidParams naming sigma2_adc and rho where that sum overflows."""
-    check_real("sigma2_rec", sigma2_rec)
-    check_real("sigma2_adc", sigma2_adc)
-    check_real("rho", rho, hi=1.0, hi_open=False)
-    if rho == 1.0:
-        if sigma2_adc > 0:
-            raise SplitAtUnity("rho = 1 makes the effective processing noise unbounded")
-        return sigma2_rec
-    noise = sigma2_rec + sigma2_adc / (1.0 - rho) ** 2
-    if not math.isfinite(noise):
-        raise InvalidParams(f"effective processing noise overflows: sigma2_adc={sigma2_adc:g} "
-                            f"/ (1 - rho)^2 at rho={rho:g}")
-    return noise
 
 
 def c1_asymptotic(hp: float, sigma2_rec: float) -> float:

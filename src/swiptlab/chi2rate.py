@@ -461,6 +461,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
             value, error, defect = _rate_w(hp / sigma2_a, counts)
     except InvalidParams as exc:
         raise InvalidParams(f"{exc} at {at}") from exc
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"{exc} at {at}", exc.sample) from exc
     if not defect <= _MASS_TOL:
         raise QuadratureFailure(f"an output density at {at} integrates to 1 only within "
                                 f"{defect:.3g}, beyond {_MASS_TOL:g}")

@@ -106,8 +106,7 @@ REGION_SCHEMES = {
     "sps-circuit": lambda regions, ns, lp: regions.region_sps_circuit(lp, ns.ps, ns.points),
     "int-ideal": lambda regions, ns, lp: regions.region_int_ideal(
         lp, _resolve_cap(regions, ns, lp), ns.points),
-    "int-adc": lambda regions, ns, lp: regions.region_int_adc(
-        lp, ns.points, regions.int_adc_cap_fn(lp)),
+    "int-adc": lambda regions, ns, lp: regions.region_int_adc(lp, ns.points),
     "int-circuit": lambda regions, ns, lp: regions.region_int_circuit(
         lp, ns.pi, _resolve_cap(regions, ns, lp), ns.points),
 }

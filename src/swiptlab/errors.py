@@ -22,10 +22,6 @@ class ZeroNoise(SwiptError):
     """All relevant noise powers are zero while signal power is positive."""
 
 
-class SplitAtUnity(SwiptError):
-    """Split ratio of exactly 1 makes the effective processing noise unbounded."""
-
-
 class QuadratureFailure(SwiptError):
     """Adaptive quadrature did not reach tolerance.
 

@@ -14,7 +14,6 @@ from .core import LinkParams, upper_bound_region
 from .errors import InvalidParams, check_count
 from .modulation import link_budget_to_params, solve_p1, solve_p2
 from .regions import (
-    int_adc_cap_fn,
     int_rate,
     region_int_adc,
     region_int_circuit,
@@ -71,8 +70,8 @@ def fig7(n_points: int) -> list[tuple[str, object]]:
 
 def fig8(n_points: int) -> list[tuple[str, object]]:
     """Same comparison with quantization noise: integrated-receiver regions
-    are no longer boxes.  The rho sweep evaluates the rate once per point,
-    on at most 33 points."""
+    are no longer boxes.  region_int_adc sweeps rho on at most 33 points
+    and computes the rate once per distinct effective processing noise."""
     sweep_points = min(n_points, 33)
     out = []
     for proc_noise in (1.0, 100.0):
@@ -82,7 +81,7 @@ def fig8(n_points: int) -> list[tuple[str, object]]:
         itg = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0,
                          sigma2_rec=proc_noise ** 2, sigma2_adc=1.0)
         out.append((f"fig8_intrx_proc{proc_noise:g}.csv",
-                    region_int_adc(itg, sweep_points, int_adc_cap_fn(itg))))
+                    region_int_adc(itg, sweep_points)))
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -112,15 +111,23 @@ def region_int_ideal(lp: LinkParams, cap: float, n_points: int = 512) -> REBound
     return box_boundary(check_real("capacity", cap), lp.q_max, n_points, "int-ideal", "integrated")
 
 
-def region_int_adc(lp: LinkParams, n_points: int,
-                   cap_fn: Callable[[np.ndarray], np.ndarray]) -> REBoundary:
-    """Integrated receiver with quantization noise: sweep the common split
-    ratio and keep the Pareto frontier (rate falls as the effective processing
-    noise grows with rho).  cap_fn maps the swept split ratios to their rates
-    in one call.  With zero quantization noise the rate is flat in rho and the
-    frontier collapses to the ideal box corner, up to the sweep resolution."""
+def region_int_adc(lp: LinkParams, n_points: int) -> REBoundary:
+    """Integrated receiver with quantization noise: sweep the split ratio
+    rho over [0, 0.999] at the effective processing noise sigma2_rec +
+    sigma2_adc / (1 - rho)^2, one rate per distinct noise, and keep the
+    Pareto frontier.  Every noise is checked before the first rate; an
+    overflow raises InvalidParams naming the first such rho.  With zero ADC
+    noise the rate is flat in rho and the frontier collapses to the ideal box
+    corner, up to the sweep resolution."""
     rhos = np.linspace(0.0, 1.0 - 1e-3, check_count("n_points", n_points, 2))
-    rates = np.asarray(cap_fn(rhos), dtype=float)
+    with np.errstate(over="ignore"):
+        noises = lp.sigma2_rec + lp.sigma2_adc / (1.0 - rhos) ** 2
+    bad = ~np.isfinite(noises)
+    if bad.any():
+        raise InvalidParams(f"effective processing noise overflows: sigma2_adc={lp.sigma2_adc:g} "
+                            f"/ (1 - rho)^2 at rho={rhos[bad][0]:g}")
+    distinct, which = np.unique(noises, return_inverse=True)
+    rates = np.array([int_rate(lp, float(noise)).value for noise in distinct])[which]
     # Pareto frontier: keep a point whose rate strictly beats every rate at
     # higher energy
     best_above = np.append(np.fmax.accumulate(rates[:0:-1])[::-1], -math.inf)
@@ -134,21 +141,6 @@ def int_rate(lp: LinkParams, sigma2_rec: float):
     at the first rate, so that the CLI's start-up does not compile it."""
     from .chi2rate import cnl_rate_chi2
     return cnl_rate_chi2(lp.received_power, lp.sigma2_a, sigma2_rec)
-
-
-def int_adc_cap_fn(lp: LinkParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The rates region_int_adc sweeps: the chi-square-input rate at each
-    split ratio rho, with the ADC noise folded into the effective processing
-    noise.  Every rho's noise is checked before the first rate, so a sweep
-    rejected at a later rho computes none.  More noise cannot raise the rate,
-    so it falls strictly in rho wherever the ADC noise is positive.  capacity
-    is imported here, once per sweep, as the rate itself loads it."""
-    from .capacity import effective_proc_noise
-
-    def cap_fn(rhos: np.ndarray) -> np.ndarray:
-        noises = [effective_proc_noise(lp.sigma2_rec, lp.sigma2_adc, float(r)) for r in rhos]
-        return np.array([int_rate(lp, noise).value for noise in noises])
-    return cap_fn
 
 
 def _energy_targets(q_target, q_max: float, closed: bool) -> np.ndarray:

@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from swiptlab.capacity import (
     c2_upper,
     cnl_lower_chi2,
     cnl_upper,
-    effective_proc_noise,
 )
-from swiptlab.core import LOG2E
-from swiptlab.errors import InvalidParams, QuadratureFailure, SplitAtUnity, ZeroNoise
+from swiptlab import regions
+from swiptlab.core import LOG2E, LinkParams
+from swiptlab.errors import InvalidParams, QuadratureFailure, ZeroNoise
 
 MC_FAST = dict(n_samples=10_000, seed=42)
 # a channel whose conditional densities miss their tolerance in some samples of
@@ -183,33 +184,45 @@ class TestCnlUpper:
 
 
 class TestEffectiveProcNoise:
-    def test_no_adc_noise(self):
-        assert effective_proc_noise(2.5, 0.0, 0.7) == 2.5
+    """The effective processing noise sigma2_rec + sigma2_adc / (1 - rho)^2
+    that region_int_adc folds for each swept rho, seen by a recording rate."""
 
-    def test_half_split(self):
-        assert effective_proc_noise(0.0, 1.0, 0.5) == pytest.approx(4.0)
+    @staticmethod
+    def noises(monkeypatch, n_points, sigma2_rec, sigma2_adc):
+        seen = []
+        monkeypatch.setattr(regions, "int_rate", lambda lp, noise: seen.append(noise)
+                            or SimpleNamespace(value=1.0 / noise))
+        lp = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_rec=sigma2_rec,
+                        sigma2_adc=sigma2_adc)
+        regions.region_int_adc(lp, n_points)
+        return seen
 
-    def test_rho_zero_is_plain_sum(self):
-        assert effective_proc_noise(1.5, 2.5, 0.0) == 4.0
+    def test_half_split(self, monkeypatch):
+        # rho = 0.999 * 1000 / 1998 = 0.5 is the 1001st of 1999 points
+        assert self.noises(monkeypatch, 1999, 0.0, 1.0)[1000] == pytest.approx(4.0)
 
-    def test_strictly_increasing_in_rho(self):
-        vals = [effective_proc_noise(1.0, 1.0, r) for r in np.linspace(0, 0.99, 25)]
+    def test_rho_zero_is_plain_sum(self, monkeypatch):
+        assert self.noises(monkeypatch, 9, 1.5, 2.5)[0] == 4.0
+
+    def test_strictly_increasing_in_rho(self, monkeypatch):
+        vals = self.noises(monkeypatch, 25, 1.0, 1.0)
+        assert len(vals) == 25
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_split_at_unity(self):
-        with pytest.raises(SplitAtUnity):
-            effective_proc_noise(1.0, 1.0, 1.0)
-        assert effective_proc_noise(1.0, 0.0, 1.0) == 1.0
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_noise_rejected(self, bad):
-        for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5)):
+    def test_non_finite_noise_rejected(self, monkeypatch, bad):
+        for args in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(InvalidParams, match="finite"):
-                effective_proc_noise(*args)
+                self.noises(monkeypatch, 9, *args)
 
-    def test_overflow_names_adc_noise_and_rho(self):
+    def test_overflow_names_adc_noise_and_rho(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(regions, "int_rate", lambda lp, noise: seen.append(noise))
+        lp = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_rec=1.0,
+                        sigma2_adc=1e303)
         with pytest.raises(InvalidParams, match=r"overflows: sigma2_adc=1e\+303 .* rho=0\.999"):
-            effective_proc_noise(1.0, 1e303, 0.999)
+            regions.region_int_adc(lp, 9)
+        assert seen == []
 
 
 class TestMiEstimator:
@@ -846,7 +859,7 @@ class TestMarginalTable:
 BENCHMARK_CHANNELS = (
     [(100.0, float(r), 1.0) for r in np.logspace(-4, 2, 10)[::3]]
     + [(100.0, 1.0, 1e4), (100.0, 0.01, 100.0), (1e-4, 1e-6, 1e-12)]
-    + [(100.0, 1.0, effective_proc_noise(s2r, 1.0, float(rho)))
+    + [(100.0, 1.0, s2r + 1.0 / (1.0 - float(rho)) ** 2)
        for s2r in (1.0, 1e4) for rho in np.linspace(0.0, 1.0 - 1e-3, 4)])
 
 
@@ -1076,8 +1089,9 @@ class TestChiSquareRate:
 
     def test_coarse_grid_fails_mass_check(self, monkeypatch):
         monkeypatch.setattr(chi2rate, "_MARG_STEP", 0.5)
-        with pytest.raises(QuadratureFailure, match="integrates to 1 only within"):
+        with pytest.raises(QuadratureFailure, match="integrates to 1 only within") as info:
             chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0)
+        assert str(info.value).count("hP=100, sigma2_a=1, sigma2_rec=1") == 1
 
     @pytest.mark.parametrize("hp, s2a, s2r", BENCHMARK_CHANNELS)
     def test_benchmark_channels_certified(self, hp, s2a, s2r):
@@ -1142,7 +1156,8 @@ class TestChiSquareRate:
 
     def test_interpolant_past_panel_limit_fails(self, monkeypatch):
         monkeypatch.setattr(chi2rate, "_PANEL_TOL", 0.0)
-        with pytest.raises(QuadratureFailure, match="more than 64 interpolation panels"):
+        with pytest.raises(QuadratureFailure, match=r"more than 64 interpolation panels "
+                           r"to meet 0 nats at hP=100, sigma2_a=1, sigma2_rec=1$"):
             chi2rate.cnl_rate_chi2(100.0, 1.0, 1.0)
 
     @settings(max_examples=300, deadline=None)

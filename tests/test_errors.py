@@ -51,7 +51,7 @@ def test_exit_codes_by_class():
     codes = {name: cls.exit_code for name, cls in vars(errors).items()
              if isinstance(cls, type) and issubclass(cls, errors.SwiptError)}
     assert codes == {"SwiptError": 2, "InvalidParams": 2, "ZeroNoise": 2,
-                     "SplitAtUnity": 2, "QuadratureFailure": 4,
+                     "QuadratureFailure": 4,
                      "InfeasibleTarget": 3, "DegenerateCircuitPower": 3,
                      "BadConstellation": 2, "AliasedCarrier": 4}
 

@@ -32,6 +32,19 @@ EDITED = "capacity/upper-c2/capacity.json"
 VALUE = b'"c1_upper_bits": 19.32717661167301'
 
 
+def test_exit_0_with_stderr_fails(tmp_path, monkeypatch):
+    # a run that succeeds but writes to stderr, as a leaked numpy warning
+    # would, counts as failed; one that writes nothing there does not
+    def main(argv):
+        if argv == ["warn"]:
+            print("RuntimeWarning: overflow encountered", file=sys.stderr)
+        return 0
+    monkeypatch.setattr(dump_artifacts, "runs", lambda: [("quiet", ["quiet"]), ("warn", ["warn"])])
+    monkeypatch.setattr(dump_artifacts, "main", main)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", dump_artifacts.SOURCE_DATE_EPOCH)
+    assert dump_artifacts.dump(tmp_path) == 1
+
+
 @pytest.fixture(scope="module")
 def dumped(tmp_path_factory):
     out = tmp_path_factory.mktemp("dump")

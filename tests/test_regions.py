@@ -1,6 +1,7 @@
 """Tests for rate-energy region boundaries and the circuit-power solver."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from helpers import (
     p0_grid_oracle,
     random_circuit_instance,
 )
+from swiptlab import regions
+from swiptlab.chi2rate import cnl_rate_chi2
 from swiptlab.core import LinkParams, split_snr, upper_bound_region
 from swiptlab.errors import DegenerateCircuitPower, InfeasibleTarget, InvalidParams
 from swiptlab.regions import (
-    int_adc_cap_fn,
     region_int_adc,
     region_int_circuit,
     region_int_ideal,
@@ -423,18 +425,30 @@ class TestIntegratedRegions:
         bnd = region_int_ideal(self.LP, 0.0, 17)
         assert np.all(bnd.rates() == 0.0)
 
-    def test_adc_zero_noise_degenerates_to_box(self):
+    def test_adc_zero_noise_degenerates_to_box(self, monkeypatch):
         # constant capacity over rho: the frontier collapses to the box corner
-        bnd = region_int_adc(self.LP, 1001, lambda rhos: np.full(rhos.shape, 2.0))
+        monkeypatch.setattr(regions, "int_rate", lambda lp, noise: SimpleNamespace(value=2.0))
+        bnd = region_int_adc(self.LP, 1001)
         ideal = region_int_ideal(self.LP, 2.0, 65)
         grid = np.linspace(0.0, self.LP.q_max * 0.998, 33)
         assert np.allclose(bnd.rate_at(grid), ideal.rate_at(grid), atol=1e-12)
         assert bnd.energies()[-1] >= self.LP.q_max * (1.0 - 1e-3) - 1e-9
 
-    def test_adc_sweep_is_pareto(self):
+    def test_adc_zero_noise_computes_one_rate(self, monkeypatch):
+        noises = []
+        int_rate = regions.int_rate
+        monkeypatch.setattr(regions, "int_rate",
+                            lambda lp, noise: noises.append(noise) or int_rate(lp, noise))
+        bnd = region_int_adc(self.LP, 65)
+        assert noises == [self.LP.sigma2_rec]
+        assert bnd.points.shape == (1, 2)
+
+    def test_adc_sweep_is_pareto(self, monkeypatch):
+        # the rate 3 / noise at the effective processing noise 1 + 1 / (1 - rho)^2
         lp = LinkParams(h=1, p=100, zeta=0.6, sigma2_a=1.0, sigma2_rec=1.0, sigma2_adc=1.0)
-        cap_fn = lambda rhos: 3.0 / (1.0 + 1.0 / (1.0 - rhos) ** 2)
-        bnd = region_int_adc(lp, 65, cap_fn)
+        monkeypatch.setattr(regions, "int_rate",
+                            lambda lp, noise: SimpleNamespace(value=3.0 / noise))
+        bnd = region_int_adc(lp, 65)
         assert np.all(np.diff(bnd.energies()) > 0)
         assert np.all(np.diff(bnd.rates()) < 0)
         assert bnd.rate_at(0.0) == pytest.approx(1.5)
@@ -442,11 +456,17 @@ class TestIntegratedRegions:
     @pytest.mark.parametrize("sigma2_rec", [1.0, 1e4])
     def test_adc_sweep_keeps_every_point(self, sigma2_rec):
         # the fig8 links: the deterministic rate falls strictly as the
-        # effective processing noise grows with rho, so no point is dominated
+        # effective processing noise grows with rho, so no point is dominated,
+        # and each row is the rate at its rho's noise, bit for bit (the square
+        # as a product, which numpy's ** 2 computes; libm's pow may differ by
+        # an ulp)
         lp = LinkParams(h=1.0, p=100.0, zeta=0.6, sigma2_a=1.0, sigma2_rec=sigma2_rec,
                         sigma2_adc=1.0)
-        bnd = region_int_adc(lp, 33, int_adc_cap_fn(lp))
-        assert bnd.points.shape == (33, 2)
+        bnd = region_int_adc(lp, 33)
+        rhos = [float(r) for r in np.linspace(0.0, 1.0 - 1e-3, 33)]
+        want = [[cnl_rate_chi2(100.0, 1.0, sigma2_rec + 1.0 / ((1.0 - rho) * (1.0 - rho))).value,
+                 rho * lp.q_max] for rho in rhos]
+        assert bnd.points.tolist() == want
         assert np.all(np.diff(bnd.rates()) < 0)
 
     def test_int_circuit_vertex(self):

@@ -37,7 +37,8 @@ with a Gaussian and a constant envelope and at truncation order 3); every
 figure at its defaults; and a fixed set of rejected commands, each of which
 leaves its exit code and stderr record under ``errors/<name>/`` so that
 ``diff -r`` shows a changed message. A run counts as failed when its exit
-code differs from the expected one: 0, or the rejected command's own.
+code differs from the expected one: 0, or the rejected command's own; and
+when it exits 0 but writes to stderr, such as a leaked numpy warning.
 
 Only the ``capacity --lower`` and ``simulate`` files are sampled, each from
 its own seed; the ``int-*`` regions and figures fig7, fig8 and fig10 take the
@@ -191,8 +192,9 @@ def runs() -> list[tuple[str, list[str]]]:
 
 def dump(out_dir: Path) -> int:
     """Run every argv from its subdirectory of out_dir; the number of runs whose
-    exit code was not the expected one.  A nonzero exit writes its code and
-    stderr to exit_code.txt and stderr.txt there."""
+    exit code was not the expected one, or that exited 0 and wrote to stderr.
+    A nonzero exit writes its code and stderr to exit_code.txt and stderr.txt
+    there."""
     os.environ["SOURCE_DATE_EPOCH"] = SOURCE_DATE_EPOCH
     if set(SCHEME_FLAGS) != set(REGION_SCHEMES):
         raise SystemExit(f"SCHEME_FLAGS must cover {sorted(REGION_SCHEMES)}")
@@ -212,8 +214,10 @@ def dump(out_dir: Path) -> int:
         if code:
             (target / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
             (target / "stderr.txt").write_text(err.getvalue(), encoding="utf-8")
-        print(f"{code}  {sub}: swiptlab {shlex.join(argv)}")
-        failed += code != expected.get(sub, 0)
+        leaked = "" if code else err.getvalue()
+        print(f"{code}  {sub}: swiptlab {shlex.join(argv)}"
+              + (f"\n   wrote to stderr: {leaked!r}" if leaked else ""))
+        failed += code != expected.get(sub, 0) or bool(leaked)
     return failed
 
 
