@@ -43,6 +43,13 @@ _MARG_STEP = 0.25
 _MAX_GRID = 2 ** 20
 _MAX_CONDITIONAL_POINTS = 2 ** 25
 _BATCH_POINTS = 2 ** 18
+# the grid lengths, ascending from 8 up to _MAX_GRID: the conditionals' powers
+# of two (one transform per length, so few distinct lengths), and the
+# marginal's even 2^i 3^j 5^k (its one transform runs fast on any of them)
+_POW2_LENGTHS = 2 ** np.arange(3, 21)
+_SMOOTH_LENGTHS = np.array(sorted(n for n in (2 ** i * 3 ** j * 5 ** k for i in range(1, 21)
+                                                for j in range(13) for k in range(9))
+                                   if 8 <= n <= _MAX_GRID))
 # mass outside a window: the Rice law beyond nu -/+ 7 sigma_a, a Gaussian
 # beyond -/+ 12 stds, and the marginal power beyond 40 (at sigma2_rec = 0, 45)
 # of its tail scales
@@ -110,9 +117,15 @@ def _truncation_error(floor, cutoff, length):
 
 
 def _marg_cf_conj(omega, hp, a):
-    """The conjugate CF of Y under the chi-square input, sigma_rec = 1."""
-    return (np.exp(-0.5 * omega * omega) / np.sqrt(1.0 + 1j * omega * a)
-            / np.sqrt(1.0 + 1j * omega * (a + 2.0 * hp)))
+    """The conjugate CF of Y under the chi-square input, sigma_rec = 1:
+    exp(-omega^2/2) ((1 + i omega a)(1 + i omega (a + 2 hP)))^(-1/2).  Both
+    factors have a positive real part, so their arguments sum to less than
+    pi, and the principal root of the product is the product of their roots."""
+    w2 = omega * omega
+    prod = np.empty(omega.shape, complex)
+    prod.real = 1.0 - w2 * (a * (a + 2.0 * hp))
+    prod.imag = omega * (2.0 * (a + hp))
+    return np.divide(np.exp(-0.5 * w2), np.sqrt(prod, out=prod), out=prod)
 
 
 def _cond_cf_terms(omega, a):
@@ -175,14 +188,14 @@ def _cond_cutoff(nu2, a, work):
     return np.exp2(hi / _CUTOFF_ROUNDING)
 
 
-def _grid_size(points, what):
-    """The powers of two (at least 8) that hold the given grid points; the
-    largest may not exceed _MAX_GRID."""
+def _grid_size(points, what, lengths):
+    """The least of the ascending lengths at or above each number of grid
+    points; the largest number may not exceed _MAX_GRID."""
     worst = np.max(points)
     if not worst <= _MAX_GRID:
         raise InvalidParams(f"channel past the grid limit: the {what} needs {worst:.4g} "
                             f"grid points, more than {_MAX_GRID}")
-    return np.exp2(np.maximum(np.ceil(np.log2(points)), 3.0)).astype(np.int64)
+    return lengths[np.searchsorted(lengths, points)]
 
 
 def _cond_entropies(hp, a, s, work):
@@ -200,7 +213,7 @@ def _cond_entropies(hp, a, s, work):
     cutoff = _cond_cutoff(nu2, a, work)
     nu, sa = np.sqrt(nu2), math.sqrt(a)
     n = _grid_size(((nu + 7.0 * sa) ** 2 - np.maximum(nu - 7.0 * sa, 0.0) ** 2 + 24.0)
-                   * cutoff / math.pi, "widest conditional density")
+                   * cutoff / math.pi, "widest conditional density", _POW2_LENGTHS)
     total = work["conditional_points"] + int(n.sum())
     if not total <= _MAX_CONDITIONAL_POINTS:
         raise InvalidParams(f"channel past the grid limit: the conditional densities need "
@@ -305,7 +318,8 @@ def _rate_fft(hp, a, work):
     in units where sigma_rec = 1, for hP > 0."""
     v1, v2 = _marginal_w_variances(hp, a)
     # the marginal: from -12 to its mean plus 40 tail scales 2 v1, plus 12
-    marg_n = int(_grid_size((hp + a + 80.0 * v1 + 24.0) / _MARG_STEP, "marginal density"))
+    marg_n = int(_grid_size((hp + a + 80.0 * v1 + 24.0) / _MARG_STEP, "marginal density",
+                            _SMOOTH_LENGTHS))
     if a > 0.0:
         # before the marginal: a channel past the conditionals' limit fails before any grid
         h_cond, error, defect = _cond_interpolated(functools.partial(_cond_entropies, hp, a),
@@ -393,7 +407,8 @@ def cnl_rate_chi2(hp: float, sigma2_a: float, sigma2_rec: float, work=None) -> R
       rounded up to a power of two points.  Grids of equal length run as
       one 2-D transform, in batches of at most 2^18 points;
     - the marginal's step is 1/4, and its grid runs from -12 to
-      hP + a + 80 (hP + a/2) + 12;
+      hP + a + 80 (hP + a/2) + 12, rounded up to the least even 2^i 3^j 5^k
+      points;
     - E_X runs in s = sqrt(x) up to s = 9.  h(Y | X = s^2) is smooth in s,
       so it is computed only at the 24 Chebyshev-Lobatto nodes of panels in s
       that start from the edges 0, 0.1, 0.3, 1, 3 and 9.  Each panel is

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erf, erfc, i0e
@@ -873,6 +873,14 @@ INTERPOLANT_CHANNELS = list(dict.fromkeys(
 W_LAW_SNRS = [1e-3, 1.0, 1e3, 1e6, 1e7, 1e8, 1e9, 1e10]
 
 
+def _is_5_smooth(m):
+    """Whether each positive integer of m has no prime factor above 5."""
+    for prime in (2, 3, 5):
+        for _ in range(21):
+            m = np.where(m % prime == 0, m // prime, m)
+    return m == 1
+
+
 def _average_at_every_node(cond):
     """Reference for _cond_interpolated's E_X[h(Y | X)] [nats]: the
     conditional entropy cond(s, work) computed at every node of a fixed
@@ -993,14 +1001,53 @@ class TestChiSquareRate:
             else:
                 ref = np.exp(cap._log_p_cond(y, np.full(n, x), hp, s2a, 1.0))
             assert np.max(np.abs(p - ref)) <= 1e-14
-        n, step = 32768, chi2rate._MARG_STEP
-        omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * step))
-        p = np.fft.irfft(chi2rate._marg_cf_conj(omega, hp, s2a), n) / step
-        y = np.arange(n) * step
-        y[y > n * step - 12.5] -= n * step
-        every = slice(0, n, 37)
-        ref = np.exp(cap._log_p_marg(y[every], hp, s2a, 1.0))
-        assert np.max(np.abs(p[every] - ref)) <= 1e-14
+        # the marginal at its power-of-two length here and at the 5-smooth
+        # 2^5 3^6, which takes the mixed-radix transform
+        step = chi2rate._MARG_STEP
+        for n in (32768, 23328):
+            omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * step))
+            p = np.fft.irfft(chi2rate._marg_cf_conj(omega, hp, s2a), n) / step
+            y = np.arange(n) * step
+            y[y > n * step - 12.5] -= n * step
+            every = slice(0, n, 37)
+            ref = np.exp(cap._log_p_marg(y[every], hp, s2a, 1.0))
+            assert np.max(np.abs(p[every] - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("hp, a", [(3236.0, 0.0), (1.0, 875.0), (1e-3, 1e-6), (100.0, 1.0)])
+    def test_marginal_cf_one_root_matches_two(self, hp, a):
+        # over the marginal's whole frequency grid at each channel
+        v1, _ = cap._marginal_w_variances(hp, a)
+        n = int(chi2rate._grid_size((hp + a + 80.0 * v1 + 24.0) / chi2rate._MARG_STEP, "marginal",
+                                    chi2rate._SMOOTH_LENGTHS))
+        omega = np.arange(n // 2 + 1) * (2.0 * math.pi / (n * chi2rate._MARG_STEP))
+        two_roots = (np.exp(-0.5 * omega * omega) / np.sqrt(1.0 + 1j * omega * a)
+                     / np.sqrt(1.0 + 1j * omega * (a + 2.0 * hp)))
+        got = chi2rate._marg_cf_conj(omega, hp, a)
+        assert np.max(np.abs(got / two_roots - 1.0)) <= 2e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(need=st.floats(1.0, 2.0 ** 20))
+    @example(need=2.0 ** 20)
+    @example(need=32496.0)
+    def test_marginal_length_is_least_even_5_smooth(self, need):
+        n = int(chi2rate._grid_size(need, "marginal density", chi2rate._SMOOTH_LENGTHS))
+        assert n % 2 == 0 and _is_5_smooth(np.array([n]))[0]
+        assert n >= max(need, 8.0)
+        below = np.arange(math.ceil(max(need, 8.0)), n)
+        assert not np.any(_is_5_smooth(below) & (below % 2 == 0))
+
+    def test_marginal_lengths_are_every_even_5_smooth(self):
+        # each even 5-smooth m up to 2^20 is the length for a need just below it
+        even = np.arange(8, 2 ** 20 + 1, 2)
+        smooth = even[_is_5_smooth(even)]
+        assert np.array_equal(chi2rate._grid_size(smooth - 1.5, "marginal density",
+                                                  chi2rate._SMOOTH_LENGTHS), smooth)
+
+    @pytest.mark.parametrize("need", [2.0 ** 20 + 0.5, 3e6, math.inf, math.nan])
+    def test_grid_size_past_limit_rejected(self, need):
+        with pytest.raises(InvalidParams, match="the marginal density needs .* grid points, "
+                                                "more than 1048576"):
+            chi2rate._grid_size(need, "marginal density", chi2rate._SMOOTH_LENGTHS)
 
     @pytest.mark.parametrize("hp, s2a, s2r", [(1.0, 1.0, 1.0), (100.0, 1.0, 0.0),
                                               (10.0, 0.5, 0.0)])
@@ -1038,6 +1085,8 @@ class TestChiSquareRate:
 
     @pytest.mark.parametrize("hp, s2a, s2r, what", [
         (1e4, 1.0, 1.0, "marginal density"),
+        # 4 (81 hP) + 96 = 1048884 points, just past 2^20
+        (3237.0, 0.0, 1.0, "marginal density"),
         (100.0, 1e4, 1.0, "marginal density"),
         (100.0, 2000.0, 1.0, "conditional densities need"),
         (1e300, 1.0, 1e-300, "marginal density"),
@@ -1117,6 +1166,15 @@ class TestChiSquareRate:
         # the search brackets span at most 29 levels here (13 down to -16 at
         # s = 9), which 5 halvings settle, at the panels' conditionals
         assert work["cutoff_evals"] == 5 * 28 * 5
+
+    @pytest.mark.parametrize("channel, points", zip(
+        BENCHMARK_CHANNELS[-8:], [23328, 18432, 10800, 144, 432, 432, 432, 144]))
+    def test_adc_sweep_marginal_lengths(self, channel, points):
+        # each the least even 2^i 3^j 5^k at or above the points needed;
+        # powers of two would take 32768, 32768, 16384, 256, 512 (three times) and 256
+        work = {}
+        chi2rate.cnl_rate_chi2(*channel, work)
+        assert work["marginal_points"] == points
 
     @pytest.mark.parametrize("hp, s2a, s2r", INTERPOLANT_CHANNELS)
     def test_interpolant_matches_every_node(self, hp, s2a, s2r):

@@ -45,13 +45,40 @@ def test_exit_0_with_stderr_fails(tmp_path, monkeypatch):
     assert dump_artifacts.dump(tmp_path) == 1
 
 
+def _run_python(argv):
+    """Run a fresh interpreter with this tree's src on its path."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_every_run_reports_its_own_warnings(tmp_path):
+    # two runs that overflow at the same line: under Python's default filter
+    # only the first would print the warning.  A fresh interpreter, because
+    # pytest records warnings instead of printing them
+    script = tmp_path / "two_runs.py"
+    script.write_text(
+        "import importlib.util, sys\n"
+        "import numpy as np\n"
+        f"spec = importlib.util.spec_from_file_location('dump_artifacts', {str(TOOL)!r})\n"
+        "tool = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tool)\n"
+        "tool.runs = lambda: [('first', ['first']), ('second', ['second'])]\n"
+        "def main(argv):\n"
+        "    np.exp(np.array([1000.0]))\n"
+        "    return 0\n"
+        "tool.main = main\n"
+        f"sys.exit(tool.dump(tool.Path({str(tmp_path / 'out')!r})))\n", encoding="utf-8")
+    proc = _run_python([str(script)])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout.count("overflow encountered in exp") == 2
+
+
 @pytest.fixture(scope="module")
 def dumped(tmp_path_factory):
     out = tmp_path_factory.mktemp("dump")
-    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, str(TOOL), str(out)], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = _run_python([str(TOOL), str(out)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return out
 

@@ -38,7 +38,9 @@ figure at its defaults; and a fixed set of rejected commands, each of which
 leaves its exit code and stderr record under ``errors/<name>/`` so that
 ``diff -r`` shows a changed message. A run counts as failed when its exit
 code differs from the expected one: 0, or the rejected command's own; and
-when it exits 0 but writes to stderr, such as a leaked numpy warning.
+when it exits 0 but writes to stderr, such as a leaked numpy warning. Each run
+shows every warning it raises, even one that an earlier run raised at the
+same line.
 
 Only the ``capacity --lower`` and ``simulate`` files are sampled, each from
 its own seed; the ``int-*`` regions and figures fig7, fig8 and fig10 take the
@@ -58,6 +60,7 @@ import os
 import re
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy
@@ -207,7 +210,11 @@ def dump(out_dir: Path) -> int:
         os.chdir(target)
         err = io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings()):
+                # every run reports its own warnings, also those that an
+                # earlier run in this process already raised at the same line
+                warnings.simplefilter("always")
                 code = main(argv)
         finally:
             os.chdir(cwd)
