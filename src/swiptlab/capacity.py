@@ -10,7 +10,6 @@ conditional/marginal output densities.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -546,43 +545,27 @@ _TABLE_MAX_PANELS = 256
 _TABLE_REL_TOL = 1e-10
 
 
-@contextlib.contextmanager
-def _chunk_map():
-    """Yield map_chunks(fn, n), which runs fn(sl, scratch) over the consecutive
-    _CHUNK-sample slices sl of range(n) and concatenates the results in slice
-    order.  Every map_chunks call of one context runs on the context's one
-    pool of _WORKERS threads (numpy and scipy release the GIL in their loops);
-    a single worker, or a single slice, runs in the calling thread.  scratch is
-    the _Scratch of the thread running the slice, for this map only: held
-    from one map to the next, a thread's buffers would add to the next stage's
-    arrays and raise the peak memory.
+def _map_chunks(pool, fn, n):
+    """Run fn(sl, scratch) on pool over the consecutive _CHUNK-sample slices sl
+    of range(n) and concatenate the results in slice order (numpy and scipy
+    release the GIL in their loops).  scratch is the _Scratch of the thread
+    running the slice, for this map only: held from one map to the next, a
+    thread's buffers would add to the next stage's arrays and raise the peak
+    memory.
 
-    The first slice in order whose fn raises raises from map_chunks: later
+    The first slice in order whose fn raises raises from _map_chunks: later
     slices not yet started are cancelled, those running finish and are
-    discarded.  Every thread has exited before the context is left, whether
-    it returns or raises.
+    discarded.
     """
-    def map_chunks(fn, n, pool=None):
-        slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-        if pool is None or len(slices) == 1:
-            scratch = _Scratch()
-            return np.concatenate([fn(sl, scratch) for sl in slices])
-        local = threading.local()
+    local = threading.local()
 
-        def run(sl):
-            if not hasattr(local, "scratch"):
-                local.scratch = _Scratch()
-            return fn(sl, local.scratch)
+    def run(sl):
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch()
+        return fn(sl, local.scratch)
 
-        return np.concatenate(list(pool.map(run, slices)))
-
-    if _WORKERS == 1:
-        yield map_chunks
-        return
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import swiptlab`
-
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        yield functools.partial(map_chunks, pool=pool)
+    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    return np.concatenate(list(pool.map(run, slices)))
 
 
 def _barycentric(s, nodes, values):
@@ -594,10 +577,10 @@ def _barycentric(s, nodes, values):
                     (q * values).sum(axis=-1) / q.sum(axis=-1))
 
 
-def _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks):
+def _marginal_table(y, hp, sigma2_a, sigma2_rec, pool):
     """log p(.) as a function of y over [min y, max y]: the closed form where
     one exists, else a piecewise Chebyshev interpolant of the quadrature, whose
-    batches run on map_chunks (a _chunk_map).
+    batches run on pool (through _map_chunks).
 
     Starting from equal panels in s = asinh(y / sigma_rec), a panel is accepted
     when the interpolant meets |p_hat - p| <= _QUAD_TOL + 1e-10 p against direct
@@ -612,9 +595,8 @@ def _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks):
 
     def direct(s):  # batched so that memory stays bounded
         y_at = sigma_rec * np.sinh(s)
-        return map_chunks(
-            lambda sl, scratch: _log_p_marg(y_at[sl], hp, sigma2_a, sigma2_rec, scratch),
-            s.size)
+        return _map_chunks(pool, lambda sl, scratch: _log_p_marg(
+            y_at[sl], hp, sigma2_a, sigma2_rec, scratch), s.size)
 
     s_lo, s_hi = np.arcsinh(np.array([y.min(), y.max()]) / sigma_rec)
     start = np.linspace(s_lo, s_hi, _TABLE_START_PANELS + 1)
@@ -686,8 +668,8 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
     the worst sample's index in the draw and its (y, x), for the table the
     range of y.  The per-sample work (the conditional densities, the table's
     quadrature batches and the final log-ratios) runs in 1024-sample chunks on
-    one pool per call, with one thread per CPU of the process's affinity mask,
-    so `taskset -c 0` limits it to the calling thread.  Results are
+    one pool per call, with one worker thread per CPU of the process's
+    affinity mask, so `taskset -c 0` means one worker thread.  Results are
     bit-reproducible for a fixed seed and independent of internal chunking and
     of the thread count.
     """
@@ -732,9 +714,11 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
             exc.sample += sl.start  # the worst sample's index in the draw
             raise
 
-    with _chunk_map() as map_chunks:
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import swiptlab`
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
         try:
-            cond = map_chunks(log_p_cond, n)
+            cond = _map_chunks(pool, log_p_cond, n)
         except QuadratureFailure as exc:
             k = exc.sample
             raise QuadratureFailure(
@@ -743,12 +727,12 @@ def cnl_lower_chi2(hp: float, sigma2_a: float, sigma2_rec: float,
         # the table comes second: a channel the quadrature cannot resolve usually
         # fails in the first conditional chunk, before the table's cost is paid
         try:
-            log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, map_chunks)
+            log_p_marg = _marginal_table(y, hp, sigma2_a, sigma2_rec, pool)
         except QuadratureFailure as exc:
             raise QuadratureFailure(
                 f"marginal table {at}: over y in [{y.min() / c:.6g}, {y.max() / c:.6g}]: "
                 f"in units where sigma_rec = 1, {exc}") from exc
-        llr = map_chunks(lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
+        llr = _map_chunks(pool, lambda sl, _: (cond[sl] - log_p_marg(y[sl])) * LOG2E, n)
 
     value = float(np.mean(llr))
     std_error = float(np.std(llr, ddof=1) / math.sqrt(n))

@@ -364,6 +364,9 @@ def _merge_options(ns: argparse.Namespace) -> argparse.Namespace:
                             else kind.__name__)
                 raise InvalidParams(f"config key {dest!r} must be {expected}, "
                                     f"got {value!r}")
+            if kind is float and isinstance(value, int):
+                # as argparse reads the flag's digits: 10**400 is inf
+                file_values[dest] = float(str(value))
         merged.update(file_values)
     explicit = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     merged.update(explicit)

@@ -258,10 +258,11 @@ class TestMiEstimator:
         assert a == b
 
     def test_independent_of_chunking(self, monkeypatch):
+        # a chunk larger than the draw maps one slice, on the pool too
         ref = cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
-        monkeypatch.setattr(cap, "_CHUNK", 1111)
-        alt = cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST)
-        assert ref == alt
+        for chunk in (1111, 2 * MC_FAST["n_samples"]):
+            monkeypatch.setattr(cap, "_CHUNK", chunk)
+            assert cnl_lower_chi2(10.0, 0.5, 1.0, **MC_FAST) == ref
 
     def test_independent_of_worker_count(self, monkeypatch):
         # (100, 1e-4, 1) escalates to 128 nodes, so the workers share cached
@@ -277,16 +278,15 @@ class TestMiEstimator:
         monkeypatch.setattr(cap, "_log_p_cond", recording)
         for channel in ((100.0, 1e-4, 1.0), (100.0, 1.0, 1.0)):
             runs = {}
-            for workers, chunk in itertools.product((1, 2, 3), (512, 1024, 1111, 4096)):
+            for workers, chunk in itertools.product(
+                    (1, 2, 3), (512, 1024, 1111, 4096, 2 * MC_FAST["n_samples"])):
                 monkeypatch.setattr(cap, "_WORKERS", workers)
                 monkeypatch.setattr(cap, "_CHUNK", chunk)
                 threads.clear()
                 runs[workers, chunk] = cnl_lower_chi2(*channel, **MC_FAST)
-                if workers == 1:  # one worker is the calling thread
-                    assert threads == {threading.get_ident()}
-                else:
-                    assert 1 <= len(threads) <= workers
-                    assert threading.get_ident() not in threads
+                # every map runs on the pool: one worker is one thread, not the caller
+                assert 1 <= len(threads) <= workers
+                assert threading.get_ident() not in threads
             assert len(set(runs.values())) == 1, channel
 
     def test_one_pool_per_call(self, monkeypatch):
@@ -808,8 +808,8 @@ class TestMarginalTable:
         hp, s2r = 10.0 ** log_hp, 10.0 ** log_s2r
         s2a = 0.0 if log_ratio is None else s2r * 10.0 ** log_ratio
         _, y = _channel_draws(np.random.default_rng(seed), 2000, hp, s2a, s2r)
-        with cap._chunk_map() as map_chunks:
-            p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r, map_chunks)(y))
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            p_hat = np.exp(cap._marginal_table(y, hp, s2a, s2r, pool)(y))
         # the reference at a tighter tolerance: at 1e-10 the direct quadrature
         # itself can be off by a few times 1e-10 at single samples
         with pytest.MonkeyPatch.context() as mp:

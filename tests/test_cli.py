@@ -680,14 +680,47 @@ class TestErrorHandling:
         assert doc["type"] == "InvalidParams" and named in doc["message"]
 
     def test_config_int_for_float(self, tmp_path, monkeypatch, capsys):
+        # an int config, a float config and the flags write the same artifact;
+        # the JSON one echoes p as written
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        for name, p in (("int", 100), ("float", 100.0)):
-            (tmp_path / f"{name}.json").write_text(json.dumps({"p": p, "sa2": 1}))
-            code, _, _ = run(["region", "--scheme", "sps", "--config", f"{name}.json",
-                              "--points", "9", "--out", f"{name}.csv"],
+        for fmt in ("csv", "json"):
+            for name, p in (("int", 100), ("float", 100.0)):
+                (tmp_path / f"{name}.json").write_text(json.dumps({"p": p, "sa2": 1}))
+                code, _, _ = run(["region", "--scheme", "sps", "--config", f"{name}.json",
+                                  "--points", "9", "--format", fmt, "--out", f"{name}.{fmt}"],
+                                 tmp_path, monkeypatch, capsys)
+                assert code == 0
+            code, _, _ = run(["region", "--scheme", "sps", "--p", "100", "--sa2", "1",
+                              "--points", "9", "--format", fmt, "--out", f"flags.{fmt}"],
                              tmp_path, monkeypatch, capsys)
             assert code == 0
-        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+            flags = (tmp_path / f"flags.{fmt}").read_bytes()
+            assert (tmp_path / f"int.{fmt}").read_bytes() == flags
+            assert (tmp_path / f"float.{fmt}").read_bytes() == flags
+
+    @pytest.mark.parametrize("argv,key", [
+        (["capacity"], "hp"),
+        (["region", "--scheme", "ts"], "p"),
+        (["region", "--scheme", "sps"], "h"),
+        (["region", "--scheme", "int-ideal"], "cap"),
+        (["solve", "--problem", "p0"], "p"),
+        (["solve", "--problem", "p0"], "q"),
+        (["solve", "--problem", "p2", "--sa2", "1", "--scov2", "1", "--srec2", "1",
+          "--pi", "1"], "ser_target"),
+        (["link"], "distance"),
+    ])
+    def test_config_int_past_float_range_exit_2(self, argv, key, tmp_path, monkeypatch,
+                                                capsys):
+        # the int is read as the inf its digits give, which the option's check
+        # rejects; each of these exited 1 with an OverflowError
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 10 ** 400}))
+        code, _, err = run([*argv, "--config", "cfg.json", "--out", "artifact"],
+                           tmp_path, monkeypatch, capsys)
+        assert code == 2
+        (line,) = err.splitlines()
+        doc = json.loads(line)["error"]
+        assert doc["type"] == "InvalidParams" and doc["message"].endswith("got inf")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # every float flag of the fuzzed commands keeps its base value or takes one of these
@@ -721,6 +754,8 @@ CONFIG_VALUES = st.one_of(
     st.one_of(st.none(), st.booleans(), st.text(max_size=4),
               st.lists(st.integers(0, 3), max_size=2),
               st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1)))
+# a float key also takes integers past the float range
+FLOAT_CONFIG_VALUES = st.one_of(CONFIG_VALUES, st.sampled_from([10 ** 400, -10 ** 400]))
 
 
 def _fuzzed_config(case):
@@ -738,8 +773,10 @@ def _fuzzed_config(case):
             argv.append(arg)
     keys = [dest for dest, _, _, _ in COMMANDS[case[0]][3] if dest != "lower"]
     names = st.sampled_from([*keys, "quad_tol", "nonsense"])
-    return st.dictionaries(names, CONFIG_VALUES, max_size=3).map(
-        lambda fuzzed: (argv, {**base, **fuzzed}))
+    pairs = names.flatmap(lambda name: st.tuples(
+        st.just(name), FLOAT_CONFIG_VALUES if name in floats else CONFIG_VALUES))
+    return st.lists(pairs, max_size=3, unique_by=lambda pair: pair[0]).map(
+        lambda fuzzed: (argv, {**base, **dict(fuzzed)}))
 
 
 def _assert_exit_contract(argv):

@@ -34,6 +34,13 @@ class TestCheckReal:
             check_real("x", value, **kwargs)
         assert str(info.value) == message
 
+    def test_rejects_int_past_float_range(self):
+        # such an int fails as the inf it rounds to, not with an OverflowError
+        with pytest.raises(InvalidParams, match=r"x must be finite and >= 0, got inf$"):
+            check_real("x", 10 ** 400)
+        with pytest.raises(InvalidParams, match=r"x must be finite, got -inf$"):
+            check_real("x", -10 ** 400, lo=-math.inf)
+
 
 class TestCheckCount:
     @pytest.mark.parametrize("value", [2, 10**20, np.int64(7)])

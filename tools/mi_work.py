@@ -27,14 +27,14 @@ once to warm its caches and once timed, and prints per channel:
 The second table covers the sampled estimate ``cnl_lower_chi2`` at the seven
 ``mi_points`` channels, 10k samples and seed 3. It runs each estimate twice:
 once on every CPU the process may use, timed, counting its conditional chunks
-and thread pools; and once on one thread with counting wrappers around the
-quadrature's internals. It prints per channel:
+and thread pools; and once on one worker thread with counting wrappers around
+the quadrature's internals. It prints per channel:
 
 - ``cond/smp``: integrand evaluations per sample in the conditional stage,
   the Gauss-Hermite pair's included;
 - ``gh``: the share of samples the Gauss-Hermite pair settles;
 - ``chunks``: the conditional stage's chunks (calls of ``_log_p_cond``);
-- ``pools``: thread pools built by the estimate (0 on one CPU);
+- ``pools``: thread pools built by the estimate (1, on one CPU too);
 - ``wall_s``: the timed estimate's wall time.
 
 Counters do not jitter, so they show a change in work even where the wall
